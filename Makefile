@@ -1,4 +1,4 @@
-.PHONY: all build test smoke chaos-smoke fleet-smoke parallel-smoke obs-smoke calibrate-smoke scaling-gate incremental-gate obs-gate bench-json bench-txt check clean
+.PHONY: all build test smoke chaos-smoke fleet-smoke parallel-smoke obs-smoke calibrate-smoke perfbench-check scaling-gate incremental-gate obs-gate bench-json bench-txt check clean
 
 all: build
 
@@ -49,6 +49,13 @@ obs-smoke: build
 calibrate-smoke: build
 	./scripts/calibrate_smoke.sh
 
+# Serving-benchmark check: the perfbench harness's own unit tests, then
+# a short run of every workload (scripts/perfbench_smoke.sh) that must
+# answer every request, byte-identically to the response oracle.
+perfbench-check: build
+	PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench -p 'test_*.py'
+	PYTHONDONTWRITEBYTECODE=1 ./scripts/perfbench_smoke.sh
+
 # Parallel-scaling gate: times the c432 hot paths at 1/2/4 domains,
 # checks bit-identity, the scaling verdict (strict >= 1.5x at 2 domains
 # on multicore hosts, an oversubscription floor on single-core ones) and
@@ -87,7 +94,7 @@ bench-txt: build
 	dune exec bench/main.exe -- --extension > bench_extension_output.txt
 	@echo "wrote bench_perf_output.txt bench_ablation_output.txt bench_extension_output.txt"
 
-check: build test smoke chaos-smoke fleet-smoke parallel-smoke obs-smoke calibrate-smoke scaling-gate incremental-gate obs-gate
+check: build test smoke chaos-smoke fleet-smoke parallel-smoke obs-smoke calibrate-smoke perfbench-check scaling-gate incremental-gate obs-gate
 
 clean:
 	dune clean

@@ -1,7 +1,7 @@
 (** Consistent-hash ring with virtual nodes.
 
-    The router places a request's cache key — circuit digest + config
-    fingerprint, see {!Server.Protocol.job_cache_key} — on the ring and
+    The router places a request's cache key — circuit digest and name +
+    config fingerprint, see {!Server.Protocol.job_cache_key} — on the ring and
     forwards it to the key's owner, so identical analyses land on the
     same backend (one warm cache, one compute) no matter which client
     asks.

@@ -62,10 +62,8 @@ type t = {
   metrics : Server.Metrics.t;
   registry : Obs.Registry.t;
   faults : Server.Faults.t;
-  (* circuit-name -> netlist digest memo: routing needs the digest of
-     every request, and regenerating c7552 per request would be silly *)
-  digests : (string, string) Hashtbl.t;
-  digest_lock : Mutex.t;
+  (* routing needs every request's cache key, hence its circuit's digest *)
+  circuits : Server.Circuits.t;
   rng : Physics.Rng.t;
   rng_lock : Mutex.t;
   mutable running : bool;
@@ -91,6 +89,8 @@ let register_collectors t =
   let r = t.registry in
   Obs.Registry.register r (fun () -> Server.Metrics.registry_samples t.metrics);
   Obs.Registry.register r (fun () -> Obs.Trace.registry_samples ());
+  Obs.Registry.register r (fun () ->
+      Server.Metrics.cache_samples "circuits" (Server.Cache.stats (Server.Circuits.cache t.circuits)));
   (match t.slo with
   | None -> ()
   | Some slo -> Obs.Registry.register r (fun () -> Obs.Slo.registry_samples slo));
@@ -161,8 +161,7 @@ let create ?(config = default_config) ?(faults = Server.Faults.none) ?slo endpoi
       metrics = Server.Metrics.create ();
       registry = Obs.Registry.create ();
       faults;
-      digests = Hashtbl.create 16;
-      digest_lock = Mutex.create ();
+      circuits = Server.Circuits.create ();
       rng = Physics.Rng.split (Physics.Rng.create ~seed:11);
       rng_lock = Mutex.create ();
       running = false;
@@ -172,6 +171,7 @@ let create ?(config = default_config) ?(faults = Server.Faults.none) ?slo endpoi
     }
   in
   register_collectors t;
+  Server.Metrics.observe_cache "circuits" (Server.Circuits.cache t.circuits);
   t
 
 (* --- fault injection at router sites --- *)
@@ -199,55 +199,19 @@ let backoff t policy ~attempt ?retry_after_ms () =
 
 (* --- routing --- *)
 
-exception Reject of Protocol.error_code * string * (string * Json.t) list
+exception Reject of Protocol.decode_error
 
-let circuit_digest t = function
-  | Protocol.Named name -> begin
-    Mutex.lock t.digest_lock;
-    let memo = Hashtbl.find_opt t.digests name in
-    Mutex.unlock t.digest_lock;
-    match memo with
-    | Some d -> d
-    | None -> begin
-      match Circuit.Generators.by_name name with
-      | net ->
-        let d = Circuit.Netlist.digest net in
-        Mutex.lock t.digest_lock;
-        Hashtbl.replace t.digests name d;
-        Mutex.unlock t.digest_lock;
-        d
-      | exception Not_found ->
-        raise
-          (Reject
-             ( Protocol.Bad_request,
-               Printf.sprintf "unknown circuit %S (expected an ISCAS85 name or inline bench text)"
-                 name,
-               [] ))
-    end
-  end
-  | Protocol.Bench text -> begin
-    match Circuit.Bench_io.parse_result ~name:"inline" text with
-    | Ok net -> Circuit.Netlist.digest net
-    | Error { Circuit.Bench_io.line; message } ->
-      raise
-        (Reject
-           ( Protocol.Invalid_request,
-             "bench parse error: " ^ message,
-             match line with Some l -> [ ("line", Json.Int l) ] | None -> [] ))
-  end
-
-(* The routing key IS the backend's cache key: requests that would hit
-   the same cache entry land on the same backend, which is the whole
-   point of hashing by digest + config fingerprint. *)
+(* The routing key IS the backend's cache key, built on the digest the
+   same resolver computes: requests that would hit the same cache entry
+   land on the same backend, which is the whole point of hashing by
+   digest + config fingerprint. *)
 let job_key t job =
-  let circuit =
-    match job with
-    | Protocol.Analyze { circuit; _ }
-    | Protocol.Ivc_search { circuit; _ }
-    | Protocol.Sleep_sizing { circuit; _ } ->
-      circuit
-  in
-  Protocol.job_cache_key job ~circuit_digest:(circuit_digest t circuit)
+  match
+    Server.Circuits.resolve t.circuits ~max_bench_bytes:t.config.max_line_bytes
+      (Protocol.job_circuit job)
+  with
+  | Ok { Server.Circuits.digest; _ } -> Protocol.job_cache_key job ~circuit_digest:digest
+  | Error e -> raise (Reject e)
 
 (* Failover candidates: the ring's preference order filtered to
    routable backends, then Suspect ones as a last resort (a Suspect
@@ -741,6 +705,12 @@ let stats_result t =
       ("counters", Server.Metrics.counters_json t.metrics);
       ("endpoints", Server.Metrics.to_json t.metrics);
       ("faults", Server.Faults.to_json t.faults);
+      ( "cache",
+        Json.Assoc
+          [
+            Server.Metrics.cache_stats_json "circuits"
+              (Server.Cache.stats (Server.Circuits.cache t.circuits));
+          ] );
     ]
     @ match t.slo with None -> [] | Some slo -> [ ("slo", Server.Metrics.slo_json slo) ])
 
@@ -842,7 +812,7 @@ let job_error_of = function
         ("message", Json.String (Json.to_string other));
       ]
 
-let reject_details code message details =
+let reject_details { Protocol.code; message; details } =
   Json.Assoc
     ([ ("code", Json.String (Protocol.error_code_string code)); ("message", Json.String message) ]
     @ details)
@@ -910,8 +880,7 @@ let dispatch t ~id ~timeout_ms request =
         failovers := !failovers + meta.failovers;
         coalesced := !coalesced || meta.coalesced;
         job_error_of e
-      | exception Reject (code, message, details) ->
-        job_error_of (reject_details code message details)
+      | exception Reject e -> job_error_of (reject_details e)
     in
     let results = List.map one jobs in
     ( Protocol.ok_response ~id
@@ -1024,7 +993,8 @@ let handle t request_json =
                 meta := m;
                 response))
       with
-      | Reject (code, message, details) -> Protocol.error_response ~id ~details code message
+      | Reject { Protocol.code; message; details } ->
+        Protocol.error_response ~id ~details code message
       | Json.Type_error m -> Protocol.error_response ~id Protocol.Bad_request m
       | exn -> Protocol.error_response ~id Protocol.Internal_error (Printexc.to_string exn)
     in

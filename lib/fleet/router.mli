@@ -1,7 +1,8 @@
 (** The fleet front end: one router process speaking the standard wire
     protocol, consistent-hash routing every job to a backend keyed by
-    netlist digest + platform fingerprint (= the backend's cache key),
-    with:
+    netlist digest and name + platform fingerprint (= the backend's
+    cache key, computed by the same {!Server.Circuits} resolver, whose
+    [circuits] cache the router's [stats] and [metrics] report), with:
 
     - {e singleflight coalescing}: identical concurrent requests
       collapse to one backend flight; followers share the leader's

@@ -66,7 +66,11 @@ let random_dag profile =
   let rng = Physics.Rng.create ~seed:profile.seed in
   let b = Netlist.Builder.create ~name:profile.name in
   let pis = Array.init profile.n_pi (fun i -> Netlist.Builder.input b (Printf.sprintf "i%d" i)) in
-  let all_nodes = ref (List.rev (Array.to_list pis)) in
+  (* Node ids in creation order, filled in place; fanin draws index it
+     newest-first, so generation stays linear in the gate count. *)
+  let n_total = profile.n_pi + profile.n_gates in
+  let nodes = Array.make n_total 0 in
+  Array.blit pis 0 nodes 0 profile.n_pi;
   let n_nodes = ref profile.n_pi in
   let used_as_fanin = Hashtbl.create (profile.n_pi + profile.n_gates) in
   let unused_pis = Queue.create () in
@@ -77,7 +81,7 @@ let random_dag profile =
        which stretches logic depth to ISCAS-like values; unconnected PIs
        are drained first so every input drives something. *)
     let chosen = Hashtbl.create 4 in
-    let all = Array.of_list !all_nodes in
+    let n = !n_nodes in
     let rec draw remaining acc =
       if remaining = 0 then acc
       else begin
@@ -85,7 +89,7 @@ let random_dag profile =
           if not (Queue.is_empty unused_pis) then Queue.pop unused_pis
           else if !recent <> [] && Physics.Rng.bool rng then
             List.nth !recent (Physics.Rng.int rng (List.length !recent))
-          else all.(Physics.Rng.int rng (Array.length all))
+          else nodes.(n - 1 - Physics.Rng.int rng n)
         in
         if Hashtbl.mem chosen candidate then draw remaining acc
         else begin
@@ -105,13 +109,14 @@ let random_dag profile =
     let fanin = pick_fanin cell.Cell.Stdcell.n_inputs in
     Array.iter (fun f -> Hashtbl.replace used_as_fanin f ()) fanin;
     let id = Netlist.Builder.gate b ~cell fanin in
-    all_nodes := id :: !all_nodes;
+    nodes.(!n_nodes) <- id;
     incr n_nodes;
     recent := id :: (if List.length !recent >= 8 then List.filteri (fun i _ -> i < 7) !recent else !recent)
   done;
   (* Outputs: fanout-free gates first (newest first), then the most recent
      remaining gates until the PO budget is met. *)
-  let gates_newest_first = List.filter (fun id -> id >= profile.n_pi) !all_nodes in
+  let newest_first = List.init n_total (fun i -> nodes.(n_total - 1 - i)) in
+  let gates_newest_first = List.filter (fun id -> id >= profile.n_pi) newest_first in
   let sinks = List.filter (fun id -> not (Hashtbl.mem used_as_fanin id)) gates_newest_first in
   let non_sinks = List.filter (fun id -> Hashtbl.mem used_as_fanin id) gates_newest_first in
   let rec take n = function

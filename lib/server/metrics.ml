@@ -277,3 +277,55 @@ let pool_json (s : Parallel.Pool.stats) =
       ("speedup_estimate", Json.Float (Parallel.Pool.speedup_estimate s));
       ("last_job", last_job);
     ]
+
+(* --- Cache observation, shared by every cache the service and the
+   router keep --- *)
+
+let cache_stats_json label (s : Cache.stats) =
+  ( label,
+    Json.Assoc
+      [
+        ("hits", Json.Int s.Cache.hits);
+        ("misses", Json.Int s.Cache.misses);
+        ("evictions", Json.Int s.Cache.evictions);
+        ("size", Json.Int s.Cache.size);
+        ("capacity", Json.Int s.Cache.capacity);
+        ("bytes_used", Json.Int s.Cache.bytes_used);
+        ("max_bytes", match s.Cache.max_bytes with Some b -> Json.Int b | None -> Json.Null);
+        ("hit_rate", Json.Float (Cache.hit_rate s));
+      ] )
+
+let cache_samples label (s : Cache.stats) =
+  let labels = [ ("cache", label) ] in
+  let gauge name help v =
+    { Obs.Registry.name; help; labels; value = Obs.Registry.Gauge (float_of_int v) }
+  in
+  let counter name help v =
+    { Obs.Registry.name; help; labels; value = Obs.Registry.Counter (float_of_int v) }
+  in
+  [
+    gauge "nbti_cache_entries" "Resident cache entries." s.Cache.size;
+    gauge "nbti_cache_bytes" "Approximate resident cache bytes." s.Cache.bytes_used;
+    counter "nbti_cache_hits_total" "Cache lookup hits." s.Cache.hits;
+    counter "nbti_cache_misses_total" "Cache lookup misses." s.Cache.misses;
+    counter "nbti_cache_evictions_total" "Cache evictions." s.Cache.evictions;
+  ]
+
+(* The listener runs under the cache lock (see Cache.on_event), so it
+   only emits — it never calls back into the cache. *)
+let observe_cache label cache =
+  Cache.on_event cache (fun event key ->
+      let name = match event with Cache.Hit -> "hit" | Cache.Miss -> "miss" | Cache.Evict -> "evict" in
+      if Obs.Trace.enabled () then
+        Obs.Trace.instant ~cat:"cache"
+          ~args:[ ("cache", Obs.Fields.Str label); ("key", Obs.Fields.Str key) ]
+          ("cache." ^ name);
+      if Obs.Log.would_log Obs.Log.Debug then
+        Obs.Log.debug
+          ~fields:
+            [
+              ("cache", Obs.Fields.Str label);
+              ("event", Obs.Fields.Str name);
+              ("key", Obs.Fields.Str key);
+            ]
+          "cache event")

@@ -74,3 +74,23 @@ val pool_json : Parallel.Pool.stats -> Json.t
 (** Wire shape of a work-pool counter snapshot: domain count, job/item
     totals, worker vs caller item split, busy and wall seconds, and the
     derived utilization / parallel-speedup estimates. *)
+
+(** {1 Cache observation}
+
+    One wire shape for every {!Cache} a process keeps (the service's
+    [results], [prepared] and [circuits]; the router's [circuits]). *)
+
+val cache_stats_json : string -> Cache.stats -> string * Json.t
+(** [(label, {"hits":..,"misses":..,"evictions":..,"size":..,
+    "capacity":..,"bytes_used":..,"max_bytes":..,"hit_rate":..})] — one
+    member of the [stats] endpoint's ["cache"] object. *)
+
+val cache_samples : string -> Cache.stats -> Obs.Registry.sample list
+(** The same counters as Prometheus families labelled [cache=label]:
+    [nbti_cache_entries], [nbti_cache_bytes], and the
+    [nbti_cache_{hits,misses,evictions}_total] counters. *)
+
+val observe_cache : string -> 'a Cache.t -> unit
+(** Wires the cache's hits, misses and evictions to [cache.hit] /
+    [cache.miss] / [cache.evict] trace instants (with [cache=label] and
+    the key) and debug log records. *)

@@ -60,6 +60,11 @@ type job =
       nbti_aware : bool;
     }
 
+let job_circuit = function
+  | Analyze { circuit; _ } | Ivc_search { circuit; _ } | Sleep_sizing { circuit; _ } -> circuit
+
+let circuit_name = function Named name -> name | Bench _ -> "inline"
+
 type calibrate_spec = {
   dataset : Calibrate.Dataset.t;
   config : Calibrate.Engine.config;
@@ -830,6 +835,7 @@ let calibrate_cache_key { dataset; config } =
     (Calibrate.Engine.fingerprint config)
 
 let job_cache_key job ~circuit_digest =
+  let circuit_digest = circuit_digest ^ ":" ^ circuit_name (job_circuit job) in
   let flow_fp flow = Flow.Platform.config_fingerprint (platform_config flow) in
   match job with
   | Analyze { circuit = _; flow; standby } ->

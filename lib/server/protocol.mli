@@ -95,6 +95,14 @@ type job =
       nbti_aware : bool;
     }
 
+val job_circuit : job -> circuit_spec
+(** The circuit a job runs on. *)
+
+val circuit_name : circuit_spec -> string
+(** The name of the netlist a spec resolves to, which payloads echo as
+    [circuit] and [stats.name]: the ISCAS85 name itself, or ["inline"]
+    for uploaded text. *)
+
 type calibrate_spec = {
   dataset : Calibrate.Dataset.t;
   config : Calibrate.Engine.config;
@@ -242,8 +250,10 @@ val json_of_posterior : dataset:Calibrate.Dataset.t -> Calibrate.Posterior.t -> 
 val job_cache_key : job -> circuit_digest:string -> string
 (** Canonical content-addressed key: the job's kind and every
     result-relevant parameter (config fingerprint included), with the
-    circuit replaced by its {!Circuit.Netlist.digest}. Jobs with equal
-    keys compute identical results. *)
+    circuit replaced by its {!Circuit.Netlist.digest} and its
+    {!circuit_name}. Jobs with equal keys compute identical results.
+    The digest ignores names, so structurally equal circuits (c499 and
+    c1355, or an upload of c17 and c17 itself) differ only by name. *)
 
 val calibrate_cache_key : calibrate_spec -> string
 (** [calibrate|<dataset digest>|<engine config fingerprint>] — equal keys

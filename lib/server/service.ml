@@ -18,6 +18,7 @@ let default_limits =
   }
 
 type t = {
+  circuits : Circuits.t;
   prepared : Flow.Platform.prepared Cache.t;
   results : Json.t Cache.t;
   metrics : Metrics.t;
@@ -69,23 +70,7 @@ let connections t =
   Mutex.unlock t.state;
   c
 
-(* --- Metrics registry and cache observation --- *)
-
-let cache_samples label (s : Cache.stats) =
-  let labels = [ ("cache", label) ] in
-  let gauge name help v =
-    { Obs.Registry.name; help; labels; value = Obs.Registry.Gauge (float_of_int v) }
-  in
-  let counter name help v =
-    { Obs.Registry.name; help; labels; value = Obs.Registry.Counter (float_of_int v) }
-  in
-  [
-    gauge "nbti_cache_entries" "Resident cache entries." s.Cache.size;
-    gauge "nbti_cache_bytes" "Approximate resident cache bytes." s.Cache.bytes_used;
-    counter "nbti_cache_hits_total" "Cache lookup hits." s.Cache.hits;
-    counter "nbti_cache_misses_total" "Cache lookup misses." s.Cache.misses;
-    counter "nbti_cache_evictions_total" "Cache evictions." s.Cache.evictions;
-  ]
+(* --- Metrics registry --- *)
 
 let register_collectors t =
   let r = t.registry in
@@ -98,8 +83,9 @@ let register_collectors t =
     ~help:"Admission bound on concurrent compute-path requests." (fun () ->
       float_of_int t.max_pending);
   Obs.Registry.register r (fun () ->
-      cache_samples "results" (Cache.stats t.results)
-      @ cache_samples "prepared" (Cache.stats t.prepared));
+      Metrics.cache_samples "results" (Cache.stats t.results)
+      @ Metrics.cache_samples "prepared" (Cache.stats t.prepared)
+      @ Metrics.cache_samples "circuits" (Cache.stats (Circuits.cache t.circuits)));
   Obs.Registry.register r (fun () ->
       let s = Parallel.Pool.stats t.pool in
       [
@@ -131,31 +117,12 @@ let register_collectors t =
       ]
     (fun () -> 1.0)
 
-(* Cache hits, misses and evictions become trace markers and debug log
-   records. The listener runs under the cache lock (see Cache.on_event),
-   so it only emits — it never calls back into the cache. *)
-let observe_cache label cache =
-  Cache.on_event cache (fun event key ->
-      let name = match event with Cache.Hit -> "hit" | Cache.Miss -> "miss" | Cache.Evict -> "evict" in
-      if Obs.Trace.enabled () then
-        Obs.Trace.instant ~cat:"cache"
-          ~args:[ ("cache", Obs.Fields.Str label); ("key", Obs.Fields.Str key) ]
-          ("cache." ^ name);
-      if Obs.Log.would_log Obs.Log.Debug then
-        Obs.Log.debug
-          ~fields:
-            [
-              ("cache", Obs.Fields.Str label);
-              ("event", Obs.Fields.Str name);
-              ("key", Obs.Fields.Str key);
-            ]
-          "cache event")
-
 let create ?(result_capacity = 256) ?(result_max_bytes = 64 * 1024 * 1024)
     ?(prepared_capacity = 32) ?(max_pending = 64) ?(limits = default_limits)
     ?(faults = Faults.none) ?(drain_timeout_ms = 5000) ?pool ?slo () =
   let t =
     {
+      circuits = Circuits.create ();
       prepared = Cache.create ~capacity:prepared_capacity ();
       results =
         Cache.create ~capacity:result_capacity ~max_bytes:result_max_bytes ~weight:json_weight ();
@@ -180,8 +147,9 @@ let create ?(result_capacity = 256) ?(result_max_bytes = 64 * 1024 * 1024)
     }
   in
   register_collectors t;
-  observe_cache "results" t.results;
-  observe_cache "prepared" t.prepared;
+  Metrics.observe_cache "results" t.results;
+  Metrics.observe_cache "prepared" t.prepared;
+  Metrics.observe_cache "circuits" (Circuits.cache t.circuits);
   t
 
 let registry t = t.registry
@@ -261,26 +229,20 @@ let compute_faults t =
 
 (* --- Job execution --- *)
 
-exception Bad_request_error of string
-exception Invalid_request_error of { line : int option; message : string }
+(* A request the server refuses: [bad_request] or [invalid_request] with
+   the error object's extra fields (e.g. a .bench "line"). *)
+exception Rejected of Protocol.decode_error
 
-let bad fmt = Printf.ksprintf (fun m -> raise (Bad_request_error m)) fmt
+let reject code fmt =
+  Printf.ksprintf (fun message -> raise (Rejected { Protocol.code; message; details = [] })) fmt
 
-let invalid ?line fmt =
-  Printf.ksprintf (fun m -> raise (Invalid_request_error { line; message = m })) fmt
+let bad fmt = reject Protocol.Bad_request fmt
+let invalid fmt = reject Protocol.Invalid_request fmt
 
-let resolve_circuit t = function
-  | Protocol.Named name -> begin
-    try Circuit.Generators.by_name name
-    with Not_found -> bad "unknown circuit %S (expected an ISCAS85 name or inline bench text)" name
-  end
-  | Protocol.Bench text -> begin
-    if String.length text > t.limits.max_line_bytes then
-      invalid "inline bench text exceeds %d bytes" t.limits.max_line_bytes;
-    match Circuit.Bench_io.parse_result ~name:"inline" text with
-    | Ok net -> net
-    | Error { Circuit.Bench_io.line; message } -> invalid ?line "bench parse error: %s" message
-  end
+let resolve_circuit t spec =
+  match Circuits.resolve t.circuits ~max_bench_bytes:t.limits.max_line_bytes spec with
+  | Ok resolved -> resolved
+  | Error e -> raise (Rejected e)
 
 let check_gate_limit t net =
   let gates = Circuit.Netlist.n_gates net in
@@ -298,9 +260,13 @@ let standby_of_spec net = function
 
 (* The prepared cache is keyed on the *prepare* fingerprint, which is
    coarser than the full config fingerprint: lifetime / RAS / temperature
-   sweeps reuse the same signal probabilities and leakage tables. *)
-let prepared_for t cfg net ~digest =
-  let key = digest ^ "|" ^ Flow.Platform.prepare_fingerprint cfg in
+   sweeps reuse the same signal probabilities and leakage tables. A
+   prepared pipeline holds its netlist, whose name analyses echo, so the
+   name is part of the key like it is of the result key. *)
+let prepared_for t cfg (net : Circuit.Netlist.t) ~digest =
+  let key =
+    String.concat "|" [ digest; net.Circuit.Netlist.name; Flow.Platform.prepare_fingerprint cfg ]
+  in
   Cache.find_or_add t.prepared key (fun () -> Flow.Platform.prepare cfg net)
 
 (* Every compute path runs on the service's pool under the request's
@@ -313,15 +279,8 @@ let config_for t flow ~budget =
    still answers anything it has already computed (degraded mode), plus
    health and stats, so operators keep observability under overload. *)
 let run_job t ~budget job =
-  let circuit =
-    match job with
-    | Protocol.Analyze { circuit; _ } | Protocol.Ivc_search { circuit; _ }
-    | Protocol.Sleep_sizing { circuit; _ } ->
-      circuit
-  in
-  let net = resolve_circuit t circuit in
+  let { Circuits.net; digest } = resolve_circuit t (Protocol.job_circuit job) in
   check_gate_limit t net;
-  let digest = Circuit.Netlist.digest net in
   let key = Protocol.job_cache_key job ~circuit_digest:digest in
   let compute_payload () =
     match job with
@@ -419,20 +378,6 @@ let endpoint_name = function
   | Protocol.Trace_export _ -> "trace_export"
   | Protocol.Cluster_metrics -> "cluster_metrics"
 
-let cache_stats_json label (s : Cache.stats) =
-  ( label,
-    Json.Assoc
-      [
-        ("hits", Json.Int s.Cache.hits);
-        ("misses", Json.Int s.Cache.misses);
-        ("evictions", Json.Int s.Cache.evictions);
-        ("size", Json.Int s.Cache.size);
-        ("capacity", Json.Int s.Cache.capacity);
-        ("bytes_used", Json.Int s.Cache.bytes_used);
-        ("max_bytes", match s.Cache.max_bytes with Some b -> Json.Int b | None -> Json.Null);
-        ("hit_rate", Json.Float (Cache.hit_rate s));
-      ] )
-
 (* Structured health: [state] is what router probes and drain-aware
    tooling branch on; the bare [status:"ok"] liveness field predates it
    and is kept for wire compatibility ("did a well-formed daemon
@@ -500,8 +445,9 @@ let stats_result t =
       ( "cache",
         Json.Assoc
           [
-            cache_stats_json "results" (Cache.stats t.results);
-            cache_stats_json "prepared" (Cache.stats t.prepared);
+            Metrics.cache_stats_json "results" (Cache.stats t.results);
+            Metrics.cache_stats_json "prepared" (Cache.stats t.prepared);
+            Metrics.cache_stats_json "circuits" (Cache.stats (Circuits.cache t.circuits));
           ] );
       ("faults", Faults.to_json t.faults);
       ("pool", Metrics.pool_json (Parallel.Pool.stats t.pool));
@@ -631,8 +577,9 @@ let handle t request_json =
       (* Warm-handoff ops bypass admission like health/stats: they move
          already-computed payloads, never compute, so a draining or shed
          server can still hand its heat away. Keys are content-addressed
-         (job kind + digest + fingerprint), so imported payloads are
-         exactly what this server would have computed. *)
+         (Protocol.job_cache_key: job kind, digest, circuit name and
+         fingerprint), so imported payloads are exactly what this server
+         would have computed. *)
       | Protocol.Cache_export { max_entries } ->
         Metrics.incr_counter t.metrics "cache_exports";
         let entries = Cache.entries ~max:max_entries t.results in
@@ -671,10 +618,8 @@ let handle t request_json =
         let one job =
           match run_job t ~budget job with
           | payload -> payload
-          | exception Bad_request_error m -> job_error_json Protocol.Bad_request m
-          | exception Invalid_request_error { line; message } ->
-            let details = match line with Some l -> [ ("line", Json.Int l) ] | None -> [] in
-            job_error_json ~details Protocol.Invalid_request message
+          | exception Rejected { Protocol.code; message; details } ->
+            job_error_json ~details code message
           | exception Overloaded ->
             job_error_json ~details:(overloaded_details t) Protocol.Overloaded
               (Printf.sprintf "job queue full (max %d pending)" t.max_pending)
@@ -690,11 +635,9 @@ let handle t request_json =
     in
     observed t ~cid:(fresh_cid t id) ?trace ~endpoint @@ fun () ->
     (try Metrics.time t.metrics ~endpoint respond with
-    | Bad_request_error m -> Protocol.error_response ~id Protocol.Bad_request m
-    | Invalid_request_error { line; message } ->
-      Metrics.incr_counter t.metrics "invalid_requests";
-      let details = match line with Some l -> [ ("line", Json.Int l) ] | None -> [] in
-      Protocol.error_response ~id ~details Protocol.Invalid_request message
+    | Rejected { Protocol.code; message; details } ->
+      if code = Protocol.Invalid_request then Metrics.incr_counter t.metrics "invalid_requests";
+      Protocol.error_response ~id ~details code message
     | Overloaded ->
       Protocol.error_response ~id ~details:(overloaded_details t) Protocol.Overloaded
         (Printf.sprintf "job queue full (max %d pending)" t.max_pending)

@@ -3,11 +3,16 @@
     metrics, and serves newline-delimited JSON over a Unix-domain or TCP
     socket.
 
-    Two cache layers sit in front of the platform:
-    - a [prepared] cache keyed on (netlist digest, prepare fingerprint):
-      signal probabilities and leakage tables are reused across every
-      request on the same circuit, including sweeps over lifetime / RAS /
-      temperatures that share the SP and leakage settings;
+    Three cache tiers sit in front of the platform:
+    - a [circuits] resolver ({!Circuits}) keyed on the circuit name or
+      the inline text: each circuit is generated or parsed, and
+      digested, once per process, and repeats get the same netlist
+      value;
+    - a [prepared] cache keyed on (netlist digest, netlist name, prepare
+      fingerprint): signal probabilities and leakage tables are reused
+      across every request on the same circuit, including sweeps over
+      lifetime / RAS / temperatures that share the SP and leakage
+      settings;
     - a result cache keyed on {!Protocol.job_cache_key}: an identical
       request is answered without touching the platform at all. It is
       additionally bounded by an approximate byte budget.
@@ -63,6 +68,8 @@ val create :
     measured as serialized JSON size); [prepared_capacity] bounds the
     prepared-pipeline cache (default 32 — these entries hold whole
     leakage tables and SP arrays, so the bound is deliberately small);
+    the circuit resolver keeps its fixed {!Circuits.default_capacity}
+    and {!Circuits.default_max_bytes} bounds;
     [max_pending] bounds concurrent compute-path requests before
     [overloaded] (default 64). [faults] arms a fault-injection plan
     (default {!Faults.none}). [drain_timeout_ms] bounds how long

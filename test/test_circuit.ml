@@ -265,6 +265,39 @@ let test_random_dag_all_pis_used () =
       Alcotest.(check bool) "PI drives something" true (Array.length fanout.(id) > 0))
     (Circuit.Netlist.primary_inputs t)
 
+(* Every generator's output, pinned: the structural digest (which keys the
+   service caches), an MD5 of the .bench text (which also covers
+   instance names) and the netlist name, which the service's result keys
+   take from the requested name. A generator rewrite must leave all three
+   unchanged. *)
+let pinned_generator_digests =
+  [
+    ("c17", "97969ca694dcf4238373102bb7e26a71", "e65cce3f266e7a444818e258b17af0b2");
+    ("c432", "2ab1ace1de544ce15afb39849cc807fd", "ef36ed694a566f5efb8d8a2277ac6191");
+    ("c499", "29314fe96128b9572aafc995a4995e0e", "0ea502acc220e55a618d0c985a8dd805");
+    ("c880", "2024a4ab26d9b050a5f2a69cfc7ededd", "be54e0c7eef1f4b8bd597d38cb6a456d");
+    ("c1355", "29314fe96128b9572aafc995a4995e0e", "0ef1894f43ca15ee360a551d6b03d5c5");
+    ("c1908", "9fc46b0d2fde477a00316ad40e7c6ef4", "0dd909e825da9d43e9bb639f9c206464");
+    ("c2670", "9d10bac809e3a635e800599dc13947cf", "41d64ce9b87270dd9bc7e742908ce07d");
+    ("c3540", "66e0417bfc3f5f643f450313af864a52", "422b2befbf7fb9715fea04a293d1160b");
+    ("c5315", "d9b65d24c98949dde13c2f167a664305", "aa13a4f86a746f5df97b96157e53c4b1");
+    ("c6288", "d8cf6bc766ff19618677528b31611217", "56338692f6e61cba38dcf1ef3c548bba");
+    ("c7552", "29066e0dd4eee55388a76f60731fe480", "72a6f45ccdd2242bbc3eb45d24afaded");
+  ]
+
+let test_generator_digests_pinned () =
+  Alcotest.(check int) "every profile pinned"
+    (List.length Circuit.Generators.iscas85_profiles)
+    (List.length pinned_generator_digests);
+  List.iter
+    (fun (name, digest, text_md5) ->
+      let net = Circuit.Generators.by_name name in
+      Alcotest.(check string) (name ^ " name") name net.Circuit.Netlist.name;
+      Alcotest.(check string) (name ^ " digest") digest (Circuit.Netlist.digest net);
+      Alcotest.(check string) (name ^ " bench text") text_md5
+        (Digest.to_hex (Digest.string (Circuit.Bench_io.to_string net))))
+    pinned_generator_digests
+
 let test_by_name_unknown () =
   Alcotest.check_raises "unknown circuit" Not_found (fun () ->
       ignore (Circuit.Generators.by_name "c9999"))
@@ -575,6 +608,7 @@ let () =
           Alcotest.test_case "profile counts exact" `Quick test_random_dag_profile_exact;
           Alcotest.test_case "deterministic" `Quick test_random_dag_deterministic;
           Alcotest.test_case "all PIs used" `Quick test_random_dag_all_pis_used;
+          Alcotest.test_case "digests pinned" `Quick test_generator_digests_pinned;
           Alcotest.test_case "unknown name" `Quick test_by_name_unknown;
           Alcotest.test_case "small suite" `Quick test_small_suite;
         ] );

@@ -728,6 +728,35 @@ let test_router_rejects_cache_ops () =
     | _ -> false);
   stop_backend b
 
+(* --- equal structure, different names --- *)
+
+(* c499 and c1355 share a structural digest. Routed, each answer must
+   still carry its own name, byte-identical to a fresh direct service;
+   the router resolves each circuit once and reports it like a backend. *)
+let test_router_equal_structure_keeps_names () =
+  let b0 = start_backend () in
+  let b1 = start_backend () in
+  let router = Fleet.Router.create [ endpoint_of b0; endpoint_of b1 ] in
+  let c1355 = analyze_line ~circuit:"c1355" 10.0 in
+  Alcotest.(check bool) "c499 ok" true
+    (response_ok (Fleet.Router.handle_line router (analyze_line ~circuit:"c499" 10.0)));
+  let routed = Fleet.Router.handle_line router c1355 in
+  let fresh = Server.Service.handle_line (Server.Service.create ()) c1355 in
+  Alcotest.(check string) "routed c1355 = fresh direct c1355" (strip_cached fresh)
+    (strip_cached routed);
+  Alcotest.(check bool) "computed, not c499's cached answer" true
+    (result_member "cached" routed = Server.Json.Bool false);
+  ignore (Fleet.Router.handle_line router c1355);
+  let result line = Server.Json.member "result" (Server.Json.of_string (Fleet.Router.handle_line router line)) in
+  let circuits = Server.Json.(member "circuits" (member "cache" (result {|{"v":1,"op":"stats"}|}))) in
+  Alcotest.(check (pair int int)) "router resolved each circuit once" (2, 1)
+    Server.Json.(to_int (member "misses" circuits), to_int (member "hits" circuits));
+  let prometheus = Server.Json.(to_string_exn (member "prometheus" (result {|{"v":1,"op":"metrics"}|}))) in
+  Alcotest.(check bool) "router exports the circuits cache" true
+    (List.mem {|nbti_cache_hits_total{cache="circuits"} 1|} (String.split_on_char '\n' prometheus));
+  stop_backend b0;
+  stop_backend b1
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_remove_one_backend_is_stable; prop_add_one_backend_only_captures ]
@@ -748,6 +777,8 @@ let () =
             test_router_end_to_end;
           Alcotest.test_case "coalesces identical requests" `Quick
             test_router_coalesces_identical_requests;
+          Alcotest.test_case "equal structure keeps names" `Quick
+            test_router_equal_structure_keeps_names;
           Alcotest.test_case "rejects backend-local cache ops" `Quick
             test_router_rejects_cache_ops;
         ] );

@@ -120,12 +120,44 @@ let test_protocol_error_paths () =
     (Printf.sprintf "{\"v\":1,\"op\":\"batch\",\"jobs\":[%s,%s,%s]}" job job job);
   ignore (expect_ok t2 (Printf.sprintf "{\"v\":1,\"op\":\"batch\",\"jobs\":[%s,%s]}" job job))
 
+let circuits_stat t field =
+  Server.Json.(to_int (member field (member "circuits" (member "cache" (expect_ok t "{\"v\":1,\"op\":\"stats\"}")))))
+
 let test_gate_limit () =
   let limits = { Server.Service.default_limits with Server.Service.max_gates = 3 } in
   let t = Server.Service.create ~limits () in
   expect_code t "invalid_request" "{\"v\":1,\"op\":\"analyze\",\"circuit\":\"c17\"}";
   (* health is not a compute path and keeps working *)
-  ignore (expect_ok t "{\"v\":1,\"op\":\"health\"}")
+  ignore (expect_ok t "{\"v\":1,\"op\":\"health\"}");
+  (* the limit holds on every request, memoized circuits included:
+     c432's 160 gates exceed 100 on the first and the second send *)
+  let limits = { Server.Service.default_limits with Server.Service.max_gates = 100 } in
+  let t = Server.Service.create ~limits () in
+  let c432 = "{\"v\":1,\"op\":\"analyze\",\"circuit\":\"c432\"}" in
+  expect_code t "invalid_request" c432;
+  expect_code t "invalid_request" c432;
+  Alcotest.(check int) "second request resolved from the memo" 1 (circuits_stat t "hits")
+
+let test_rejected_circuits_not_memoized () =
+  let limits = { Server.Service.default_limits with Server.Service.max_line_bytes = 64 } in
+  let t = Server.Service.create ~limits () in
+  let bench text =
+    Server.Json.to_string
+      (Server.Json.Assoc
+         [
+           ("v", Server.Json.Int 1);
+           ("op", Server.Json.String "analyze");
+           ("circuit", Server.Json.Assoc [ ("bench", Server.Json.String text) ]);
+         ])
+  in
+  let oversize = bench ("# " ^ String.make 80 'x' ^ "\nINPUT(a)\nOUTPUT(z)\nz = NOT(a)\n") in
+  for _ = 1 to 2 do
+    expect_code t "bad_request" "{\"v\":1,\"op\":\"analyze\",\"circuit\":\"c9999\"}";
+    expect_code t "invalid_request" oversize
+  done;
+  Alcotest.(check int) "nothing memoized" 0 (circuits_stat t "size");
+  ignore (expect_ok t (bench "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n"));
+  Alcotest.(check int) "a valid upload is" 1 (circuits_stat t "size")
 
 (* --- Positioned .bench errors --- *)
 
@@ -163,14 +195,17 @@ let test_bench_positioned_errors () =
 
 let test_bench_error_maps_to_invalid_request () =
   let t = Server.Service.create () in
-  let response =
-    dispatch t
-      "{\"v\":1,\"op\":\"analyze\",\"circuit\":{\"bench\":\"INPUT(a)\\nz = FOO(a)\\nOUTPUT(z)\"}}"
-  in
-  Alcotest.(check (option string)) "invalid_request" (Some "invalid_request")
-    (response_code response);
-  Alcotest.(check (option int)) "line detail on the wire" (Some 2)
-    (Server.Protocol.error_detail_int response "line")
+  (* parse errors are never memoized: a resend gets the same positioned error *)
+  for _ = 1 to 2 do
+    let response =
+      dispatch t
+        "{\"v\":1,\"op\":\"analyze\",\"circuit\":{\"bench\":\"INPUT(a)\\nz = FOO(a)\\nOUTPUT(z)\"}}"
+    in
+    Alcotest.(check (option string)) "invalid_request" (Some "invalid_request")
+      (response_code response);
+    Alcotest.(check (option int)) "line detail on the wire" (Some 2)
+      (Server.Protocol.error_detail_int response "line")
+  done
 
 (* --- Admission control, shedding and degraded mode --- *)
 
@@ -505,6 +540,8 @@ let () =
         [
           Alcotest.test_case "protocol error paths" `Quick test_protocol_error_paths;
           Alcotest.test_case "gate limit" `Quick test_gate_limit;
+          Alcotest.test_case "rejected circuits not memoized" `Quick
+            test_rejected_circuits_not_memoized;
         ] );
       ( "bench",
         [

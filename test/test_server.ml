@@ -245,7 +245,108 @@ let test_job_cache_key () =
          ~circuit_digest:"d");
   Alcotest.(check bool) "digest changes key" true
     (job_cache_key (job default_flow_spec) ~circuit_digest:"d"
-    <> job_cache_key (job default_flow_spec) ~circuit_digest:"e")
+    <> job_cache_key (job default_flow_spec) ~circuit_digest:"e");
+  (* c499 and c1355 share a digest, as do an upload and the circuit it
+     spells; the echoed name tells them apart *)
+  let named n = Analyze { circuit = Named n; flow = default_flow_spec; standby = Worst } in
+  Alcotest.(check bool) "name changes key" true
+    (job_cache_key (named "c499") ~circuit_digest:"d"
+    <> job_cache_key (named "c1355") ~circuit_digest:"d");
+  Alcotest.(check bool) "inline changes key" true
+    (job_cache_key (named "c17") ~circuit_digest:"d"
+    <> job_cache_key
+         (Analyze { circuit = Bench "x"; flow = default_flow_spec; standby = Worst })
+         ~circuit_digest:"d")
+
+(* --- Circuits: the memoized resolver --- *)
+
+let resolve_ok c spec =
+  match Server.Circuits.resolve c ~max_bench_bytes:(1 lsl 20) spec with
+  | Ok r -> r
+  | Error { Server.Protocol.message; _ } -> Alcotest.fail message
+
+let circuit_stats c = Server.Cache.stats (Server.Circuits.cache c)
+
+let test_circuits_named_memo () =
+  let c = Server.Circuits.create () in
+  let a = resolve_ok c (Server.Protocol.Named "c880") in
+  let b = resolve_ok c (Server.Protocol.Named "c880") in
+  Alcotest.(check bool) "repeat returns the same netlist value" true
+    (a.Server.Circuits.net == b.Server.Circuits.net);
+  Alcotest.(check string) "same digest" a.Server.Circuits.digest b.Server.Circuits.digest;
+  Alcotest.(check string) "digest of the generator"
+    (Circuit.Netlist.digest (Circuit.Generators.by_name "c880"))
+    a.Server.Circuits.digest;
+  Alcotest.(check string) "named as requested" "c880" a.Server.Circuits.net.Circuit.Netlist.name;
+  let s = circuit_stats c in
+  Alcotest.(check (pair int int)) "one miss, one hit" (1, 1) (s.Server.Cache.misses, s.Server.Cache.hits)
+
+let test_circuits_inline_keyed_by_content () =
+  let c = Server.Circuits.create () in
+  let text = Circuit.Bench_io.to_string (Circuit.Generators.by_name "c432") in
+  let r = resolve_ok c (Server.Protocol.Bench text) in
+  Alcotest.(check string) "named inline" "inline" r.Server.Circuits.net.Circuit.Netlist.name;
+  (match Circuit.Bench_io.parse_result ~name:"inline" text with
+  | Ok fresh ->
+    Alcotest.(check string) "digest of a fresh parse" (Circuit.Netlist.digest fresh)
+      r.Server.Circuits.digest
+  | Error e -> Alcotest.fail e.Circuit.Bench_io.message);
+  Alcotest.(check bool) "equal text hits" true
+    ((resolve_ok c (Server.Protocol.Bench text)).Server.Circuits.net == r.Server.Circuits.net);
+  (* one more byte: the same structure, but never the cached value *)
+  let r' = resolve_ok c (Server.Protocol.Bench (text ^ "\n")) in
+  Alcotest.(check bool) "a different text is a miss" true
+    (r'.Server.Circuits.net != r.Server.Circuits.net);
+  Alcotest.(check string) "structurally equal" r.Server.Circuits.digest r'.Server.Circuits.digest;
+  let s = circuit_stats c in
+  Alcotest.(check (pair int int)) "two misses, one hit" (2, 1) (s.Server.Cache.misses, s.Server.Cache.hits);
+  Alcotest.(check int) "two entries" 2 s.Server.Cache.size
+
+let test_circuits_errors_not_cached () =
+  let c = Server.Circuits.create () in
+  let expect_error ?(max_bench_bytes = 1 lsl 20) code spec =
+    match Server.Circuits.resolve c ~max_bench_bytes spec with
+    | Ok _ -> Alcotest.fail "expected an error"
+    | Error e ->
+      Alcotest.(check string) "code" (Server.Protocol.error_code_string code)
+        (Server.Protocol.error_code_string e.Server.Protocol.code);
+      e.Server.Protocol.details
+  in
+  for _ = 1 to 2 do
+    ignore (expect_error Server.Protocol.Bad_request (Server.Protocol.Named "c9999"));
+    ignore
+      (expect_error ~max_bench_bytes:8 Server.Protocol.Invalid_request
+         (Server.Protocol.Bench "INPUT(a)\nz = NOT(a)\nOUTPUT(z)\n"));
+    let details =
+      expect_error Server.Protocol.Invalid_request
+        (Server.Protocol.Bench "INPUT(a)\nz = FOO(a)\nOUTPUT(z)\n")
+    in
+    Alcotest.(check bool) "parse error keeps its line" true
+      (List.assoc_opt "line" details = Some (Server.Json.Int 2))
+  done;
+  Alcotest.(check int) "nothing cached" 0 (circuit_stats c).Server.Cache.size
+
+let test_circuits_bounds_evict () =
+  let named n = Server.Protocol.Named n in
+  let c = Server.Circuits.create ~capacity:2 () in
+  List.iter (fun n -> ignore (resolve_ok c (named n))) [ "c17"; "c432"; "c880" ];
+  let s = circuit_stats c in
+  Alcotest.(check (pair int int)) "entry bound evicts the LRU" (2, 1)
+    (s.Server.Cache.size, s.Server.Cache.evictions);
+  ignore (resolve_ok c (named "c17"));
+  Alcotest.(check int) "evicted circuit is rebuilt" 4 (circuit_stats c).Server.Cache.misses;
+  (* 128 bytes per node: c17 and c432 fit in 25 600 bytes, c880 alone
+     does not, and the newest entry is always kept *)
+  let c = Server.Circuits.create ~max_bytes:25_600 () in
+  ignore (resolve_ok c (named "c17"));
+  ignore (resolve_ok c (named "c432"));
+  Alcotest.(check int) "both fit" 2 (circuit_stats c).Server.Cache.size;
+  ignore (resolve_ok c (named "c880"));
+  let s = circuit_stats c in
+  Alcotest.(check (pair int int)) "byte bound evicts" (1, 2)
+    (s.Server.Cache.size, s.Server.Cache.evictions);
+  Alcotest.(check bool) "within budget but for the newest" true
+    (s.Server.Cache.bytes_used = 128 * Circuit.Netlist.n_nodes (Circuit.Generators.by_name "c880"))
 
 (* --- Service: in-process dispatch --- *)
 
@@ -431,6 +532,113 @@ let test_service_ivc_and_sleep () =
   Alcotest.(check bool) "cached ivc identical" true
     (Server.Json.member "ivc" ivc = Server.Json.member "ivc" ivc2)
 
+(* --- Service: the resolver on the request path --- *)
+
+(* A response with the fields that legitimately differ between two
+   services removed: the echoed id and which cache answered. *)
+let strip_volatile line =
+  let open Server.Json in
+  match of_string line with
+  | Assoc kvs ->
+    to_string
+      (Assoc
+         (List.filter_map
+            (fun (k, v) ->
+              match (k, v) with
+              | "id", _ -> None
+              | "result", Assoc rs -> Some (k, Assoc (List.filter (fun (k', _) -> k' <> "cached") rs))
+              | _ -> Some (k, v))
+            kvs))
+  | other -> to_string other
+
+let analyze_line circuit =
+  Server.Json.to_string
+    (Server.Protocol.json_of_envelope
+       {
+         Server.Protocol.id = Some "x";
+         timeout_ms = None;
+         trace = None;
+         request =
+           Server.Protocol.Single
+             (Server.Protocol.Analyze
+                { circuit; flow = Server.Protocol.default_flow_spec; standby = Server.Protocol.Worst });
+       })
+
+(* c499 and c1355 are the same ECC structure, so they share a digest;
+   a c17 upload shares one with the generator's c17. Each answer must
+   still name its own circuit, exactly as a fresh service would. *)
+let test_service_equal_structure_keeps_names () =
+  let check_pair first second =
+    let t = Server.Service.create () in
+    ignore (Server.Service.handle_line t (analyze_line first));
+    let warm = Server.Service.handle_line t (analyze_line second) in
+    let fresh = Server.Service.handle_line (Server.Service.create ()) (analyze_line second) in
+    Alcotest.(check string) "answer equals a fresh service's" (strip_volatile fresh)
+      (strip_volatile warm)
+  in
+  Alcotest.(check string) "the pair really shares a digest"
+    (Circuit.Netlist.digest (Circuit.Generators.by_name "c499"))
+    (Circuit.Netlist.digest (Circuit.Generators.by_name "c1355"));
+  check_pair (Server.Protocol.Named "c499") (Server.Protocol.Named "c1355");
+  let c17_text = Circuit.Bench_io.to_string (Circuit.Generators.c17 ()) in
+  check_pair (Server.Protocol.Named "c17") (Server.Protocol.Bench c17_text);
+  check_pair (Server.Protocol.Bench c17_text) (Server.Protocol.Named "c17")
+
+let stats_of t =
+  result_of_response (Server.Json.of_string (Server.Service.handle_line t "{\"v\":1,\"op\":\"stats\"}"))
+
+let circuits_field stats field =
+  Server.Json.(to_int (member field (member "circuits" (member "cache" stats))))
+
+let test_service_reports_circuit_cache () =
+  let t = Server.Service.create () in
+  let line = analyze_line (Server.Protocol.Named "c432") in
+  ignore (Server.Service.handle_line t line);
+  let before = circuits_field (stats_of t) "hits" in
+  ignore (Server.Service.handle_line t line);
+  Alcotest.(check int) "second identical request: one more circuit hit" (before + 1)
+    (circuits_field (stats_of t) "hits");
+  Alcotest.(check int) "one circuit resident" 1 (circuits_field (stats_of t) "size");
+  let prometheus =
+    Server.Json.to_string_exn
+      (Server.Json.member "prometheus"
+         (result_of_response
+            (Server.Json.of_string (Server.Service.handle_line t "{\"v\":1,\"op\":\"metrics\"}"))))
+  in
+  Alcotest.(check bool) "circuits cache exported as metrics" true
+    (List.exists
+       (fun l -> l = "nbti_cache_hits_total{cache=\"circuits\"} 1")
+       (String.split_on_char '\n' prometheus))
+
+(* Sixteen distinct jobs over repeated and structurally equal circuits,
+   resolved concurrently by four domains, answer exactly as one domain
+   does. The keys are distinct because a repeated job's "cached" flag
+   depends on whether its twin finished first. *)
+let test_batch_identical_across_domain_counts () =
+  let circuits = [| "c17"; "c432"; "c499"; "c1355"; "c880"; "c17"; "c499"; "c1355" |] in
+  let jobs =
+    List.init 16 (fun i ->
+        Printf.sprintf
+          "{\"op\":\"analyze\",\"circuit\":\"%s\",\"config\":{\"years\":%d},\"standby\":\"%s\"}"
+          circuits.(i mod 8) (1 + (i / 8))
+          (if i mod 8 < 4 then "best" else "worst"))
+  in
+  let line = Printf.sprintf "{\"v\":1,\"op\":\"batch\",\"jobs\":[%s]}" (String.concat "," jobs) in
+  let answer domains =
+    let pool = Parallel.Pool.create ~domains () in
+    Fun.protect
+      ~finally:(fun () -> Parallel.Pool.shutdown pool)
+      (fun () -> Server.Service.handle_line (Server.Service.create ~pool ()) line)
+  in
+  let one = answer 1 in
+  Alcotest.(check bool) "every job answered" true
+    (match Server.Json.member "results" (result_of_response (Server.Json.of_string one)) with
+    | Server.Json.List rs ->
+      List.length rs = 16
+      && List.for_all (fun r -> Server.Json.member "kind" r = Server.Json.String "analysis") rs
+    | _ -> false);
+  Alcotest.(check string) "4 domains = 1 domain, byte for byte" one (answer 4)
+
 (* --- Service: socket round trip --- *)
 
 let test_socket_end_to_end () =
@@ -531,6 +739,13 @@ let () =
           Alcotest.test_case "versioning and errors" `Quick test_protocol_versioning;
           Alcotest.test_case "cache keys" `Quick test_job_cache_key;
         ] );
+      ( "circuits",
+        [
+          Alcotest.test_case "named repeat is the same value" `Quick test_circuits_named_memo;
+          Alcotest.test_case "inline keyed by content" `Quick test_circuits_inline_keyed_by_content;
+          Alcotest.test_case "errors never cached" `Quick test_circuits_errors_not_cached;
+          Alcotest.test_case "entry and byte bounds evict" `Quick test_circuits_bounds_evict;
+        ] );
       ( "service",
         [
           Alcotest.test_case "round trip is bit-exact" `Quick test_service_roundtrip_exact;
@@ -540,6 +755,12 @@ let () =
           Alcotest.test_case "structured errors" `Quick test_service_errors;
           Alcotest.test_case "batch and health" `Quick test_service_batch_and_health;
           Alcotest.test_case "ivc and sleep ops" `Quick test_service_ivc_and_sleep;
+          Alcotest.test_case "equal structure keeps names" `Quick
+            test_service_equal_structure_keeps_names;
+          Alcotest.test_case "circuit cache in stats and metrics" `Quick
+            test_service_reports_circuit_cache;
+          Alcotest.test_case "batch identical across domain counts" `Quick
+            test_batch_identical_across_domain_counts;
           Alcotest.test_case "endpoint parsing" `Quick test_endpoint_parsing;
           Alcotest.test_case "socket end to end" `Quick test_socket_end_to_end;
         ] );
