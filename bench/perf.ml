@@ -615,10 +615,10 @@ let incremental_ctx_of net =
     Logic.Signal_prob.analytic net ~input_sp:(Logic.Signal_prob.uniform_inputs net 0.5)
   in
   let ctx =
-    Compiled.Incremental.Analysis.ctx (Compiled.Arena.get net)
+    Compiled.Incremental.Analysis.ctx
       ~currents:(Leakage.Circuit_leakage.node_currents tables net)
-      ~node_sp ~params:config.Aging.Circuit_aging.params ~tech:config.Aging.Circuit_aging.tech
-      ~schedule:config.Aging.Circuit_aging.schedule ~time:config.Aging.Circuit_aging.time ()
+      ~shifts:(Aging.Circuit_aging.shifts config (Compiled.Arena.get net) ~node_sp)
+      ()
   in
   (ctx, tables, config, node_sp)
 

@@ -119,29 +119,30 @@ let analyze_dvth config t ?po_load ?stage_dvth_n ~stage_dvth () =
     max_dvth = !max_dvth;
   }
 
+let nmos_cond config =
+  { Nbti.Vth_shift.vgs = config.tech.Device.Tech.vdd; vth0 = config.tech.Device.Tech.vth_n }
+
 let analyze_boxed config t ?po_load ~node_sp ~standby () =
   let stage_dvth_n =
     match config.pbti_scale with
     | None -> None
     | Some scale ->
-      let cond =
-        { Nbti.Vth_shift.vgs = config.tech.Device.Tech.vdd; vth0 = config.tech.Device.Tech.vth_n }
-      in
       let duties = duty_table ~polarity:`Nmos t ~node_sp ~standby in
-      Some (stage_dvth_general config ~cond ~scale ~duties)
+      Some (stage_dvth_general config ~cond:(nmos_cond config) ~scale ~duties)
   in
   analyze_dvth config t ?po_load ?stage_dvth_n
     ~stage_dvth:(stage_dvth_map config t ~node_sp ~standby) ()
 
 (* --- Compiled backend ---
 
-   The dvth table + two STA passes re-expressed over [Compiled]: the
-   per-stage shifts become a flat [Compiled.Aging] shape (memoized on
-   everything it depends on, so repeated analyses of one workload skip
-   the duty/equivalent-schedule work entirely) and the timing passes run
-   on the flat arena. Results are bit-identical to [analyze_boxed] —
-   the shape evaluates the same [Vth_shift.dvth] per stage, and the
-   compiled STA preserves the boxed float association. *)
+   The dvth table + two STA passes re-expressed over [Compiled]. A
+   standby state only decides, per gate stage, which of two stored
+   threshold shifts applies ([Compiled.Duty]): the tables are memoized on
+   everything they depend on, so analysing a new standby vector is one
+   logic simulation, a per-stage pick and the timing passes on the flat
+   arena. Results are bit-identical to [analyze_boxed]: each stored shift
+   is the boxed [Vth_shift.dvth] expression on the same duty pair, and
+   the compiled STA preserves the boxed float association. *)
 
 let fp_config buf config =
   Compiled.Memo.Fp.params buf config.params;
@@ -171,22 +172,6 @@ let pmos_shape config t (a : Compiled.Arena.t) ~node_sp ~standby =
         ~cond:(Nbti.Vth_shift.nominal_pmos config.tech) ~scale:1.0
         ~duties:(duty_table t ~node_sp ~standby))
 
-let nmos_shape config t (a : Compiled.Arena.t) ~node_sp ~standby ~scale =
-  let buf = Buffer.create 512 in
-  Compiled.Memo.Fp.s buf a.Compiled.Arena.digest;
-  Compiled.Memo.Fp.s buf "nmos";
-  Compiled.Memo.Fp.f buf scale;
-  fp_config buf config;
-  Compiled.Memo.Fp.floats buf node_sp;
-  fp_standby buf standby;
-  Compiled.Memo.find_or_add shape_memo (Compiled.Memo.Fp.digest buf) (fun () ->
-      let cond =
-        { Nbti.Vth_shift.vgs = config.tech.Device.Tech.vdd; vth0 = config.tech.Device.Tech.vth_n }
-      in
-      Compiled.Aging.build a ~params:config.params ~tech:config.tech
-        ~schedule:config.schedule ~time:config.time ~cond ~scale
-        ~duties:(duty_table ~polarity:`Nmos t ~node_sp ~standby))
-
 let duties_shape config (a : Compiled.Arena.t) ~duties =
   let buf = Buffer.create 512 in
   Compiled.Memo.Fp.s buf a.Compiled.Arena.digest;
@@ -206,39 +191,95 @@ let duties_shape config (a : Compiled.Arena.t) ~duties =
         ~schedule:config.schedule ~time:config.time
         ~cond:(Nbti.Vth_shift.nominal_pmos config.tech) ~scale:1.0 ~duties)
 
-let analyze_shapes config ?po_load ~(shape : Compiled.Aging.t) ?shape_n () =
+(* Duty tables are keyed on the arena digest and the signal
+   probabilities' bits (plus the polarity); shift pairs also on the
+   aging config and the polarity's scale. The probability digest is
+   computed once per analysis and shared by both polarities. *)
+let duty_memo : Compiled.Duty.t Compiled.Memo.t = Compiled.Memo.create ~capacity:16 ()
+let shifts_memo : Compiled.Duty.shifts Compiled.Memo.t = Compiled.Memo.create ~capacity:16 ()
+
+let sp_key (a : Compiled.Arena.t) ~node_sp =
+  let buf = Buffer.create 512 in
+  Compiled.Memo.Fp.s buf a.Compiled.Arena.digest;
+  Compiled.Memo.Fp.floats buf node_sp;
+  Compiled.Memo.Fp.digest buf
+
+let shifts_of config (a : Compiled.Arena.t) ~node_sp ~sp_key polarity =
+  let cond, scale =
+    match (polarity, config.pbti_scale) with
+    | `Pmos, _ -> (Nbti.Vth_shift.nominal_pmos config.tech, 1.0)
+    | `Nmos, Some scale -> (nmos_cond config, scale)
+    | `Nmos, None -> invalid_arg "Circuit_aging: NMOS shifts need a pbti_scale"
+  in
+  let duty_key = sp_key ^ match polarity with `Pmos -> ":pmos" | `Nmos -> ":nmos" in
+  let buf = Buffer.create 512 in
+  Compiled.Memo.Fp.s buf duty_key;
+  Compiled.Memo.Fp.f buf scale;
+  fp_config buf config;
+  Compiled.Memo.find_or_add shifts_memo (Compiled.Memo.Fp.digest buf) (fun () ->
+      Obs.Trace.with_span ~cat:"aging" "aging.duty_tables" @@ fun () ->
+      let duty =
+        Compiled.Memo.find_or_add duty_memo duty_key (fun () ->
+            Compiled.Duty.build a ~polarity ~node_sp)
+      in
+      Compiled.Duty.shifts duty
+        {
+          Compiled.Duty.params = config.params;
+          tech = config.tech;
+          schedule = config.schedule;
+          time = config.time;
+          cond;
+          scale;
+        })
+
+let shifts config a ~node_sp = shifts_of config a ~node_sp ~sp_key:(sp_key a ~node_sp) `Pmos
+
+let analyze_tables config (a : Compiled.Arena.t) ?po_load ~dvth ?dvth_n ~max_dvth () =
   let temp_k = config.schedule.Nbti.Schedule.t_ref in
-  let a = shape.Compiled.Aging.a in
   let tm = Compiled.Timing.get a ~tech:config.tech ~temp_k ?po_load () in
   let fresh =
     Obs.Trace.with_span ~cat:"sta" "sta.fresh" @@ fun () -> Compiled.Timing.fresh_result tm
   in
   let aged =
     Obs.Trace.with_span ~cat:"sta" "sta.aged" @@ fun () ->
-    Compiled.Timing.aged_result tm ~dvth:shape.Compiled.Aging.dvth
-      ?dvth_n:(Option.map (fun (s : Compiled.Aging.t) -> s.Compiled.Aging.dvth) shape_n)
-      ()
+    Compiled.Timing.aged_result tm ~dvth ?dvth_n ()
   in
-  {
-    fresh;
-    aged;
-    degradation = Sta.Timing.degradation ~fresh ~aged;
-    max_dvth = shape.Compiled.Aging.max_dvth;
-  }
+  { fresh; aged; degradation = Sta.Timing.degradation ~fresh ~aged; max_dvth }
+
+let analyze_arena config (a : Compiled.Arena.t) ?po_load ?scratch ~node_sp ~standby () =
+  let sp_key = sp_key a ~node_sp in
+  let shifts polarity = shifts_of config a ~node_sp ~sp_key polarity in
+  (* A vector is simulated once and picks per stage; the bounding states
+     are one stored table each, mirrored across polarity as in
+     [duty_table]. *)
+  let pick =
+    match standby with
+    | Standby_vector v ->
+      if Array.length v <> Array.length a.Compiled.Arena.pis then
+        invalid_arg "Circuit_aging.analyze: standby vector length";
+      let s = match scratch with Some s -> s | None -> Compiled.Logic.leak_scratch a in
+      Compiled.Arena.eval_bool a ~inputs:v ~vals:s.Compiled.Logic.vals ~idxs:s.Compiled.Logic.idxs;
+      fun polarity ->
+        let dvth = Array.make a.Compiled.Arena.n_stages 0.0 in
+        let max_dvth = Compiled.Duty.pick (shifts polarity) ~idxs:s.Compiled.Logic.idxs ~dvth in
+        (dvth, max_dvth)
+    | Standby_all_stressed ->
+      fun polarity -> Compiled.Duty.bound (shifts polarity) ~stressed:(polarity = `Pmos)
+    | Standby_all_relaxed ->
+      fun polarity -> Compiled.Duty.bound (shifts polarity) ~stressed:(polarity = `Nmos)
+  in
+  let dvth, max_dvth = pick `Pmos in
+  let dvth_n = Option.map (fun _ -> fst (pick `Nmos)) config.pbti_scale in
+  analyze_tables config a ?po_load ~dvth ?dvth_n ~max_dvth ()
 
 let analyze config t ?po_load ~node_sp ~standby () =
-  let a = Compiled.Arena.get t in
-  let shape = pmos_shape config t a ~node_sp ~standby in
-  let shape_n =
-    match config.pbti_scale with
-    | None -> None
-    | Some scale -> Some (nmos_shape config t a ~node_sp ~standby ~scale)
-  in
-  analyze_shapes config ?po_load ~shape ?shape_n ()
+  analyze_arena config (Compiled.Arena.get t) ?po_load ~node_sp ~standby ()
 
 let analyze_with_duties config t ?po_load ~duties () =
   let a = Compiled.Arena.get t in
-  analyze_shapes config ?po_load ~shape:(duties_shape config a ~duties) ()
+  let shape = duties_shape config a ~duties in
+  analyze_tables config a ?po_load ~dvth:shape.Compiled.Aging.dvth
+    ~max_dvth:shape.Compiled.Aging.max_dvth ()
 
 let worst_case_config config =
   { config with schedule = Nbti.Schedule.worst_case_temperature config.schedule }

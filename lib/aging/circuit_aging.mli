@@ -57,7 +57,8 @@ val duty_table :
     and the standby state. Empty rows for primary inputs. This is the
     interface point for techniques that synthesize their own standby
     duties (MLV rotation, control-point insertion) and for the
-    process-variation study. *)
+    process-variation study, and the boxed reference that
+    {!Compiled.Duty}'s tables are tested against. *)
 
 val stage_dvth_of_duties :
   config -> duties:(float * float) array array -> (gate:int -> stage:int -> float)
@@ -89,10 +90,28 @@ val analyze :
   standby:standby_state ->
   unit ->
   analysis
-(** Fresh and aged STA at the active temperature. Runs on the compiled
-    arena ({!Compiled.Arena}) with the threshold-shift table memoized per
-    (netlist, config, signal probabilities, standby state) — repeated
-    analyses of one workload skip straight to the timing passes. *)
+(** Fresh and aged STA at the active temperature, on the compiled arena
+    ({!Compiled.Arena}). The threshold shifts come from {!Compiled.Duty}
+    tables memoized per (netlist, signal probabilities) and, for the
+    shift pair, per aging config: a bounding state reads one stored
+    table, and a vector is one logic simulation plus a per-stage pick.
+    @raise Invalid_argument when a standby vector's length is not the
+    number of primary inputs. *)
+
+val analyze_arena :
+  config ->
+  Compiled.Arena.t ->
+  ?po_load:float ->
+  ?scratch:Compiled.Logic.leak_scratch ->
+  node_sp:float array ->
+  standby:standby_state ->
+  unit ->
+  analysis
+(** {!analyze} on an already-compiled netlist. For a [Standby_vector],
+    the logic simulation runs in [scratch] when given, which then holds
+    the vector's node values and per-gate fanin indices, so a caller can
+    read the standby leakage of the same evaluation
+    ({!Compiled.Logic.leakage_of_idxs}). *)
 
 val analyze_boxed :
   config ->
@@ -102,8 +121,15 @@ val analyze_boxed :
   standby:standby_state ->
   unit ->
   analysis
-(** The boxed-DAG reference implementation of {!analyze}; bit-identical
-    results. Kept as the equivalence-test oracle. *)
+(** The boxed-DAG reference implementation of {!analyze}: {!duty_table}
+    and one R-D evaluation per gate stage; bit-identical results. Kept as
+    the equivalence-test oracle. *)
+
+val shifts : config -> Compiled.Arena.t -> node_sp:float array -> Compiled.Duty.shifts
+(** The memoized PMOS shift pair {!analyze} reads: per flat stage, the
+    threshold shift at standby duty 0.0 and at 1.0 under [config]. The
+    table behind incremental IVC sessions
+    ({!Compiled.Incremental.Analysis.ctx}). *)
 
 val pmos_shape :
   config ->
@@ -112,9 +138,9 @@ val pmos_shape :
   node_sp:float array ->
   standby:standby_state ->
   Compiled.Aging.t
-(** The memoized compiled NBTI shape for the PMOS duty table — shared
-    with the process-variation sampler so its per-sample threshold
-    shifts reuse the duty/equivalent-schedule work. *)
+(** The memoized compiled NBTI shape for the PMOS duty table of one
+    standby state, for the process-variation sampler: its per-sample
+    threshold shifts reuse the shape's equivalent-schedule terms. *)
 
 val analyze_with_duties :
   config ->

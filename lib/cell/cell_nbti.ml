@@ -90,17 +90,17 @@ let stress_duties cell ~sp ~standby_vector =
       (a.duty, if s.stressed then 1.0 else 0.0))
     active standby
 
+let stage_duty (active : device_duty list) ~stage =
+  List.fold_left (fun acc (d : device_duty) -> if d.stage = stage then Float.max acc d.duty else acc)
+    0.0 active
+
+let stage_stressed (standby : device_stress list) ~stage =
+  List.exists (fun (d : device_stress) -> d.stage = stage && d.stressed) standby
+
 let worst_stage_duties cell ~sp ~standby_vector ~stage =
   let active = stress_probabilities cell ~sp in
   let standby = stressed_under_vector cell ~vector:standby_vector in
-  let duty =
-    List.fold_left (fun acc (d : device_duty) -> if d.stage = stage then Float.max acc d.duty else acc)
-      0.0 active
-  in
-  let stressed =
-    List.exists (fun (d : device_stress) -> d.stage = stage && d.stressed) standby
-  in
-  (duty, if stressed then 1.0 else 0.0)
+  (stage_duty active ~stage, if stage_stressed standby ~stage then 1.0 else 0.0)
 
 (* PBTI mirror: reverse every series chain so the walk's "top" flag means
    "connected to ground", and flip the gate predicate to gate-high. *)
@@ -142,11 +142,4 @@ let nmos_stress_probabilities cell ~sp =
 let worst_stage_duties_nmos cell ~sp ~standby_vector ~stage =
   let active = nmos_stress_probabilities cell ~sp in
   let standby = nmos_stressed_under_vector cell ~vector:standby_vector in
-  let duty =
-    List.fold_left (fun acc (d : device_duty) -> if d.stage = stage then Float.max acc d.duty else acc)
-      0.0 active
-  in
-  let stressed =
-    List.exists (fun (d : device_stress) -> d.stage = stage && d.stressed) standby
-  in
-  (duty, if stressed then 1.0 else 0.0)
+  (stage_duty active ~stage, if stage_stressed standby ~stage then 1.0 else 0.0)

@@ -49,7 +49,17 @@ val worst_stage_duties :
   Stdcell.t -> sp:float array -> standby_vector:bool array -> stage:int -> float * float
 (** The duty pair of the most-stressed PMOS of one stage (max active duty
     among that stage's devices, standby flag ORed) — the per-stage summary
-    used by timing analysis. (1.0, 1.0) never exceeds it. *)
+    used by timing analysis. (1.0, 1.0) never exceeds it. Equal to
+    [(stage_duty active ~stage, if stage_stressed standby ~stage then 1.0
+    else 0.0)] over {!stress_probabilities} and {!stressed_under_vector}. *)
+
+val stage_duty : device_duty list -> stage:int -> float
+(** The active half of {!worst_stage_duties}: the largest duty among one
+    stage's devices, folded in list order from 0.0. *)
+
+val stage_stressed : device_stress list -> stage:int -> bool
+(** The standby half of {!worst_stage_duties}: whether any device of the
+    stage is stressed. *)
 
 (** {1 PBTI: the NMOS mirror (high-k stacks)}
 

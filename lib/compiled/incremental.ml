@@ -21,9 +21,9 @@
 
    Determinism / bit-identity. Two rules make every session read
    bit-identical to a from-scratch pass:
-   - per-element recomputation calls the exact expressions of the full
-     pass ([Arena.eval_scalar]'s body, [Cell_nbti.worst_stage_duties],
-     [Nbti.Vth_shift.dvth], [Timing.aged_delay_into]), and a node's
+   - per-element recomputation runs the exact steps of the full pass
+     ([Arena.eval_scalar]'s body, the [Duty] per-stage pick,
+     [Timing.aged_delay_into]), and a node's
      outputs propagate to its fanouts only when the new bits differ
      from the resident bits — unchanged bits leave the downstream
      state untouched and therefore identical;
@@ -31,8 +31,8 @@
      the critical-output scan) are never updated in place: the per-term
      arrays are resident and the fold re-runs over them in the full
      pass's order after each edit. Re-folding is O(n) cheap float ops;
-     the expensive work (gate eval, duty extraction, pow/exp in the R-D
-     model, stage recursions) stays cone-limited.
+     the per-node work (gate eval, shift picks, stage recursions) stays
+     cone-limited.
 
    Edits whose support is too large (a nearly-uncorrelated vector) fall
    back to a full recompute into the same resident arrays — exactly the
@@ -302,35 +302,19 @@ module Analysis = struct
   type ctx = {
     a : Arena.t;
     currents : float array array;
-    node_sp : float array;
-    params : Nbti.Rd_model.params;
-    tech : Device.Tech.t;
-    schedule : Nbti.Schedule.t;
-    time : float;
-    cond : Nbti.Vth_shift.device_cond;
+    sh : Duty.shifts;
     tm : Timing.t;
     fresh : Sta.Timing.result;
   }
 
-  (* PMOS-only (no PBTI): the same shape [Circuit_aging.pmos_shape]
-     builds — cond = nominal PMOS, scale = 1. Callers with a
+  (* PMOS-only (no PBTI): [shifts] is the pair [Circuit_aging.analyze]
+     reads for the same config and signal probabilities. Callers with a
      [pbti_scale] must stay on the full-pass path. *)
-  let ctx (a : Arena.t) ~currents ~node_sp ~params ~tech ~(schedule : Nbti.Schedule.t) ~time
-      ?po_load () =
-    let temp_k = schedule.Nbti.Schedule.t_ref in
-    let tm = Timing.get a ~tech ~temp_k ?po_load () in
-    {
-      a;
-      currents;
-      node_sp;
-      params;
-      tech;
-      schedule;
-      time;
-      cond = Nbti.Vth_shift.nominal_pmos tech;
-      tm;
-      fresh = Timing.fresh_result tm;
-    }
+  let ctx ~currents ~(shifts : Duty.shifts) ?po_load () =
+    let a = shifts.Duty.duty.Duty.a in
+    let m = shifts.Duty.model in
+    let tm = Timing.get a ~tech:m.Duty.tech ~temp_k:m.Duty.schedule.Nbti.Schedule.t_ref ?po_load () in
+    { a; currents; sh = shifts; tm; fresh = Timing.fresh_result tm }
 
   let fresh_result c = c.fresh
 
@@ -340,8 +324,6 @@ module Analysis = struct
     vals : int array;
     idxs : int array;
     terms : float array;  (* per node *)
-    duty_a : float array;  (* per flat stage: active duty *)
-    duty_s : float array;  (* per flat stage: standby duty *)
     dvth : float array;  (* per flat stage *)
     gd : float array;  (* per node: aged gate delay *)
     arr : float array;  (* per node: aged arrival *)
@@ -386,34 +368,20 @@ module Analysis = struct
       s.dvth_dirty <- false
     end
 
-  (* Recompute one gate's per-stage duty pairs from the resident fanin
-     values (the standby vector) and [node_sp], and — only where the
-     pair's bits changed — the R-D threshold shift. Exactly the work
-     [Circuit_aging.duty_table] + [Aging.build] do for this gate.
-     Returns whether any dvth bits changed. *)
+  (* Re-pick one gate's per-stage threshold shifts by the stage stress
+     bits of its resident fanin index (its standby vector): the per-gate
+     step of [Duty.pick]. Returns whether any dvth bits changed. *)
   let recompute_gate_dvth s i =
     let a = s.c.a in
-    let b = a.Arena.fanin_off.(i) in
-    let k = a.Arena.fanin_off.(i + 1) - b in
-    let cell = a.Arena.cells.(a.Arena.cell_of.(i)).Arena.cell in
-    let sp = Array.init k (fun j -> s.c.node_sp.(a.Arena.fanin.(b + j))) in
-    let standby_vector = Array.init k (fun j -> s.vals.(a.Arena.fanin.(b + j)) = 1) in
+    let mask = Duty.gate_mask s.c.sh i ~idx:s.idxs.(i) in
     let sb = a.Arena.stage_off.(i) in
-    let n_st = a.Arena.stage_off.(i + 1) - sb in
     let changed = ref false in
-    for stage = 0 to n_st - 1 do
-      let active, standby = Cell.Cell_nbti.worst_stage_duties cell ~sp ~standby_vector ~stage in
-      let flat = sb + stage in
-      if not (bits_eq active s.duty_a.(flat) && bits_eq standby s.duty_s.(flat)) then begin
-        s.duty_a.(flat) <- active;
-        s.duty_s.(flat) <- standby;
-        let sched = Nbti.Schedule.with_stress_duties s.c.schedule ~active ~standby in
-        let d = 1.0 *. Nbti.Vth_shift.dvth s.c.params s.c.tech s.c.cond ~schedule:sched ~time:s.c.time in
-        if not (bits_eq d s.dvth.(flat)) then begin
-          s.dvth.(flat) <- d;
-          s.dvth_dirty <- true;
-          changed := true
-        end
+    for flat = sb to a.Arena.stage_off.(i + 1) - 1 do
+      let d = Duty.stage_shift s.c.sh ~mask ~s:(flat - sb) flat in
+      if not (bits_eq d s.dvth.(flat)) then begin
+        s.dvth.(flat) <- d;
+        s.dvth_dirty <- true;
+        changed := true
       end
     done;
     !changed
@@ -450,8 +418,6 @@ module Analysis = struct
         vals = Array.make n 0;
         idxs = Array.make n 0;
         terms = Array.make n 0.0;
-        duty_a = Array.make ns nan;
-        duty_s = Array.make ns nan;
         dvth = Array.make ns 0.0;
         gd = Array.make n 0.0;
         arr = Array.make n 0.0;
@@ -479,7 +445,7 @@ module Analysis = struct
         let old = s.vals.(i) in
         recompute_val a ~vals:s.vals ~idxs:s.idxs i;
         s.terms.(i) <- s.c.currents.(i).(s.idxs.(i));
-        (* The duty pairs read the fanin values (the gate's standby
+        (* The shift picks read the fanin values (the gate's standby
            vector), so any fanin value change can move this gate's dvth
            even if its own output value is unchanged. *)
         if recompute_gate_dvth s i then delay_dirty := true;
@@ -552,9 +518,9 @@ module Analysis = struct
     set_vector s v
 
   (* What-if duty override on one gate stage (the probe the gate-merging
-     pass needs): forces the duty pair, recomputes the R-D shift and
+     pass needs): evaluates the R-D shift at the forced duty pair and
      propagates the arrival cone. Valid until a later edit re-dirties
-     this gate's values, which recomputes duties from the resident
+     this gate's values, which re-picks its shifts from the resident
      standby vector again. *)
   let set_gate_duty s i ~stage ~active ~standby =
     let a = s.c.a in
@@ -562,10 +528,7 @@ module Analysis = struct
     let flat = a.Arena.stage_off.(i) + stage in
     if flat >= a.Arena.stage_off.(i + 1) then invalid_arg "Incremental.Analysis.set_gate_duty: stage";
     s.st.edits <- s.st.edits + 1;
-    s.duty_a.(flat) <- active;
-    s.duty_s.(flat) <- standby;
-    let sched = Nbti.Schedule.with_stress_duties s.c.schedule ~active ~standby in
-    let d = 1.0 *. Nbti.Vth_shift.dvth s.c.params s.c.tech s.c.cond ~schedule:sched ~time:s.c.time in
+    let d = Duty.dvth s.c.sh.Duty.model ~active ~standby in
     if not (bits_eq d s.dvth.(flat)) then begin
       s.dvth.(flat) <- d;
       s.dvth_dirty <- true
@@ -604,8 +567,6 @@ module Analysis = struct
     Array.iter (fun v -> Buffer.add_char buf (Char.chr (v land 0xff))) s.vals;
     let f x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
     Array.iter f s.terms;
-    Array.iter f s.duty_a;
-    Array.iter f s.duty_s;
     Array.iter f s.dvth;
     Array.iter f s.gd;
     Array.iter f s.arr;

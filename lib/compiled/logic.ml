@@ -90,19 +90,22 @@ type leak_scratch = { vals : int array; idxs : int array }
 let leak_scratch (a : Arena.t) =
   { vals = Array.make a.Arena.n_nodes 0; idxs = Array.make a.Arena.n_nodes 0 }
 
-(* Total standby leakage for one input vector. [currents] holds, per
-   node, the cell leakage LUT row ([||] for primary inputs). The sum
-   runs in node order; skipping the primary inputs' 0.0 terms is exact
-   ([x +. 0.0 = x] bitwise for the non-negative partial sums here), so
-   this matches [Circuit_leakage.standby_leakage]'s fold. *)
-let standby_leakage (a : Arena.t) ~currents scratch ~vector =
-  Arena.eval_bool a ~inputs:vector ~vals:scratch.vals ~idxs:scratch.idxs;
+(* Total standby leakage for one input vector; [leakage_of_idxs] sums
+   the per-gate fanin indices of an evaluation already made. [currents]
+   holds, per node, the cell leakage LUT row ([||] for primary inputs).
+   The sum runs in node order; skipping the primary inputs' 0.0 terms is
+   exact ([x +. 0.0 = x] bitwise for the non-negative partial sums
+   here), so this matches [Circuit_leakage.standby_leakage]'s fold. *)
+let leakage_of_idxs (a : Arena.t) ~currents idxs =
   let acc = ref 0.0 in
   for i = 0 to a.Arena.n_nodes - 1 do
-    if a.Arena.op.(i) <> Arena.op_pi then
-      acc := !acc +. (currents.(i) : float array).(scratch.idxs.(i))
+    if a.Arena.op.(i) <> Arena.op_pi then acc := !acc +. (currents.(i) : float array).(idxs.(i))
   done;
   !acc
+
+let standby_leakage (a : Arena.t) ~currents scratch ~vector =
+  Arena.eval_bool a ~inputs:vector ~vals:scratch.vals ~idxs:scratch.idxs;
+  leakage_of_idxs a ~currents scratch.idxs
 
 (* Per-node LUT rows for [standby_leakage], extracted once per tables
    value by the caller (the arena itself stays leakage-agnostic). *)

@@ -53,9 +53,16 @@ module Fp = struct
     Buffer.add_string buf str;
     Buffer.add_char buf ';'
 
+  (* The bytes of [Array.iter (f buf) a], written without boxing each
+     float's bits. *)
   let floats buf a =
-    i buf (Array.length a);
-    Array.iter (f buf) a
+    let n = Array.length a in
+    i buf n;
+    let b = Bytes.create (8 * n) in
+    for k = 0 to n - 1 do
+      Bytes.set_int64_ne b (8 * k) (Int64.bits_of_float a.(k))
+    done;
+    Buffer.add_bytes buf b
 
   let bools buf a =
     i buf (Array.length a);

@@ -35,7 +35,7 @@ type t = {
   d0 : float array;  (* per node; 0 for primary inputs *)
 }
 
-let drive kw od alpha = if od <= 0.0 then 0.0 else kw *. Float.pow od alpha
+let[@inline] drive kw od alpha = if od <= 0.0 then 0.0 else kw *. Float.pow od alpha
 
 let build (a : Arena.t) ~tech ~temp_k ?po_load () =
   let node_load = Sta.Timing.loads tech a.Arena.net ?po_load () in
@@ -98,7 +98,7 @@ let build (a : Arena.t) ~tech ~temp_k ?po_load () =
 
 (* --- Result assembly (the boxed analyzer's folds, verbatim) --- *)
 
-let fanin_arrival (a : Arena.t) arrival i =
+let[@inline] fanin_arrival (a : Arena.t) arrival i =
   let acc = ref 0.0 in
   for j = a.Arena.fanin_off.(i) to a.Arena.fanin_off.(i + 1) - 1 do
     acc := Float.max !acc arrival.(a.Arena.fanin.(j))
@@ -149,7 +149,7 @@ let fresh_result tm =
 (* Aged pass: [dvth] (and optionally [dvth_n]) are per-flat-stage
    threshold shifts. The [scratch] stage-arrival array may be shared
    across calls by one thread. *)
-let aged_delay_into tm ~dvth ~dvth_n ~scratch i =
+let[@inline] aged_delay_into tm ~dvth ~dvth_n ~scratch i =
   let a = tm.a in
   let alpha = tm.alpha in
   let b = a.Arena.stage_off.(i) in

@@ -90,20 +90,21 @@ type prepared = {
   net : Circuit.Netlist.t;
   sp : float array;
   tabs : Leakage.Circuit_leakage.tables;
-  cfg : config;
   arena : Compiled.Arena.t;
       (* Warm compiled netlist core: holding it here keeps it alive for
          the lifetime of the prepared pipeline (the server's prepared
          cache), beyond the bounded rings inside [Compiled]. *)
-  ictx : Compiled.Incremental.Analysis.ctx option;
-      (* Shared immutable context for incremental full-analysis
-         sessions (IVC co-optimization): per-gate leakage LUT rows,
-         signal probabilities, timing constants and the fresh STA
-         result, built once per prepared pipeline. [None] when
-         incremental sessions are disabled or the config carries a PBTI
-         scale (which the incremental path does not model). Sessions
-         themselves are per-worker mutable state, created per request
-         chunk — only this context is shared. *)
+  currents : float array array;
+      (* Per-node leakage LUT rows, read by the standby leakage of every
+         analysis and by the IVC sessions. *)
+  stats : Circuit.Netlist.stats;
+  active_leakage : float;
+      (* Everything above depends only on the netlist and the prepare
+         fields of the config, so it is computed once here. Anything
+         derived from the aging config (lifetime, schedule, R-D
+         parameters) is not: those fields are outside
+         [prepare_fingerprint], so requests sharing this pipeline may
+         differ in them. *)
 }
 
 (* Pipeline stage boundaries poll the request budget: a deadline-bounded
@@ -116,14 +117,16 @@ let stage config = Parallel.Budget.check config.budget
    to signal-probability estimation, leakage-table construction, the
    R-D aging chain + STA, and leakage evaluation separately. With no
    collector installed, [Obs.Trace.with_span] is one atomic load. *)
-let net_args (net : Circuit.Netlist.t) =
-  [
-    ("circuit", Obs.Fields.Str net.Circuit.Netlist.name);
-    ("gates", Obs.Fields.Int (Circuit.Netlist.n_gates net));
-  ]
+let span_args ~name ~gates = [ ("circuit", Obs.Fields.Str name); ("gates", Obs.Fields.Int gates) ]
 
-let prepare config net =
-  Obs.Trace.with_span ~args:(net_args net) "flow.prepare" @@ fun () ->
+let prepared_args p =
+  span_args ~name:p.net.Circuit.Netlist.name ~gates:p.arena.Compiled.Arena.n_gates
+
+let prepare config (net : Circuit.Netlist.t) =
+  Obs.Trace.with_span
+    ~args:(span_args ~name:net.Circuit.Netlist.name ~gates:(Circuit.Netlist.n_gates net))
+    "flow.prepare"
+  @@ fun () ->
   stage config;
   let input_sp = Logic.Signal_prob.uniform_inputs net config.input_sp in
   let sp =
@@ -153,24 +156,20 @@ let prepare config net =
     ignore (Compiled.Timing.get a ~tech ~temp_k ());
     a
   in
-  let ictx =
-    let aging = config.aging in
-    if Compiled.Incremental.enabled () && aging.Aging.Circuit_aging.pbti_scale = None then
-      Some
-        (Compiled.Incremental.Analysis.ctx arena
-           ~currents:(Leakage.Circuit_leakage.node_currents tabs net)
-           ~node_sp:sp ~params:aging.Aging.Circuit_aging.params
-           ~tech:aging.Aging.Circuit_aging.tech ~schedule:aging.Aging.Circuit_aging.schedule
-           ~time:aging.Aging.Circuit_aging.time ())
-    else None
-  in
-  { net; sp; tabs; cfg = config; arena; ictx }
+  {
+    net;
+    sp;
+    tabs;
+    arena;
+    currents = Leakage.Circuit_leakage.node_currents tabs net;
+    stats = Circuit.Netlist.stats net;
+    active_leakage = Leakage.Circuit_leakage.expected_leakage tabs net ~node_sp:sp;
+  }
 
 let netlist p = p.net
 let node_sp p = p.sp
 let tables p = p.tabs
 let arena p = p.arena
-let incremental_ctx p = p.ictx
 
 type analysis = {
   stats : Circuit.Netlist.stats;
@@ -183,41 +182,45 @@ type analysis = {
 }
 
 let analyze config p ~standby =
-  Obs.Trace.with_span ~args:(net_args p.net) "flow.analyze" @@ fun () ->
+  Obs.Trace.with_span ~args:(prepared_args p) "flow.analyze" @@ fun () ->
   stage config;
+  (* A vector is simulated once, in [scratch]: the aging analysis picks
+     its threshold shifts from it and the standby leakage sums its
+     per-gate LUT entries. *)
+  let scratch = Compiled.Logic.leak_scratch p.arena in
   let a =
     Obs.Trace.with_span "flow.aging" @@ fun () ->
-    Aging.Circuit_aging.analyze config.aging p.net ~node_sp:p.sp ~standby ()
+    Aging.Circuit_aging.analyze_arena config.aging p.arena ~scratch ~node_sp:p.sp ~standby ()
   in
   stage config;
   Obs.Trace.with_span "flow.leakage" @@ fun () ->
   let standby_leakage =
     match standby with
-    | Aging.Circuit_aging.Standby_vector v ->
-      Leakage.Circuit_leakage.standby_leakage p.tabs p.net ~vector:v
+    | Aging.Circuit_aging.Standby_vector _ ->
+      Compiled.Logic.leakage_of_idxs p.arena ~currents:p.currents scratch.Compiled.Logic.idxs
     | Aging.Circuit_aging.Standby_all_stressed ->
       Leakage.Circuit_leakage.worst_standby_bound p.tabs p.net
     | Aging.Circuit_aging.Standby_all_relaxed ->
       Leakage.Circuit_leakage.best_standby_bound p.tabs p.net
   in
   {
-    stats = Circuit.Netlist.stats p.net;
+    stats = p.stats;
     fresh_delay = a.Aging.Circuit_aging.fresh.Sta.Timing.max_delay;
     aged_delay = a.Aging.Circuit_aging.aged.Sta.Timing.max_delay;
     degradation = a.Aging.Circuit_aging.degradation;
     max_dvth = a.Aging.Circuit_aging.max_dvth;
     standby_leakage;
-    active_leakage = Leakage.Circuit_leakage.expected_leakage p.tabs p.net ~node_sp:p.sp;
+    active_leakage = p.active_leakage;
   }
 
 let optimize_ivc config p ~rng ?pool ?tolerance () =
-  Obs.Trace.with_span ~args:(net_args p.net) "flow.ivc" @@ fun () ->
+  Obs.Trace.with_span ~args:(prepared_args p) "flow.ivc" @@ fun () ->
   stage config;
-  Ivc.Co_opt.run ?par:config.pool ~budget:config.budget ?ictx:p.ictx config.aging p.tabs p.net
-    ~node_sp:p.sp ~rng ?pool ?tolerance ()
+  Ivc.Co_opt.run ?par:config.pool ~budget:config.budget ~currents:p.currents config.aging p.tabs
+    p.net ~node_sp:p.sp ~rng ?pool ?tolerance ()
 
 let optimize_st config p ~style ~beta ?vth_st ?nbti_aware () =
-  Obs.Trace.with_span ~args:(net_args p.net) "flow.sleep" @@ fun () ->
+  Obs.Trace.with_span ~args:(prepared_args p) "flow.sleep" @@ fun () ->
   stage config;
   Sleep.St_insertion.analyze config.aging p.net ~node_sp:p.sp ~style ~beta ?vth_st ?nbti_aware ()
 

@@ -57,7 +57,12 @@ val prepare : config -> Circuit.Netlist.t -> prepared
     netlist into its flat arena ({!Compiled.Arena}) and warms the
     timing constants at the active temperature, both keyed on
     {!Circuit.Netlist.digest} — analyses on the prepared pipeline hit
-    the compiled caches directly. *)
+    the compiled caches directly. Also computes once what every
+    {!analyze} reports unchanged: the netlist statistics and the
+    expected active leakage. Nothing here
+    depends on the aging config beyond its technology, so one prepared
+    pipeline serves requests that differ in lifetime, schedule or R-D
+    parameters. *)
 
 val netlist : prepared -> Circuit.Netlist.t
 val node_sp : prepared -> float array
@@ -65,12 +70,6 @@ val tables : prepared -> Leakage.Circuit_leakage.tables
 
 val arena : prepared -> Compiled.Arena.t
 (** The warm compiled form of {!netlist}. *)
-
-val incremental_ctx : prepared -> Compiled.Incremental.Analysis.ctx option
-(** The shared context for incremental full-analysis sessions, owned by
-    the prepared pipeline and reused across requests; [None] when
-    incremental sessions are disabled ({!Compiled.Incremental.enabled})
-    or the aging config carries a PBTI scale. *)
 
 type analysis = {
   stats : Circuit.Netlist.stats;

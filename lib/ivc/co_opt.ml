@@ -2,7 +2,7 @@ type choice = { vector : bool array; leakage : float; degradation : float; aged_
 
 type result = { best : choice; all : choice list; fresh_delay : float; spread : float }
 
-let co_optimize ?par ?budget ?ictx config tables t ~node_sp ~candidates =
+let co_optimize ?par ?budget ?currents config tables t ~node_sp ~candidates =
   if candidates = [] then invalid_arg "Co_opt.co_optimize: no candidates";
   let p = match par with Some p -> p | None -> Parallel.Pool.default () in
   let cands = Array.of_list candidates in
@@ -10,7 +10,7 @@ let co_optimize ?par ?budget ?ictx config tables t ~node_sp ~candidates =
   (* Incremental path (PR 8): the MLV set is a cluster of highly
      correlated vectors, so one full-analysis session per worker chunk
      answers each candidate from the previous one's resident state
-     (logic, duties, dvth, aged arrivals) over the dirty cone only.
+     (logic, threshold shifts, aged arrivals) over the dirty cone only.
      Results are bit-identical to [Circuit_aging.analyze] (pinned by
      test_incremental); PBTI-scaled configs stay on the full pass. *)
   let use_incr =
@@ -18,18 +18,18 @@ let co_optimize ?par ?budget ?ictx config tables t ~node_sp ~candidates =
   in
   let evaluated, fresh_delay =
     if use_incr then begin
-      (* The prepared pipeline ([Flow.Platform.prepare]) owns a shared
-         context across requests; standalone callers build one here. *)
+      (* The context follows [config]: its shift pair comes from the
+         memo [Circuit_aging.analyze] reads, so repeated searches under
+         one config share the tables. *)
       let ictx =
-        match ictx with
-        | Some c -> c
-        | None ->
-          let a = Compiled.Arena.get t in
-          let currents = Leakage.Circuit_leakage.node_currents tables t in
-          Compiled.Incremental.Analysis.ctx a ~currents ~node_sp
-            ~params:config.Aging.Circuit_aging.params ~tech:config.Aging.Circuit_aging.tech
-            ~schedule:config.Aging.Circuit_aging.schedule ~time:config.Aging.Circuit_aging.time
-            ()
+        let currents =
+          match currents with
+          | Some c -> c
+          | None -> Leakage.Circuit_leakage.node_currents tables t
+        in
+        Compiled.Incremental.Analysis.ctx ~currents
+          ~shifts:(Aging.Circuit_aging.shifts config (Compiled.Arena.get t) ~node_sp)
+          ()
       in
       let out =
         Array.make n { vector = [||]; leakage = 0.0; degradation = 0.0; aged_delay = 0.0 }
@@ -88,6 +88,6 @@ let co_optimize ?par ?budget ?ictx config tables t ~node_sp ~candidates =
   let worst = List.nth all (List.length all - 1) in
   { best; all; fresh_delay; spread = worst.degradation -. best.degradation }
 
-let run ?par ?budget ?ictx config tables t ~node_sp ~rng ?pool ?tolerance () =
+let run ?par ?budget ?currents config tables t ~node_sp ~rng ?pool ?tolerance () =
   let candidates, stats = Mlv.probability_based ?par ?budget tables t ~rng ?pool ?tolerance () in
-  (co_optimize ?par ?budget ?ictx config tables t ~node_sp ~candidates, stats)
+  (co_optimize ?par ?budget ?currents config tables t ~node_sp ~candidates, stats)

@@ -27,7 +27,7 @@ type result = {
 val co_optimize :
   ?par:Parallel.Pool.t ->
   ?budget:Parallel.Budget.t ->
-  ?ictx:Compiled.Incremental.Analysis.ctx ->
+  ?currents:float array array ->
   Aging.Circuit_aging.config ->
   Leakage.Circuit_leakage.tables ->
   Circuit.Netlist.t ->
@@ -43,15 +43,16 @@ val co_optimize :
     scale, candidates are answered by per-worker
     {!Compiled.Incremental.Analysis} sessions that re-evaluate only the
     dirty cone between the (highly correlated) MLV vectors —
-    bit-identical to the full per-candidate analyses. [ictx] supplies a
-    shared prepared context (see [Flow.Platform.prepare]); without it
-    one is built on the fly. @raise Invalid_argument on an empty
-    candidate list. *)
+    bit-identical to the full per-candidate analyses. The sessions read
+    the shift pair of [config] ({!Aging.Circuit_aging.shifts}) and the
+    per-node leakage LUT rows [currents]
+    ({!Leakage.Circuit_leakage.node_currents} of [tables], computed here
+    when absent). @raise Invalid_argument on an empty candidate list. *)
 
 val run :
   ?par:Parallel.Pool.t ->
   ?budget:Parallel.Budget.t ->
-  ?ictx:Compiled.Incremental.Analysis.ctx ->
+  ?currents:float array array ->
   Aging.Circuit_aging.config ->
   Leakage.Circuit_leakage.tables ->
   Circuit.Netlist.t ->

@@ -2,7 +2,8 @@
    every compiled hot path must be bit-identical to its boxed-DAG
    reference (the `_boxed` oracles kept for exactly this purpose) — on
    logic evaluation (scalar and 64-lane packed), Monte-Carlo signal
-   probabilities and activity, fresh/aged STA, the process-variation
+   probabilities and activity, the duty tables, fresh/aged STA and the
+   platform analysis built on them, the process-variation
    study and the MLV leakage search — across the ISCAS85 unit-test
    suite plus a >= 10^4-gate generated DAG, at 1, 2 and 4 domains. *)
 
@@ -159,29 +160,137 @@ let check_analysis name (a : Aging.Circuit_aging.analysis) (b : Aging.Circuit_ag
   Alcotest.(check bool) (name ^ " max_dvth") true
     (bits_equal a.Aging.Circuit_aging.max_dvth b.Aging.Circuit_aging.max_dvth)
 
+(* Eight seeded random vectors plus the two bounding states. *)
 let standby_states net =
   let n_pi = Array.length (Circuit.Netlist.primary_inputs net) in
+  let rng = Physics.Rng.create ~seed:29 in
+  ("worst", Aging.Circuit_aging.Standby_all_stressed)
+  :: ("best", Aging.Circuit_aging.Standby_all_relaxed)
+  :: List.init 8 (fun k ->
+         (Printf.sprintf "vector %d" k, Aging.Circuit_aging.Standby_vector (random_inputs rng n_pi)))
+
+(* The paper's setting, and one that moves every input of the shift
+   pair: lifetime, schedule (RAS 1:1) and the NMOS tables (PBTI). *)
+let aging_configs =
   [
-    ("worst", Aging.Circuit_aging.Standby_all_stressed);
-    ("best", Aging.Circuit_aging.Standby_all_relaxed);
-    ( "vector",
-      Aging.Circuit_aging.Standby_vector (Array.init n_pi (fun i -> i land 1 = 0)) );
+    ("default", Aging.Circuit_aging.default_config ());
+    ( "3y ras1:1 pbti0.5",
+      Aging.Circuit_aging.default_config ~time:(Physics.Units.years 3.0) ~ras:(1.0, 1.0)
+        ~pbti_scale:0.5 () );
   ]
+
+(* Every field of [Flow.Platform.analyze] against the boxed composition:
+   [analyze_boxed], the boxed leakage folds and [Netlist.stats]. *)
+let check_platform name net tables ~node_sp ~standby (boxed : Aging.Circuit_aging.analysis)
+    (got : Flow.Platform.analysis) =
+  let bits field a b = Alcotest.(check bool) (name ^ " " ^ field) true (bits_equal a b) in
+  Alcotest.(check bool) (name ^ " stats") true (got.Flow.Platform.stats = Circuit.Netlist.stats net);
+  bits "fresh_delay" boxed.Aging.Circuit_aging.fresh.Sta.Timing.max_delay got.Flow.Platform.fresh_delay;
+  bits "aged_delay" boxed.Aging.Circuit_aging.aged.Sta.Timing.max_delay got.Flow.Platform.aged_delay;
+  bits "degradation" boxed.Aging.Circuit_aging.degradation got.Flow.Platform.degradation;
+  bits "max_dvth" boxed.Aging.Circuit_aging.max_dvth got.Flow.Platform.max_dvth;
+  bits "standby_leakage"
+    (match standby with
+    | Aging.Circuit_aging.Standby_vector vector ->
+      Leakage.Circuit_leakage.standby_leakage tables net ~vector
+    | Aging.Circuit_aging.Standby_all_stressed -> Leakage.Circuit_leakage.worst_standby_bound tables net
+    | Aging.Circuit_aging.Standby_all_relaxed -> Leakage.Circuit_leakage.best_standby_bound tables net)
+    got.Flow.Platform.standby_leakage;
+  bits "active_leakage"
+    (Leakage.Circuit_leakage.expected_leakage tables net ~node_sp)
+    got.Flow.Platform.active_leakage
 
 let test_aging_analysis () =
   List.iter
     (fun net ->
+      List.iter
+        (fun (cname, aging) ->
+          let cfg =
+            {
+              (Flow.Platform.default_config ~aging ()) with
+              Flow.Platform.sp_method = Flow.Platform.Sp_analytic;
+            }
+          in
+          let p = Flow.Platform.prepare cfg net in
+          let node_sp = Flow.Platform.node_sp p in
+          List.iter
+            (fun (sname, standby) ->
+              let name = Printf.sprintf "%s/%s/%s" (net_name net) cname sname in
+              match Aging.Circuit_aging.analyze_boxed aging net ~node_sp ~standby () with
+              | boxed ->
+                let compiled = Aging.Circuit_aging.analyze aging net ~node_sp ~standby () in
+                check_analysis name boxed compiled;
+                check_platform name net (Flow.Platform.tables p) ~node_sp ~standby boxed
+                  (Flow.Platform.analyze cfg p ~standby)
+              | exception e ->
+                (* The R-D model rejects some duty pairs (see
+                   [Compiled.Duty]); the tables must raise exactly where
+                   the boxed chain does. *)
+                let raised f =
+                  match f () with _ -> "no exception" | exception e' -> Printexc.to_string e'
+                in
+                let expect = Printexc.to_string e in
+                Alcotest.(check string) (name ^ " analyze raises") expect
+                  (raised (fun () -> Aging.Circuit_aging.analyze aging net ~node_sp ~standby ()));
+                Alcotest.(check string) (name ^ " platform raises") expect
+                  (raised (fun () -> Flow.Platform.analyze cfg p ~standby)))
+            (standby_states net))
+        aging_configs)
+    (Lazy.force all_nets)
+
+(* The per-stage duty pairs the tables encode, (active, 1.0 or 0.0 by
+   the stage's stress bit, mirrored across polarity for the bounding
+   states), must be the rows of the boxed [duty_table]. *)
+let test_duty_tables () =
+  List.iter
+    (fun net ->
+      let a = Compiled.Arena.get net in
       let node_sp =
         Logic.Signal_prob.analytic net ~input_sp:(Logic.Signal_prob.uniform_inputs net 0.5)
       in
-      let config = Aging.Circuit_aging.default_config () in
+      let idxs = Array.make a.Compiled.Arena.n_nodes 0 in
+      let vals = Array.make a.Compiled.Arena.n_nodes 0 in
       List.iter
-        (fun (sname, standby) ->
-          let name = Printf.sprintf "%s/%s" (net_name net) sname in
-          let boxed = Aging.Circuit_aging.analyze_boxed config net ~node_sp ~standby () in
-          let compiled = Aging.Circuit_aging.analyze config net ~node_sp ~standby () in
-          check_analysis name boxed compiled)
-        (standby_states net))
+        (fun polarity ->
+          let duty = Compiled.Duty.build a ~polarity ~node_sp in
+          List.iter
+            (fun (sname, standby) ->
+              let rows = Aging.Circuit_aging.duty_table ~polarity net ~node_sp ~standby in
+              let stressed_bound =
+                match (standby, polarity) with
+                | Aging.Circuit_aging.Standby_vector inputs, _ ->
+                  Compiled.Arena.eval_bool a ~inputs ~vals ~idxs;
+                  None
+                | Aging.Circuit_aging.Standby_all_stressed, `Pmos
+                | Aging.Circuit_aging.Standby_all_relaxed, `Nmos -> Some 1.0
+                | _ -> Some 0.0
+              in
+              Array.iteri
+                (fun i row ->
+                  Array.iteri
+                    (fun s (active, standby_duty) ->
+                      let flat = a.Compiled.Arena.stage_off.(i) + s in
+                      let stb =
+                        match stressed_bound with
+                        | Some d -> d
+                        | None ->
+                          let mask =
+                            duty.Compiled.Duty.stress.(a.Compiled.Arena.cell_of.(i)).(idxs.(i))
+                          in
+                          if (mask lsr s) land 1 = 1 then 1.0 else 0.0
+                      in
+                      let name =
+                        Printf.sprintf "%s/%s/%s node %d stage %d" (net_name net)
+                          (match polarity with `Pmos -> "pmos" | `Nmos -> "nmos")
+                          sname i s
+                      in
+                      Alcotest.(check bool) (name ^ " active") true
+                        (bits_equal active duty.Compiled.Duty.active.(flat));
+                      Alcotest.(check bool) (name ^ " standby") true (bits_equal standby_duty stb))
+                    row)
+                rows)
+            (standby_states net))
+        [ `Pmos; `Nmos ])
     (Lazy.force all_nets)
 
 let test_aging_analysis_pbti_and_load () =
@@ -316,6 +425,7 @@ let () =
       ( "sta",
         [
           Alcotest.test_case "aging analysis = boxed" `Quick test_aging_analysis;
+          Alcotest.test_case "duty tables = boxed duty_table" `Quick test_duty_tables;
           Alcotest.test_case "pbti + po_load analysis = boxed" `Quick
             test_aging_analysis_pbti_and_load;
         ] );

@@ -92,6 +92,25 @@ let test_fingerprints () =
     (Flow.Platform.prepare_fingerprint cfg)
     (Flow.Platform.prepare_fingerprint shorter)
 
+(* A fresh standby vector is one logic simulation and a per-stage pick
+   from memoized duty tables, not a walk of every cell's transistor
+   networks (about 3.9 M minor words on c6288). The count repeats
+   exactly, so the bound catches that walk coming back. *)
+let test_fresh_vector_allocation () =
+  let net = Circuit.Generators.by_name "c6288" in
+  let p = Flow.Platform.prepare cfg net in
+  let rng = Physics.Rng.create ~seed:13 in
+  let n_pi = Array.length (Circuit.Netlist.primary_inputs net) in
+  let fresh () =
+    Aging.Circuit_aging.Standby_vector (Array.init n_pi (fun _ -> Physics.Rng.bool rng))
+  in
+  ignore (Flow.Platform.analyze cfg p ~standby:(fresh ()));
+  let standby = fresh () in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Flow.Platform.analyze cfg p ~standby));
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words < 200k" words) true (words < 200_000.0)
+
 (* --- Report --- *)
 
 let test_table_rendering () =
@@ -152,6 +171,7 @@ let () =
           Alcotest.test_case "internal node potential" `Quick test_internal_node_potential;
           Alcotest.test_case "determinism on c432" `Quick test_determinism_c432;
           Alcotest.test_case "fingerprints" `Quick test_fingerprints;
+          Alcotest.test_case "fresh-vector analyze allocation" `Quick test_fresh_vector_allocation;
         ] );
       ( "report",
         [

@@ -56,11 +56,10 @@ let leak_ctx_of net =
 let analysis_ctx_of net =
   let tables = tables_of net in
   let config = Aging.Circuit_aging.default_config () in
-  Compiled.Incremental.Analysis.ctx (Compiled.Arena.get net)
+  Compiled.Incremental.Analysis.ctx
     ~currents:(Leakage.Circuit_leakage.node_currents tables net)
-    ~node_sp:(node_sp_of net) ~params:config.Aging.Circuit_aging.params
-    ~tech:config.Aging.Circuit_aging.tech ~schedule:config.Aging.Circuit_aging.schedule
-    ~time:config.Aging.Circuit_aging.time ()
+    ~shifts:(Aging.Circuit_aging.shifts config (Compiled.Arena.get net) ~node_sp:(node_sp_of net))
+    ()
 
 (* A random edit sequence: mostly single-PI flips (small cones), with
    occasional fresh random vectors to exercise the full-recompute

@@ -584,6 +584,24 @@ let test_service_equal_structure_keeps_names () =
   check_pair (Server.Protocol.Named "c17") (Server.Protocol.Bench c17_text);
   check_pair (Server.Protocol.Bench c17_text) (Server.Protocol.Named "c17")
 
+(* The prepared pipeline is shared across requests that differ only in
+   aging-config fields (lifetime, schedule, R-D parameters), so nothing
+   derived from those may live in it: an ivc_search under a new config
+   after one under the default must answer as a fresh service does. *)
+let test_service_ivc_follows_request_config () =
+  let line config =
+    Printf.sprintf "{\"v\":1,\"op\":\"ivc_search\",\"circuit\":\"c432\",\"seed\":5%s}" config
+  in
+  let t = Server.Service.create () in
+  ignore (Server.Service.handle_line t (line ""));
+  List.iter
+    (fun config ->
+      let warm = Server.Service.handle_line t (line config) in
+      let fresh = Server.Service.handle_line (Server.Service.create ()) (line config) in
+      Alcotest.(check string) (config ^ ": answer equals a fresh service's") (strip_volatile fresh)
+        (strip_volatile warm))
+    [ ",\"config\":{\"years\":1}"; ",\"config\":{\"t_standby\":400}" ]
+
 let stats_of t =
   result_of_response (Server.Json.of_string (Server.Service.handle_line t "{\"v\":1,\"op\":\"stats\"}"))
 
@@ -755,6 +773,8 @@ let () =
           Alcotest.test_case "structured errors" `Quick test_service_errors;
           Alcotest.test_case "batch and health" `Quick test_service_batch_and_health;
           Alcotest.test_case "ivc and sleep ops" `Quick test_service_ivc_and_sleep;
+          Alcotest.test_case "ivc_search follows the request's config" `Quick
+            test_service_ivc_follows_request_config;
           Alcotest.test_case "equal structure keeps names" `Quick
             test_service_equal_structure_keeps_names;
           Alcotest.test_case "circuit cache in stats and metrics" `Quick
