@@ -67,6 +67,16 @@ let rec walk_prob net ~p_low ~p_top =
     in
     (1.0 -. p_none, acc)
 
+(* Analytic signal probabilities can stray a few ulps outside [0, 1]
+   (a node probability rounded above 1 makes [1 - p] negative), and the
+   walk's products carry that into the duties, which the R-D model then
+   rejects. A duty is a probability, so it is clamped where it is
+   produced; a value already in range keeps its bits. *)
+let clamp_duty d = if d < 0.0 then 0.0 else if d > 1.0 then 1.0 else d
+
+let device_duties ~s devs =
+  List.map (fun (pin, wl, duty) -> { stage = s; pin; wl; duty = clamp_duty duty }) devs
+
 let stress_probabilities cell ~sp =
   let stage_sp = Stdcell.stage_output_probability cell ~sp in
   let prob_one = function
@@ -78,7 +88,7 @@ let stress_probabilities cell ~sp =
     (List.mapi
        (fun s (stage : Stdcell.stage) ->
          let _, devs = walk_prob stage.Stdcell.pull_up ~p_low ~p_top:1.0 in
-         List.map (fun (pin, wl, duty) -> { stage = s; pin; wl; duty }) devs)
+         device_duties ~s devs)
        (Array.to_list cell.Stdcell.stages))
 
 let stress_duties cell ~sp ~standby_vector =
@@ -136,7 +146,7 @@ let nmos_stress_probabilities cell ~sp =
        (fun s (stage : Stdcell.stage) ->
          let net = reverse_series stage.Stdcell.pull_down in
          let _, devs = walk_prob net ~p_low:p_high ~p_top:1.0 in
-         List.map (fun (pin, wl, duty) -> { stage = s; pin; wl; duty }) devs)
+         device_duties ~s devs)
        (Array.to_list cell.Stdcell.stages))
 
 let worst_stage_duties_nmos cell ~sp ~standby_vector ~stage =

@@ -36,7 +36,9 @@ val stress_probabilities : Stdcell.t -> sp:float array -> device_duty list
     stage-output probabilities are computed exactly from the cell logic;
     the conduction prefix of shared stacks uses the independence
     approximation, exact for the single-occurrence pin structures of the
-    basic library. *)
+    basic library. Each duty is clamped into [0, 1] (input
+    probabilities a few ulps out of range would otherwise carry over);
+    in-range values keep their bits. *)
 
 val stress_duties :
   Stdcell.t -> sp:float array -> standby_vector:bool array -> (float * float) list
@@ -73,7 +75,8 @@ val nmos_stressed_under_vector : Stdcell.t -> vector:bool array -> device_stress
 (** Stress state of every pull-down NMOS under a static vector. *)
 
 val nmos_stress_probabilities : Stdcell.t -> sp:float array -> device_duty list
-(** Stress probability of every pull-down NMOS (active-mode duty). *)
+(** Stress probability of every pull-down NMOS (active-mode duty),
+    clamped into [0, 1] like {!stress_probabilities}. *)
 
 val worst_stage_duties_nmos :
   Stdcell.t -> sp:float array -> standby_vector:bool array -> stage:int -> float * float

@@ -27,12 +27,10 @@
    [Circuit_aging.analyze_dvth] folds them.
 
    The tables hold both shifts of every stage, including pairs no
-   standby state the boxed chain meets would evaluate. Where such an
-   evaluation raises (an NMOS active duty rounded a few ulps above 1.0
-   drives the equivalent duty above 1.0 at standby duty 1.0, which
-   [Ac_stress] rejects), the entry holds nan, and picking a nan entry
-   evaluates the expression again: it raises exactly where the boxed
-   chain raises, and a genuine nan comes back with the same bits. *)
+   standby state the boxed chain meets would evaluate. Evaluating those
+   is safe: [Cell_nbti] clamps every active duty into [0, 1], so with a
+   standby duty of 0.0 or 1.0 the equivalent duty stays in [0, 1] and
+   the R-D model accepts every pair. *)
 
 type t = {
   a : Arena.t;
@@ -106,40 +104,24 @@ type shifts = {
 }
 
 (* Flat stages are contiguous in node order and primary inputs own
-   none, so an index-order fold is the node/stage-order fold. A nan entry
-   makes the fold nan (Float.max propagates it). *)
+   none, so an index-order fold is the node/stage-order fold. *)
 let fold_max d = Array.fold_left Float.max 0.0 d
 
 let shifts duty model =
-  let table standby =
-    Array.map (fun active -> try dvth model ~active ~standby with _ -> Float.nan) duty.active
-  in
+  let table standby = Array.map (fun active -> dvth model ~active ~standby) duty.active in
   let relaxed = table 0.0 and stressed = table 1.0 in
   { duty; model; relaxed; stressed; max_relaxed = fold_max relaxed; max_stressed = fold_max stressed }
 
-(* The stored shift of one flat stage, re-evaluated when it is nan. *)
-let[@inline] entry sh flat ~stressed =
-  let d = if stressed then sh.stressed.(flat) else sh.relaxed.(flat) in
-  if Float.is_nan d then
-    dvth sh.model ~active:sh.duty.active.(flat) ~standby:(if stressed then 1.0 else 0.0)
-  else d
-
 (* A bounding state: every stage relaxed or every stage stressed. *)
 let bound sh ~stressed =
-  let table, max_dvth =
-    if stressed then (sh.stressed, sh.max_stressed) else (sh.relaxed, sh.max_relaxed)
-  in
-  if Float.is_nan max_dvth then begin
-    let d = Array.mapi (fun flat _ -> entry sh flat ~stressed) table in
-    (d, fold_max d)
-  end
-  else (table, max_dvth)
+  if stressed then (sh.stressed, sh.max_stressed) else (sh.relaxed, sh.max_relaxed)
 
 (* Gate [i]'s stressed-stage bitmask under fanin index [idx]. *)
 let gate_mask sh i ~idx = sh.duty.stress.(sh.duty.a.Arena.cell_of.(i)).(idx)
 
 (* Flat stage [flat], local stage [s] of its gate, under the gate's mask. *)
-let[@inline] stage_shift sh ~mask ~s flat = entry sh flat ~stressed:((mask lsr s) land 1 = 1)
+let[@inline] stage_shift sh ~mask ~s flat =
+  if (mask lsr s) land 1 = 1 then sh.stressed.(flat) else sh.relaxed.(flat)
 
 (* Fills [dvth] for the standby vector whose per-gate fanin indices
    [Arena.eval_bool] left in [idxs]; returns the max-dvth fold. *)

@@ -1,15 +1,15 @@
 (* Incremental cone-limited re-analysis over the compiled arena.
 
-   The optimization loops this repo cares about — MLV/IVC search,
-   NBTI-aware gate sizing, the future gate-merging pass — evaluate
-   thousands of candidates that each differ from the previous one by a
-   PI flip or a single-gate tweak, yet every evaluation used to re-run
-   logic, duty extraction, the R-D dvth chain and STA over the whole
-   circuit. A session keeps the last run's arrays resident (values,
-   per-gate leakage terms, per-stage duty pairs and threshold shifts,
-   aged gate delays and arrivals) and an edit re-evaluates only the
+   IVC co-optimization and NBTI-aware gate sizing evaluate many
+   candidates that each differ from the previous one by a few PI flips
+   or a single-gate tweak, yet every evaluation used to re-run logic,
+   duty extraction, the R-D dvth chain and STA over the whole circuit.
+   A session keeps the last run's arrays resident (values, per-gate
+   leakage terms, per-stage duty pairs and threshold shifts, aged gate
+   delays and arrivals) and an edit re-evaluates only the
    transitive-fanout cone of the change, in topological order, splicing
-   results back into the resident state.
+   results back into the resident state. (The MLV searches score
+   leakage alone, 64 vectors per packed sweep: [Logic.sweep_leakage].)
 
    Cone ordering. Node ids ARE the topological order (an [Arena]
    invariant), so a binary min-heap of dirty node ids pops the cone in
@@ -47,8 +47,8 @@
 let bits_eq a b = Int64.bits_of_float a = Int64.bits_of_float b
 
 (* Global enable knob: NBTI_INCREMENTAL=0|false|off|no disables the
-   incremental paths everywhere (searches, co-optimization, sizing,
-   platform ownership), forcing the full-pass pipelines. [set_enabled]
+   incremental sessions ([Analysis] under IVC co-optimization, [Sizing]
+   under gate sizing), forcing the full-pass pipelines. [set_enabled]
    overrides the environment for tests and benches. *)
 let env_enabled =
   lazy
@@ -168,129 +168,6 @@ let count_flips ~inputs v =
     if v.(k) <> inputs.(k) then incr nflips
   done;
   !nflips
-
-(* ================================================================== *)
-(* Leakage-only sessions: resident logic values + per-gate LUT terms.  *)
-(* ================================================================== *)
-
-module Leak = struct
-  type ctx = { a : Arena.t; currents : float array array }
-
-  let ctx a ~currents = { a; currents }
-
-  type session = {
-    c : ctx;
-    inputs : bool array;  (* per PI position, [Arena.pis] order *)
-    vals : int array;
-    idxs : int array;
-    terms : float array;  (* per node; 0.0 on PI rows, never summed *)
-    cone : cone;
-    mutable leakage : float;
-    st : stats;
-  }
-
-  (* The [Circuit_leakage.standby_leakage] fold: node order, gate terms
-     only (skipping the PI rows' 0.0 terms is exact — see
-     [Logic.standby_leakage]). *)
-  let fold_leakage s =
-    let a = s.c.a in
-    let acc = ref 0.0 in
-    for i = 0 to a.Arena.n_nodes - 1 do
-      if a.Arena.op.(i) <> Arena.op_pi then acc := !acc +. s.terms.(i)
-    done;
-    s.leakage <- !acc
-
-  let recompute_all s v =
-    if v != s.inputs then Array.blit v 0 s.inputs 0 (Array.length s.inputs);
-    Arena.eval_bool s.c.a ~inputs:s.inputs ~vals:s.vals ~idxs:s.idxs;
-    let a = s.c.a in
-    for i = 0 to a.Arena.n_nodes - 1 do
-      if a.Arena.op.(i) <> Arena.op_pi then s.terms.(i) <- s.c.currents.(i).(s.idxs.(i))
-    done;
-    fold_leakage s
-
-  let session c =
-    let n = c.a.Arena.n_nodes in
-    let s =
-      {
-        c;
-        inputs = Array.make (Array.length c.a.Arena.pis) false;
-        vals = Array.make n 0;
-        idxs = Array.make n 0;
-        terms = Array.make n 0.0;
-        cone = make_cone n;
-        leakage = 0.0;
-        st = fresh_stats ();
-      }
-    in
-    recompute_all s s.inputs;
-    s
-
-  let set_vector s v =
-    let a = s.c.a in
-    let pis = a.Arena.pis in
-    if Array.length v <> Array.length pis then invalid_arg "Incremental.Leak.set_vector: vector length";
-    s.st.edits <- s.st.edits + 1;
-    let nflips = count_flips ~inputs:s.inputs v in
-    if nflips = 0 then s.leakage
-    else if nflips > fallback_threshold (Array.length pis) then begin
-      s.st.fallbacks <- s.st.fallbacks + 1;
-      s.st.visited <- s.st.visited + a.Arena.n_nodes;
-      recompute_all s v;
-      s.leakage
-    end
-    else begin
-      let co = s.cone in
-      co.epoch <- co.epoch + 1;
-      let e = co.epoch in
-      for k = 0 to Array.length pis - 1 do
-        if v.(k) <> s.inputs.(k) then begin
-          s.inputs.(k) <- v.(k);
-          let p = pis.(k) in
-          s.vals.(p) <- (if v.(k) then 1 else 0);
-          for j = a.Arena.fanout_off.(p) to a.Arena.fanout_off.(p + 1) - 1 do
-            let g = a.Arena.fanout.(j) in
-            if co.hmark.(g) <> e then begin
-              co.hmark.(g) <- e;
-              Heap.push co.heap g
-            end
-          done
-        end
-      done;
-      while co.heap.Heap.size > 0 do
-        let i = Heap.pop co.heap in
-        s.st.visited <- s.st.visited + 1;
-        let old = s.vals.(i) in
-        recompute_val a ~vals:s.vals ~idxs:s.idxs i;
-        s.terms.(i) <- s.c.currents.(i).(s.idxs.(i));
-        if s.vals.(i) <> old then
-          for j = a.Arena.fanout_off.(i) to a.Arena.fanout_off.(i + 1) - 1 do
-            let g = a.Arena.fanout.(j) in
-            if co.hmark.(g) <> e then begin
-              co.hmark.(g) <- e;
-              Heap.push co.heap g
-            end
-          done
-      done;
-      fold_leakage s;
-      s.leakage
-    end
-
-  let leakage s = s.leakage
-  let stats s = s.st
-  let n_nodes s = s.c.a.Arena.n_nodes
-
-  (* Order-independent fingerprint of the resident state, for the
-     edit->edit->revert pinning tests. *)
-  let digest s =
-    let buf = Buffer.create 1024 in
-    Array.iter (fun b -> Buffer.add_char buf (if b then '1' else '0')) s.inputs;
-    Array.iter (fun v -> Buffer.add_char buf (Char.chr (v land 0xff))) s.vals;
-    Array.iter (fun v -> Buffer.add_string buf (string_of_int v)) s.idxs;
-    Array.iter (fun t -> Buffer.add_int64_le buf (Int64.bits_of_float t)) s.terms;
-    Buffer.add_int64_le buf (Int64.bits_of_float s.leakage);
-    Digest.to_hex (Digest.string (Buffer.contents buf))
-end
 
 (* ================================================================== *)
 (* Full-analysis sessions: logic + leakage + duty/dvth + aged STA.     *)

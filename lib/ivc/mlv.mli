@@ -17,12 +17,16 @@ val vector_key : bool array -> string
     and the deterministic tie-break order. Fixed-width per circuit, so
     equal keys mean equal vectors. *)
 
+(** Every search scores vectors through one kernel,
+    {!Compiled.Logic.sweep_leakage}: up to 64 vectors per packed logic
+    sweep, each value bit-identical to {!evaluate}. *)
+
 val exhaustive : ?par:Parallel.Pool.t -> Leakage.Circuit_leakage.tables -> Circuit.Netlist.t -> candidate
 (** Global optimum by enumeration, fanned over [par] (default
-    {!Parallel.Pool.default}) in fixed 4096-vector blocks; equal-leakage
-    ties break on the lower vector index, so the result is independent of
-    the domain count. @raise Invalid_argument beyond 20 primary
-    inputs. *)
+    {!Parallel.Pool.default}) in fixed 4096-vector blocks of 64-index
+    sweeps; equal-leakage ties break on the lower vector index, so the
+    result is independent of the domain count. @raise Invalid_argument
+    beyond 20 primary inputs. *)
 
 val random_search :
   ?budget:Parallel.Budget.t ->
@@ -31,14 +35,15 @@ val random_search :
   rng:Physics.Rng.t ->
   n:int ->
   candidate
-(** Best of [n] uniform random vectors. [budget] (default unlimited) is
-    polled between candidates, before each RNG draw: on expiry the
-    best-so-far is returned (never raises), and the prefix of the RNG
-    stream consumed matches what an unbounded run would have drawn. *)
+(** Best of [n] uniform random vectors; the first-drawn of equal
+    leakages wins. [budget] (default unlimited) is polled before each
+    RNG draw after the first: on expiry the best of the vectors drawn so
+    far is returned (never raises), and the prefix of the RNG stream
+    consumed matches what an unbounded run would have drawn. *)
 
 type search_stats = {
   rounds : int;
-  evaluations : int;
+  evaluations : int;  (** vectors drawn, repeats included *)
   converged : bool;  (** whether all input probabilities reached 0/1 *)
 }
 
@@ -54,17 +59,21 @@ val probability_based :
   ?max_set:int ->
   unit ->
   candidate list * search_stats
-(** The Fig. 7 algorithm. Each round's pool of leakage evaluations fans
-    out over [par] (default {!Parallel.Pool.default}); vectors are drawn
-    from [rng] sequentially on the calling domain and the MLV set orders
-    equal leakages by {!vector_key}, so the search result is bit-identical
-    for any domain count. [pool] vectors per round (default 64);
+(** The Fig. 7 algorithm. Vectors are drawn from [rng] sequentially on
+    the calling domain. A per-search memo keyed by {!vector_key} scores
+    each distinct vector once: a round's unseen vectors go to the kernel
+    in 64-vector sweeps that fan out over [par] (default
+    {!Parallel.Pool.default}), and repeats read the memo. The MLV set
+    orders equal leakages by {!vector_key}, so the search result is
+    bit-identical for any domain count. [pool] vectors per round (default 64);
     [tolerance] is the leakage band that defines the MLV set, as a
     fraction of the set's minimum (default 0.04 — the paper keeps MLVs
     within 4 % of the circuit leakage); [max_rounds] caps the iteration
     (default 50); [max_set] caps the set size (default 16, best kept) so
     the downstream NBTI co-optimization evaluates a bounded candidate
     list. [budget] (default unlimited) is polled at every round boundary
-    and inside the pooled evaluations; exhaustion raises
+    and inside the pooled sweeps; exhaustion raises
     {!Parallel.Budget.Deadline_exceeded}. Returns the deduplicated MLV
-    set sorted by leakage (best first), never empty. *)
+    set sorted by leakage (best first), never empty.
+    @raise Invalid_argument when [pool < 2] or [tolerance] is negative or
+    nan. *)

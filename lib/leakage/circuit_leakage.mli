@@ -26,8 +26,9 @@ val per_gate_standby : tables -> Circuit.Netlist.t -> vector:bool array -> float
 val node_currents : tables -> Circuit.Netlist.t -> float array array
 (** Per-node leakage LUT rows ([[||]] for primary inputs), indexed by
     {!Cell.Stdcell.index_of_vector} of the gate's input state — the raw
-    material for the compiled standby evaluator
-    ({!Compiled.Logic.standby_leakage}). *)
+    material for the compiled standby evaluators
+    ({!Compiled.Logic.leakage_of_idxs}, and
+    {!Compiled.Logic.sweep_leakage} for 64 vectors at once). *)
 
 val per_gate_expected : tables -> Circuit.Netlist.t -> node_sp:float array -> float array
 (** Per-node expected active leakage (0 for primary inputs); sums to

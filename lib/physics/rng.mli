@@ -33,9 +33,18 @@ val uniform : t -> float
 (** Uniform in [0, 1). *)
 
 val bool : t -> bool
+(** A fair coin; allocates nothing. *)
 
 val bernoulli : t -> p:float -> bool
-(** [bernoulli t ~p] is true with probability [p] (clamped to [0, 1]). *)
+(** [bernoulli t ~p] is true with probability [p]. Every call consumes
+    one draw; outside (0, 1) the answer is fixed: true for [p >= 1],
+    false for [p <= 0] and nan. Allocates nothing. *)
+
+val bernoulli_into : t -> p:float array -> bool array -> unit
+(** [bernoulli_into t ~p v] sets [v.(i)] to a {!bernoulli} draw with
+    probability [p.(i)], in index order: the same stream and answers as
+    drawing them one by one, without boxing each probability on the way
+    or allocating. @raise Invalid_argument when the lengths differ. *)
 
 val gaussian : t -> mean:float -> sigma:float -> float
 (** Normally distributed sample (Box–Muller; one fresh pair per call, the

@@ -1,4 +1,5 @@
 let version = 1
+let max_ivc_pool = 4096
 
 type circuit_spec = Named of string | Bench of string
 type standby_spec = Worst | Best | Vector of bool array
@@ -175,6 +176,16 @@ let unknown_op op =
            ];
        })
 
+(* A well-typed field whose value the op cannot take. *)
+let invalid_field field message details =
+  raise
+    (Bad_structured
+       {
+         code = Invalid_request;
+         message = Printf.sprintf "%s %s" field message;
+         details = ("field", Json.String field) :: details;
+       })
+
 let circuit_of_json = function
   | Json.String name -> Named name
   | Json.Assoc _ as o -> begin
@@ -264,10 +275,17 @@ let job_of_json o =
   | "ivc_search" ->
     let seed = match Json.member_opt "seed" o with Some v -> Json.to_int v | None -> 42 in
     let pool = match Json.member_opt "pool" o with Some v -> Json.to_int v | None -> 64 in
-    if pool < 1 then bad "pool must be >= 1";
+    if pool < 2 || pool > max_ivc_pool then
+      invalid_field "pool"
+        (Printf.sprintf "must be between 2 and %d" max_ivc_pool)
+        [ ("min", Json.Int 2); ("max", Json.Int max_ivc_pool) ];
     let tolerance =
       match Json.member_opt "tolerance" o with Some v -> Some (Json.to_float v) | None -> None
     in
+    (match tolerance with
+    | Some t when not (Float.is_finite t && t >= 0.0) ->
+      invalid_field "tolerance" "must be finite and >= 0" [ ("min", Json.Int 0) ]
+    | _ -> ());
     Ivc_search { circuit = circuit (); flow = flow_of_envelope o; seed; pool; tolerance }
   | "sleep_sizing" ->
     let style =

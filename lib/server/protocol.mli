@@ -23,6 +23,7 @@
                             | {"n_vectors":4096, "seed":7}}}
     {"v":1, "op":"ivc_search", "circuit":..., "config"?:...,
      "seed"?:42, "pool"?:64, "tolerance"?:0.04}
+       (pool in [2, max_ivc_pool]; tolerance finite and >= 0)
     {"v":1, "op":"sleep_sizing", "circuit":..., "config"?:...,
      "style"?:"footer"|"header"|"both", "beta"?:0.03,
      "vth_st"?:0.3, "nbti_aware"?:true}
@@ -52,6 +53,13 @@
     [overloaded]) or ["line"] (on positioned [invalid_request]). *)
 
 val version : int
+
+val max_ivc_pool : int
+(** Largest [ivc_search] ["pool"] (vectors per search round) a request
+    may ask for: 4096, i.e. 64 packed 64-vector sweeps per round. A
+    pool outside [[2, max_ivc_pool]] or a ["tolerance"] that is negative
+    or not finite is an [invalid_request] whose details name the
+    field. *)
 
 (** {1 Requests} *)
 

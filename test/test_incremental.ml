@@ -32,26 +32,12 @@ let dag profile_seed n_gates =
       seed = profile_seed;
     }
 
-let leak_nets =
-  lazy
-    [
-      Circuit.Generators.by_name "c432";
-      Circuit.Generators.by_name "c7552";
-      dag 11 1500;
-      dag 12 800;
-    ]
-
 let analysis_nets = lazy [ Circuit.Generators.by_name "c432"; dag 11 1500 ]
 
 let tables_of net = Leakage.Circuit_leakage.build_tables Device.Tech.ptm_90nm net ~temp_k:400.0
 
 let node_sp_of net =
   Logic.Signal_prob.analytic net ~input_sp:(Logic.Signal_prob.uniform_inputs net 0.5)
-
-let leak_ctx_of net =
-  let tables = tables_of net in
-  Compiled.Incremental.Leak.ctx (Compiled.Arena.get net)
-    ~currents:(Leakage.Circuit_leakage.node_currents tables net)
 
 let analysis_ctx_of net =
   let tables = tables_of net in
@@ -78,54 +64,6 @@ let edit_sequence rng ~n_pi ~n =
         done;
       (* r = 9: resubmit the current vector unchanged. *)
       Array.copy current)
-
-(* --- Leak sessions: every edit bit-identical to the boxed sum --- *)
-
-let test_leak_edits () =
-  let rng = Physics.Rng.create ~seed:101 in
-  List.iter
-    (fun net ->
-      let name = net_name net in
-      let tables = tables_of net in
-      let s = Compiled.Incremental.Leak.session (leak_ctx_of net) in
-      let n_pi = Array.length (Circuit.Netlist.primary_inputs net) in
-      List.iter
-        (fun v ->
-          let got = Compiled.Incremental.Leak.set_vector s v in
-          let oracle = Leakage.Circuit_leakage.standby_leakage tables net ~vector:v in
-          check_bits (name ^ " leakage") oracle got)
-        (edit_sequence rng ~n_pi ~n:40);
-      let st = Compiled.Incremental.Leak.stats s in
-      Alcotest.(check bool) (name ^ " some edits avoided fallback") true
-        (st.Compiled.Incremental.fallbacks < st.Compiled.Incremental.edits))
-    (Lazy.force leak_nets)
-
-let test_leak_revert_digest () =
-  List.iter
-    (fun net ->
-      let name = net_name net in
-      let n_pi = Array.length (Circuit.Netlist.primary_inputs net) in
-      let s = Compiled.Incremental.Leak.session (leak_ctx_of net) in
-      let d0 = Compiled.Incremental.Leak.digest s in
-      let v = Array.make n_pi false in
-      let flip k =
-        v.(k) <- not v.(k);
-        ignore (Compiled.Incremental.Leak.set_vector s (Array.copy v))
-      in
-      (* edit -> edit -> revert in reverse order, back to all-false. *)
-      flip 3;
-      flip (n_pi - 1);
-      flip (n_pi - 1);
-      flip 3;
-      Alcotest.(check string) (name ^ " digest restored") d0
-        (Compiled.Incremental.Leak.digest s);
-      (* A large edit (fallback full recompute) and back again. *)
-      let ones = Array.make n_pi true in
-      ignore (Compiled.Incremental.Leak.set_vector s ones);
-      ignore (Compiled.Incremental.Leak.set_vector s (Array.make n_pi false));
-      Alcotest.(check string) (name ^ " digest restored after fallback") d0
-        (Compiled.Incremental.Leak.digest s))
-    (Lazy.force leak_nets)
 
 (* --- Analysis sessions: leakage + dvth + aged STA vs the full pass --- *)
 
@@ -278,8 +216,8 @@ let test_co_opt_domains () =
     [ 1; 2; 4 ]
 
 let test_searches_match_disabled () =
-  (* The incremental-session searches must return exactly what the
-     scratch-evaluator searches return. *)
+  (* The MLV searches do not consult the switch: on and off must
+     return the same bits. *)
   let net = Circuit.Generators.by_name "c17" in
   let tables = tables_of net in
   let on, off =
@@ -491,11 +429,6 @@ let test_optimize_matches_boxed () =
 let () =
   Alcotest.run "incremental"
     [
-      ( "leak",
-        [
-          Alcotest.test_case "random edits = boxed leakage" `Quick test_leak_edits;
-          Alcotest.test_case "edit-edit-revert restores digest" `Quick test_leak_revert_digest;
-        ] );
       ( "analysis",
         [
           Alcotest.test_case "random edits = full analysis" `Quick test_analysis_edits;

@@ -195,6 +195,136 @@ let test_rng_bernoulli () =
   Alcotest.(check bool) "p=0.25" true (Float.abs (float_of_int !hits /. 10000.0 -. 0.25) < 0.02);
   Alcotest.(check bool) "p=0 never" false (Physics.Rng.bernoulli rng ~p:0.0)
 
+(* An independent splitmix64 (Steele, Lea & Flood 2014): the stream
+   [Rng] must reproduce draw for draw, whatever its state layout. *)
+module Ref_splitmix = struct
+  type t = { mutable s : int64; mutable spare : float option }
+
+  let gamma = 0x9E3779B97F4A7C15L
+
+  let mix z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let create seed = { s = mix (Int64.of_int seed); spare = None }
+
+  let next t =
+    t.s <- Int64.add t.s gamma;
+    mix t.s
+
+  let uniform t = Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1.0p-53
+  let bool t = Int64.logand (next t) 1L = 1L
+
+  (* One output per draw; outside (0, 1) the answer is fixed. *)
+  let bernoulli t p =
+    let u = uniform t in
+    if Float.is_nan p || p <= 0.0 then false else if p >= 1.0 then true else u < p
+
+  let gaussian t ~mean ~sigma =
+    match t.spare with
+    | Some z ->
+      t.spare <- None;
+      mean +. (sigma *. z)
+    | None ->
+      let rec positive () =
+        let u = uniform t in
+        if u > 0.0 then u else positive ()
+      in
+      let u1 = positive () in
+      let u2 = uniform t in
+      let r = Float.sqrt (-2.0 *. Float.log u1) in
+      let theta = 2.0 *. Float.pi *. u2 in
+      t.spare <- Some (r *. Float.sin theta);
+      mean +. (sigma *. r *. Float.cos theta)
+
+  let copy t = { s = t.s; spare = t.spare }
+  let split t = { s = mix (next t); spare = None }
+end
+
+let check_float_bits name a b =
+  Alcotest.(check bool) (Printf.sprintf "%s (%h vs %h)" name a b) true
+    (Int64.bits_of_float a = Int64.bits_of_float b)
+
+let test_rng_reference_stream () =
+  let rng = Physics.Rng.create ~seed:2024 and r = Ref_splitmix.create 2024 in
+  for i = 1 to 200 do
+    Alcotest.(check int64) (Printf.sprintf "int64 %d" i) (Ref_splitmix.next r) (Physics.Rng.int64 rng);
+    Alcotest.(check bool) (Printf.sprintf "bool %d" i) (Ref_splitmix.bool r) (Physics.Rng.bool rng);
+    check_float_bits (Printf.sprintf "uniform %d" i) (Ref_splitmix.uniform r) (Physics.Rng.uniform rng)
+  done;
+  List.iter
+    (fun p ->
+      for i = 1 to 50 do
+        Alcotest.(check bool)
+          (Printf.sprintf "bernoulli p=%h draw %d" p i)
+          (Ref_splitmix.bernoulli r p) (Physics.Rng.bernoulli rng ~p)
+      done;
+      (* every draw consumed exactly one output *)
+      Alcotest.(check int64) (Printf.sprintf "in step after p=%h" p) (Ref_splitmix.next r)
+        (Physics.Rng.int64 rng))
+    [ Float.nan; -0.0; -1.0; 0.0; 0.3; 1.0; 2.0 ];
+  let ps = [| Float.nan; -0.0; -1.0; 0.0; 0.3; 1.0; 2.0; 0.7 |] in
+  let v = Array.make (Array.length ps) false in
+  for i = 1 to 20 do
+    Physics.Rng.bernoulli_into rng ~p:ps v;
+    Array.iteri
+      (fun k p ->
+        Alcotest.(check bool)
+          (Printf.sprintf "bernoulli_into p=%h round %d" p i)
+          (Ref_splitmix.bernoulli r p) v.(k))
+      ps
+  done;
+  Alcotest.(check int64) "in step after bernoulli_into" (Ref_splitmix.next r) (Physics.Rng.int64 rng);
+  for i = 1 to 101 do
+    check_float_bits (Printf.sprintf "gaussian %d" i)
+      (Ref_splitmix.gaussian r ~mean:1.5 ~sigma:0.25)
+      (Physics.Rng.gaussian rng ~mean:1.5 ~sigma:0.25)
+  done;
+  (* A copy taken with a Box-Muller spare pending keeps it. *)
+  let rc = Physics.Rng.copy rng and refc = Ref_splitmix.copy r in
+  for i = 1 to 4 do
+    check_float_bits (Printf.sprintf "copy gaussian %d" i)
+      (Ref_splitmix.gaussian refc ~mean:0.0 ~sigma:1.0)
+      (Physics.Rng.gaussian rc ~mean:0.0 ~sigma:1.0);
+    check_float_bits (Printf.sprintf "original gaussian %d" i)
+      (Ref_splitmix.gaussian r ~mean:0.0 ~sigma:1.0)
+      (Physics.Rng.gaussian rng ~mean:0.0 ~sigma:1.0)
+  done;
+  let rs = Physics.Rng.split rng and refs = Ref_splitmix.split r in
+  for i = 1 to 20 do
+    Alcotest.(check int64) (Printf.sprintf "split child %d" i) (Ref_splitmix.next refs)
+      (Physics.Rng.int64 rs);
+    Alcotest.(check int64) (Printf.sprintf "split parent %d" i) (Ref_splitmix.next r)
+      (Physics.Rng.int64 rng)
+  done
+
+(* Minor words per draw, averaged over many draws so the measurement's
+   own allocation rounds away. *)
+let minor_words_per_draw draw =
+  let n = 100_000 in
+  draw ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    draw ()
+  done;
+  let w1 = Gc.minor_words () in
+  int_of_float ((w1 -. w0) /. float_of_int n)
+
+let test_rng_draws_allocate_nothing () =
+  let rng = Physics.Rng.create ~seed:3 in
+  Alcotest.(check int) "minor words per bool" 0
+    (minor_words_per_draw (fun () -> ignore (Sys.opaque_identity (Physics.Rng.bool rng))));
+  List.iter
+    (fun p ->
+      Alcotest.(check int) (Printf.sprintf "minor words per bernoulli p=%g" p) 0
+        (minor_words_per_draw (fun () ->
+             ignore (Sys.opaque_identity (Physics.Rng.bernoulli rng ~p)))))
+    [ 0.3; 0.0; 1.0 ];
+  let p = [| 0.3; 0.0; 1.0; 0.5 |] and v = Array.make 4 false in
+  Alcotest.(check int) "minor words per bernoulli_into" 0
+    (minor_words_per_draw (fun () -> Physics.Rng.bernoulli_into rng ~p v))
+
 let test_rng_shuffle () =
   let rng = Physics.Rng.create ~seed:13 in
   let a = Array.init 20 Fun.id in
@@ -296,6 +426,8 @@ let () =
           Alcotest.test_case "uniform range" `Quick test_rng_uniform_range;
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
+          Alcotest.test_case "splitmix64 reference stream" `Quick test_rng_reference_stream;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
           Alcotest.test_case "shuffle" `Quick test_rng_shuffle;
           Alcotest.test_case "choose" `Quick test_rng_choose;
         ] );

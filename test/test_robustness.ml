@@ -159,6 +159,56 @@ let test_rejected_circuits_not_memoized () =
   ignore (expect_ok t (bench "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n"));
   Alcotest.(check int) "a valid upload is" 1 (circuits_stat t "size")
 
+(* --- ivc_search limits --- *)
+
+let ivc_line extra =
+  Printf.sprintf "{\"v\":1,\"op\":\"ivc_search\",\"circuit\":\"c17\"%s}" extra
+
+(* Out-of-range search knobs, each with the field the error must name. *)
+let ivc_rejects =
+  [
+    (",\"pool\":1", "pool");
+    (",\"pool\":0", "pool");
+    (Printf.sprintf ",\"pool\":%d" (Server.Protocol.max_ivc_pool + 1), "pool");
+    (",\"tolerance\":-0.5", "tolerance");
+    (",\"tolerance\":1e999", "tolerance");
+  ]
+
+let check_ivc_limits name handle =
+  List.iter
+    (fun (extra, field) ->
+      let line = ivc_line extra in
+      let response = Server.Json.of_string (handle line) in
+      Alcotest.(check (option string)) (name ^ " code for " ^ line) (Some "invalid_request")
+        (response_code response);
+      Alcotest.(check string) (name ^ " field for " ^ line) field
+        Server.Json.(to_string_exn (member "field" (member "error" response))))
+    ivc_rejects;
+  (* the same limits hold inside a batch *)
+  let batch =
+    Printf.sprintf "{\"v\":1,\"op\":\"batch\",\"jobs\":[{\"op\":\"ivc_search\",\"circuit\":\"c17\",\"pool\":1}]}"
+  in
+  Alcotest.(check (option string)) (name ^ " batch job") (Some "invalid_request")
+    (response_code (Server.Json.of_string (handle batch)));
+  (* the bounds themselves are accepted *)
+  List.iter
+    (fun extra ->
+      let line = ivc_line extra in
+      Alcotest.(check (option string)) (name ^ " accepts " ^ line) None
+        (response_code (Server.Json.of_string (handle line))))
+    [
+      ",\"pool\":2,\"tolerance\":0";
+      Printf.sprintf ",\"pool\":%d,\"tolerance\":0.5" Server.Protocol.max_ivc_pool;
+    ]
+
+let test_ivc_limits_direct () =
+  let t = Server.Service.create () in
+  check_ivc_limits "direct" (Server.Service.handle_line t);
+  let stats = expect_ok t "{\"v\":1,\"op\":\"stats\"}" in
+  Alcotest.(check int) "every rejection counted as invalid"
+    (List.length ivc_rejects + 1)
+    Server.Json.(to_int (member "invalid_requests" (member "counters" stats)))
+
 (* --- Positioned .bench errors --- *)
 
 let bench_error text =
@@ -421,6 +471,11 @@ let with_server ?limits ?faults:fault_plan f =
       Thread.join server_thread)
     (fun () -> f t path)
 
+let test_ivc_limits_routed () =
+  with_server (fun _t path ->
+      let router = Fleet.Router.create [ Server.Netline.Unix_socket path ] in
+      check_ivc_limits "routed" (Fleet.Router.handle_line router))
+
 let connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX path);
@@ -542,6 +597,8 @@ let () =
           Alcotest.test_case "gate limit" `Quick test_gate_limit;
           Alcotest.test_case "rejected circuits not memoized" `Quick
             test_rejected_circuits_not_memoized;
+          Alcotest.test_case "ivc_search limits, direct" `Quick test_ivc_limits_direct;
+          Alcotest.test_case "ivc_search limits, routed" `Quick test_ivc_limits_routed;
         ] );
       ( "bench",
         [
