@@ -1051,7 +1051,7 @@ let gen_measurements_cmd =
 (* --- serve / request: the aging-analysis daemon and its client --- *)
 
 let endpoint_conv =
-  let parse s = match Server.Service.endpoint_of_string s with Ok e -> Ok e | Error m -> Error (`Msg m) in
+  let parse s = match Server.Netline.endpoint_of_string s with Ok e -> Ok e | Error m -> Error (`Msg m) in
   let print fmt e = Format.pp_print_string fmt (Server.Netline.endpoint_to_string e) in
   Arg.conv (parse, print)
 
@@ -1068,8 +1068,8 @@ let faults_arg =
         ~env:(Cmd.Env.info "NBTI_FAULTS")
         ~doc:
           "Fault-injection plan for chaos testing: comma-separated site=action[:param][@N] \
-           rules (sites: admission, compute, write on serve; connect, probe, handoff on \
-           route; actions: delay:MS, fail, truncate, shed).")
+           rules (sites: write on serve and route; admission, compute on serve; connect, \
+           probe, handoff on route; actions: delay:MS, fail, truncate, shed).")
 
 let parse_faults ~cmd = function
   | None -> Server.Faults.none
@@ -1080,6 +1080,39 @@ let parse_faults ~cmd = function
       Format.eprintf "nbti_tool %s: bad --faults plan: %s@." cmd m;
       exit 2
   end
+
+(* Runs a role's front-end ([serve] or [route]) in the foreground until
+   SIGINT stops it or SIGTERM drains it: arms the access log, prints the
+   ready banner ([banner] first, then the armed fault plan) and maps a
+   socket error to exit 1. *)
+let run_frontend ~cmd fe endpoint ~access_log ~faults ~drain_timeout_ms ~banner =
+  let access_oc =
+    match access_log with
+    | None -> None
+    | Some path -> begin
+      match open_out_gen [ Open_append; Open_creat ] 0o644 path with
+      | oc ->
+        Server.Frontend.set_access_log fe oc;
+        Some oc
+      | exception Sys_error m ->
+        Format.eprintf "nbti_tool %s: cannot open access log: %s@." cmd m;
+        exit 1
+    end
+  in
+  Server.Frontend.install_signal_handlers fe;
+  let on_ready () =
+    banner ();
+    if not (Server.Faults.is_empty faults) then
+      Format.printf "fault injection armed: %s@."
+        (Server.Json.to_string (Server.Faults.to_json faults));
+    Format.printf "protocol v%d; SIGINT stops, SIGTERM drains (up to %d ms)@."
+      Server.Protocol.version drain_timeout_ms
+  in
+  (try Server.Frontend.serve fe endpoint ~on_ready () with
+  | Unix.Unix_error (err, fn, arg) ->
+    Format.eprintf "nbti_tool %s: %s(%s): %s@." cmd fn arg (Unix.error_message err);
+    exit 1);
+  Option.iter close_out_noerr access_oc
 
 let serve_cmd =
   let result_cache_arg =
@@ -1122,7 +1155,7 @@ let serve_cmd =
   in
   let drain_timeout_arg =
     Arg.(
-      value & opt int 5000
+      value & opt int Server.Frontend.default_drain_timeout_ms
       & info [ "drain-timeout-ms" ] ~docv:"MS"
           ~doc:
             "On SIGTERM, stop accepting and wait up to $(docv) for in-flight requests to \
@@ -1158,24 +1191,6 @@ let serve_cmd =
         ~result_max_bytes:(result_cache_mb * 1024 * 1024)
         ~prepared_capacity ~max_pending ~drain_timeout_ms ~limits ~faults ?slo ()
     in
-    let access_oc =
-      match access_log with
-      | None -> None
-      | Some path -> begin
-        match open_out_gen [ Open_append; Open_creat ] 0o644 path with
-        | oc ->
-          Server.Service.set_access_log t oc;
-          Some oc
-        | exception Sys_error m ->
-          Format.eprintf "nbti_tool serve: cannot open access log: %s@." m;
-          exit 1
-      end
-    in
-    Server.Service.install_signal_handlers t;
-    (* Surface the bench-measured scaling advice next to what this host
-       actually runs with, so an operator can spot a mis-sized pool
-       (e.g. NBTI_JOBS from a stale deployment) at startup. *)
-    let pool_domains = Parallel.Pool.domains (Parallel.Pool.default ()) in
     (* Whether the edit-heavy request paths (IVC search, co-optimization,
        gate sizing) run on resident incremental sessions or fall back to
        full passes — an operator toggling NBTI_INCREMENTAL should see
@@ -1183,47 +1198,13 @@ let serve_cmd =
     Obs.Log.info
       ~fields:[ ("enabled", Obs.Fields.Bool (Compiled.Incremental.enabled ())) ]
       "serve: incremental sessions";
-    (match
-       (try
-          match
-            List.find_opt Sys.file_exists
-              [ "BENCH_PR8.json"; "BENCH_PR7.json"; "BENCH_PR6.json" ]
-          with
-          | Some bench_file ->
-            let ic = open_in_bin bench_file in
-            let len = in_channel_length ic in
-            let body = really_input_string ic len in
-            close_in_noerr ic;
-            Server.Json.member_opt "recommended_domains" (Server.Json.of_string body)
-            |> Option.map Server.Json.to_int
-          | None -> None
-        with _ -> None)
-     with
-    | Some rec_domains ->
-      Obs.Log.info
-        ~fields:
-          [
-            ("domains", Obs.Fields.Int pool_domains);
-            ("recommended_domains", Obs.Fields.Int rec_domains);
-          ]
-        "serve: worker pool"
-    | None ->
-      Obs.Log.info ~fields:[ ("domains", Obs.Fields.Int pool_domains) ] "serve: worker pool");
-    let on_ready () =
-      (match endpoint with
-      | Server.Service.Unix_socket p -> Format.printf "nbti_tool: serving on unix:%s@." p
-      | Server.Service.Tcp (h, p) -> Format.printf "nbti_tool: serving on tcp:%s:%d@." h p);
-      if not (Server.Faults.is_empty faults) then
-        Format.printf "fault injection armed: %s@."
-          (Server.Json.to_string (Server.Faults.to_json faults));
-      Format.printf "protocol v%d; SIGINT stops, SIGTERM drains (up to %d ms)@."
-        Server.Protocol.version drain_timeout_ms
-    in
-    (try Server.Service.serve t endpoint ~on_ready () with
-    | Unix.Unix_error (err, fn, arg) ->
-      Format.eprintf "nbti_tool serve: %s(%s): %s@." fn arg (Unix.error_message err);
-      exit 1);
-    (match access_oc with Some oc -> close_out_noerr oc | None -> ());
+    (* The pool this host actually runs with, so an operator can spot a
+       mis-sized one (e.g. NBTI_JOBS from a stale deployment) at startup. *)
+    Obs.Log.info
+      ~fields:[ ("domains", Obs.Fields.Int (Parallel.Pool.domains (Parallel.Pool.default ()))) ]
+      "serve: worker pool";
+    run_frontend ~cmd:"serve" t endpoint ~access_log ~faults ~drain_timeout_ms ~banner:(fun () ->
+        Format.printf "nbti_tool: serving on %s@." (Server.Netline.endpoint_to_string endpoint));
     Format.printf "nbti_tool: server stopped@."
   in
   let term =
@@ -1476,37 +1457,15 @@ let route_cmd =
         Format.eprintf "nbti_tool route: %s@." m;
         exit 2
     in
-    let access_oc =
-      match access_log with
-      | None -> None
-      | Some path -> begin
-        match open_out_gen [ Open_append; Open_creat ] 0o644 path with
-        | oc ->
-          Fleet.Router.set_access_log t oc;
-          Some oc
-        | exception Sys_error m ->
-          Format.eprintf "nbti_tool route: cannot open access log: %s@." m;
-          exit 1
-      end
-    in
-    Fleet.Router.install_signal_handlers t;
-    let on_ready () =
-      Format.printf "nbti_tool: routing on %s across %d backend%s@."
-        (Server.Netline.endpoint_to_string endpoint)
-        (List.length backends)
-        (if List.length backends = 1 then "" else "s");
-      List.iter
-        (fun b -> Format.printf "  backend %s@." (Server.Netline.endpoint_to_string b))
-        backends;
-      if not (Server.Faults.is_empty faults) then
-        Format.printf "fault injection armed: %s@."
-          (Server.Json.to_string (Server.Faults.to_json faults));
-      Format.printf "protocol v%d; stop with SIGINT/SIGTERM@." Server.Protocol.version
-    in
-    (try Fleet.Router.serve t endpoint ~on_ready () with
-    | Unix.Unix_error (err, fn, arg) ->
-      Format.eprintf "nbti_tool route: %s(%s): %s@." fn arg (Unix.error_message err);
-      exit 1);
+    run_frontend ~cmd:"route" t endpoint ~access_log ~faults
+      ~drain_timeout_ms:Server.Frontend.default_drain_timeout_ms ~banner:(fun () ->
+        Format.printf "nbti_tool: routing on %s across %d backend%s@."
+          (Server.Netline.endpoint_to_string endpoint)
+          (List.length backends)
+          (if List.length backends = 1 then "" else "s");
+        List.iter
+          (fun b -> Format.printf "  backend %s@." (Server.Netline.endpoint_to_string b))
+          backends);
     (* Shutdown-time trace collection: the backends are still serving
        (the router stops first in a rolling shutdown), so drain their
        span rings and write the whole fleet as one merged trace. *)
@@ -1532,7 +1491,6 @@ let route_cmd =
       | Server.Json.Type_error m -> Format.eprintf "trace: merge failed: %s@." m
       | Sys_error m -> Format.eprintf "trace: cannot write %s: %s@." path m)
     | _ -> ());
-    (match access_oc with Some oc -> close_out_noerr oc | None -> ());
     Format.printf "nbti_tool: router stopped@."
   in
   let route_trace_arg =

@@ -43,22 +43,20 @@ type forwarded = Payload of Json.t | Failed of Json.t
    trace link: which backend answered, how many failover hops it took,
    the leader's trace id (followers link to it), and whether this
    caller was a coalesced follower. *)
-type route_meta = {
+type meta = {
   meta_backend : string option;
   failovers : int;
   leader_trace_id : string option;
   coalesced : bool;
 }
 
-type t = {
+type state = {
   config : config;
   ring : Ring.t;
   backends : Backend.t list;
   by_name : (string, Backend.t) Hashtbl.t;
-  flight : (forwarded * route_meta) Singleflight.t;
+  flight : (forwarded * meta) Singleflight.t;
   slo : Obs.Slo.t option;
-  mutable access_log : out_channel option;
-  access_lock : Mutex.t;
   metrics : Server.Metrics.t;
   registry : Obs.Registry.t;
   faults : Server.Faults.t;
@@ -66,24 +64,13 @@ type t = {
   circuits : Server.Circuits.t;
   rng : Physics.Rng.t;
   rng_lock : Mutex.t;
-  mutable running : bool;
-  state : Mutex.t;
-  seq : int Atomic.t;
   started_at : float;
 }
 
-let backend t name = Hashtbl.find t.by_name name
-let metrics t = t.metrics
-let registry t = t.registry
-let ring t = t.ring
-let backend_list t = t.backends
-let uptime_s t = Unix.gettimeofday () -. t.started_at
+type t = (state, meta) Server.Frontend.t
 
-let running t =
-  Mutex.lock t.state;
-  let r = t.running in
-  Mutex.unlock t.state;
-  r
+let backend t name = Hashtbl.find t.by_name name
+let uptime_s t = Unix.gettimeofday () -. t.started_at
 
 let register_collectors t =
   let r = t.registry in
@@ -142,38 +129,6 @@ let register_collectors t =
           ])
         t.backends)
 
-let create ?(config = default_config) ?(faults = Server.Faults.none) ?slo endpoints =
-  if endpoints = [] then invalid_arg "Router.create: no backends";
-  let backends = List.map Backend.create endpoints in
-  let ring = Ring.create ~vnodes:config.vnodes (List.map Backend.name backends) in
-  let by_name = Hashtbl.create 8 in
-  List.iter (fun b -> Hashtbl.replace by_name (Backend.name b) b) backends;
-  let t =
-    {
-      config;
-      ring;
-      backends;
-      by_name;
-      flight = Singleflight.create ();
-      slo;
-      access_log = None;
-      access_lock = Mutex.create ();
-      metrics = Server.Metrics.create ();
-      registry = Obs.Registry.create ();
-      faults;
-      circuits = Server.Circuits.create ();
-      rng = Physics.Rng.split (Physics.Rng.create ~seed:11);
-      rng_lock = Mutex.create ();
-      running = false;
-      state = Mutex.create ();
-      seq = Atomic.make 0;
-      started_at = Unix.gettimeofday ();
-    }
-  in
-  register_collectors t;
-  Server.Metrics.observe_cache "circuits" (Server.Circuits.cache t.circuits);
-  t
-
 (* --- fault injection at router sites --- *)
 
 let sleep_ms ms = if ms > 0 then Unix.sleepf (float_of_int ms /. 1000.0)
@@ -199,8 +154,6 @@ let backoff t policy ~attempt ?retry_after_ms () =
 
 (* --- routing --- *)
 
-exception Reject of Protocol.decode_error
-
 (* The routing key IS the backend's cache key, built on the digest the
    same resolver computes: requests that would hit the same cache entry
    land on the same backend, which is the whole point of hashing by
@@ -211,7 +164,7 @@ let job_key t job =
       (Protocol.job_circuit job)
   with
   | Ok { Server.Circuits.digest; _ } -> Protocol.job_cache_key job ~circuit_digest:digest
-  | Error e -> raise (Reject e)
+  | Error e -> raise (Server.Frontend.Rejected e)
 
 (* Failover candidates: the ring's preference order filtered to
    routable backends, then Suspect ones as a last resort (a Suspect
@@ -376,62 +329,56 @@ let forward_job t ~timeout_ms job =
 
 let handoff_policy = { Server.Retry.retries = 1; base_ms = 20; cap_ms = 200 }
 
+(* One short-lived connection to a backend on the probe timeout, closed
+   whatever [f] does. [f] gets [call]: one request line to the answer's
+   "result", or None when the call failed, the line did not parse or the
+   backend answered an error. *)
+let with_backend ?policy t b f =
+  let client =
+    Server.Client.create
+      ~read_timeout_s:(float_of_int t.config.probe_timeout_ms /. 1000.0)
+      (Backend.endpoint b)
+  in
+  let call line =
+    match Server.Client.call client ?policy line with
+    | Error _ -> None
+    | Ok response -> (
+      match Json.of_string response with
+      | json -> Json.member_opt "result" json
+      | exception Json.Parse_error _ -> None)
+  in
+  Fun.protect ~finally:(fun () -> Server.Client.close client) (fun () -> f call)
+
 let export_from t src =
   let line =
     encode_line ~timeout_ms:None
       (Protocol.Cache_export { max_entries = t.config.handoff_max_entries })
   in
-  let client =
-    Server.Client.create
-      ~read_timeout_s:(float_of_int t.config.probe_timeout_ms /. 1000.0)
-      (Backend.endpoint src)
-  in
-  Fun.protect
-    ~finally:(fun () -> Server.Client.close client)
-    (fun () ->
-      match Server.Client.call client ~policy:handoff_policy line with
-      | Ok response -> begin
-        match Json.of_string response with
-        | json -> begin
-          match Json.member_opt "result" json with
-          | Some result -> begin
-            match Json.member_opt "entries" result with
-            | Some (Json.List items) ->
-              List.filter_map
-                (fun item ->
-                  match (Json.member_opt "key" item, Json.member_opt "payload" item) with
-                  | Some (Json.String k), Some payload -> Some (k, payload)
-                  | _ -> None)
-                items
-            | _ -> []
-          end
-          | None -> []
-        end
-        | exception Json.Parse_error _ -> []
-      end
-      | Error _ -> [])
+  with_backend ~policy:handoff_policy t src @@ fun call ->
+  match Option.bind (call line) (Json.member_opt "entries") with
+  | Some (Json.List items) ->
+    List.filter_map
+      (fun item ->
+        match (Json.member_opt "key" item, Json.member_opt "payload" item) with
+        | Some (Json.String k), Some payload -> Some (k, payload)
+        | _ -> None)
+      items
+  | _ -> []
 
 let import_into t dst entries =
   if entries <> [] then begin
     let line = encode_line ~timeout_ms:None (Protocol.Cache_import { entries }) in
-    let client =
-      Server.Client.create
-        ~read_timeout_s:(float_of_int t.config.probe_timeout_ms /. 1000.0)
-        (Backend.endpoint dst)
-    in
-    Fun.protect
-      ~finally:(fun () -> Server.Client.close client)
-      (fun () ->
-        match Server.Client.call client ~policy:handoff_policy line with
-        | Ok _ ->
-          let bytes =
-            List.fold_left
-              (fun acc (_, payload) -> acc + String.length (Json.to_string payload))
-              0 entries
-          in
-          Server.Metrics.incr_counter ~by:(List.length entries) t.metrics "handoff_keys";
-          Server.Metrics.incr_counter ~by:bytes t.metrics "handoff_bytes"
-        | Error _ -> Server.Metrics.incr_counter t.metrics "handoff_failures")
+    with_backend ~policy:handoff_policy t dst @@ fun call ->
+    match call line with
+    | Some _ ->
+      let bytes =
+        List.fold_left
+          (fun acc (_, payload) -> acc + String.length (Json.to_string payload))
+          0 entries
+      in
+      Server.Metrics.incr_counter ~by:(List.length entries) t.metrics "handoff_keys";
+      Server.Metrics.incr_counter ~by:bytes t.metrics "handoff_bytes"
+    | None -> Server.Metrics.incr_counter t.metrics "handoff_failures"
   end
 
 let log_handoff ~kind b n =
@@ -509,41 +456,12 @@ let metrics_line = encode_line ~timeout_ms:None Protocol.Metrics
    the same connection scrapes the backend's [metrics] op and the
    parsed samples are stored on the backend record for
    [cluster_metrics]. A failed scrape costs a counter, never health. *)
-let scrape_backend_metrics t b client =
-  let scrape_failed () = Server.Metrics.incr_counter t.metrics "metrics_scrape_failures" in
-  let policy = { Server.Retry.retries = 0; base_ms = 0; cap_ms = 0 } in
-  match Server.Client.call client ~policy metrics_line with
-  | Ok response -> begin
-    match Json.of_string response with
-    | json -> begin
-      match Json.member_opt "result" json with
-      | Some result -> begin
-        match Json.member_opt "prometheus" result with
-        | Some (Json.String text) ->
-          Backend.set_scraped b (Obs.Registry.of_prometheus text);
-          Server.Metrics.incr_counter t.metrics "metrics_scrapes"
-        | _ -> scrape_failed ()
-      end
-      | None -> scrape_failed ()
-    end
-    | exception Json.Parse_error _ -> scrape_failed ()
-  end
-  | Error _ -> scrape_failed ()
-
-(* The backend's structured health state ("ok" / "degraded" /
-   "draining"); None when the response is not a well-formed ok. *)
-let probe_backend_state response =
-  match Json.of_string response with
-  | json -> begin
-    match (Json.member_opt "ok" json, Json.member_opt "result" json) with
-    | Some (Json.Bool true), Some result -> begin
-      match Json.member_opt "state" result with
-      | Some (Json.String s) -> Some s
-      | _ -> Some "ok" (* pre-fleet backend: liveness is all it reports *)
-    end
-    | _ -> None
-  end
-  | exception Json.Parse_error _ -> None
+let scrape_backend_metrics t b call =
+  match Option.bind (call metrics_line) (Json.member_opt "prometheus") with
+  | Some (Json.String text) ->
+    Backend.set_scraped b (Obs.Registry.of_prometheus text);
+    Server.Metrics.incr_counter t.metrics "metrics_scrapes"
+  | _ -> Server.Metrics.incr_counter t.metrics "metrics_scrape_failures"
 
 let log_transition b ~to_ =
   if Obs.Log.would_log Obs.Log.Info then
@@ -597,27 +515,20 @@ let probe_backend t b =
       Server.Metrics.incr_counter t.metrics "injected_probe_faults";
       None
     end
-    else begin
-      let client =
-        Server.Client.create
-          ~read_timeout_s:(float_of_int t.config.probe_timeout_ms /. 1000.0)
-          (Backend.endpoint b)
-      in
-      Fun.protect
-        ~finally:(fun () -> Server.Client.close client)
-        (fun () ->
-          let t0 = Unix.gettimeofday () in
-          match Server.Client.call client probe_line with
-          | Ok response -> begin
-            match probe_backend_state response with
-            | Some backend_state ->
-              let rtt_s = Unix.gettimeofday () -. t0 in
-              scrape_backend_metrics t b client;
-              Some (backend_state, rtt_s)
-            | None -> None
-          end
-          | Error _ -> None)
-    end
+    else
+      with_backend t b @@ fun call ->
+      let t0 = Unix.gettimeofday () in
+      match call probe_line with
+      | Some result ->
+        (* the backend's structured health state ("ok" / "degraded" /
+           "draining"); a pre-fleet backend reports liveness only *)
+        let backend_state =
+          match Json.member_opt "state" result with Some (Json.String s) -> s | _ -> "ok"
+        in
+        let rtt_s = Unix.gettimeofday () -. t0 in
+        scrape_backend_metrics t b call;
+        Some (backend_state, rtt_s)
+      | None -> None
   in
   (match ok_state with
   | Some (backend_state, rtt_s) -> on_probe_success t b ~rtt_s ~backend_state
@@ -645,36 +556,17 @@ let probe_due_backends t =
   let now = Unix.gettimeofday () in
   List.iter (fun b -> if Backend.probe_due b ~now then probe_backend t b) t.backends
 
-let probe_loop t =
-  while running t do
-    probe_due_backends t;
-    Unix.sleepf 0.05
-  done
-
-(* --- request handling --- *)
-
-let endpoint_name = function
-  | Protocol.Single (Protocol.Analyze _) -> "analyze"
-  | Protocol.Single (Protocol.Ivc_search _) -> "ivc_search"
-  | Protocol.Single (Protocol.Sleep_sizing _) -> "sleep_sizing"
-  | Protocol.Batch _ -> "batch"
-  | Protocol.Calibrate _ -> "calibrate"
-  | Protocol.Health -> "health"
-  | Protocol.Stats -> "stats"
-  | Protocol.Metrics -> "metrics"
-  | Protocol.Cache_export _ -> "cache_export"
-  | Protocol.Cache_import _ -> "cache_import"
-  | Protocol.Trace_export _ -> "trace_export"
-  | Protocol.Cluster_metrics -> "cluster_metrics"
-
-let health_result t =
+let health_result fe t =
   let live =
     List.length (List.filter (fun b -> Backend.routable (Backend.state b)) t.backends)
+  in
+  let state =
+    if Server.Frontend.draining fe then "draining" else if live = 0 then "degraded" else "ok"
   in
   Json.Assoc
     [
       ("status", Json.String "ok");
-      ("state", Json.String (if live = 0 then "degraded" else "ok"));
+      ("state", Json.String state);
       ("role", Json.String "router");
       ("backends_live", Json.Int live);
       ("backends_total", Json.Int (List.length t.backends));
@@ -713,14 +605,6 @@ let stats_result t =
           ] );
     ]
     @ match t.slo with None -> [] | Some slo -> [ ("slo", Server.Metrics.slo_json slo) ])
-
-let metrics_result t =
-  Json.Assoc
-    [
-      ("kind", Json.String "metrics");
-      ("content_type", Json.String "text/plain; version=0.0.4");
-      ("prometheus", Json.String (Obs.Registry.to_prometheus t.registry));
-    ]
 
 (* --- metrics federation --- *)
 
@@ -812,57 +696,33 @@ let job_error_of = function
         ("message", Json.String (Json.to_string other));
       ]
 
-let reject_details { Protocol.code; message; details } =
-  Json.Assoc
-    ([ ("code", Json.String (Protocol.error_code_string code)); ("message", Json.String message) ]
-    @ details)
+(* What the access log reports for a request the router answered
+   itself: no backend, no hops. *)
+let local_meta = { meta_backend = None; failovers = 0; leader_trace_id = None; coalesced = false }
+
+let forwarded ~id = function
+  | Payload payload, meta -> (Protocol.ok_response ~id payload, meta)
+  | Failed e, meta -> (error_envelope ~id e, meta)
 
 (* Dispatch answers with the response envelope plus, for forwarded
    requests, the routing metadata the access log reports. *)
-let dispatch t ~id ~timeout_ms request =
+let dispatch fe { Protocol.id; timeout_ms; trace = _; request } =
+  let t = Server.Frontend.state fe in
   match request with
-  | Protocol.Health -> (Protocol.ok_response ~id (health_result t), None)
-  | Protocol.Stats -> (Protocol.ok_response ~id (stats_result t), None)
-  | Protocol.Metrics -> (Protocol.ok_response ~id (metrics_result t), None)
-  | Protocol.Cluster_metrics -> (Protocol.ok_response ~id (cluster_metrics_result t), None)
-  | Protocol.Trace_export { clear } -> begin
-    match Obs.Trace.installed () with
-    | None ->
-      ( Protocol.error_response ~id Protocol.Invalid_request
-          "tracing is not enabled on this process (no span collector installed)",
-        None )
-    | Some c ->
-      Server.Metrics.incr_counter t.metrics "trace_exports";
-      let span_count = List.length (Obs.Trace.spans c) in
-      let dropped = Obs.Trace.dropped c in
-      let trace_json = Json.of_string (Obs.Trace.to_chrome_json ~process_name:"router" c) in
-      if clear then Obs.Trace.clear c;
-      ( Protocol.ok_response ~id
-          (Json.Assoc
-             [
-               ("kind", Json.String "trace_export");
-               ("spans", Json.Int span_count);
-               ("dropped", Json.Int dropped);
-               ("trace", trace_json);
-             ]),
-        None )
-  end
+  | Protocol.Health -> (Protocol.ok_response ~id (health_result fe t), local_meta)
+  | Protocol.Stats -> (Protocol.ok_response ~id (stats_result t), local_meta)
+  | Protocol.Metrics -> (Protocol.ok_response ~id (Server.Frontend.metrics_result fe), local_meta)
+  | Protocol.Cluster_metrics -> (Protocol.ok_response ~id (cluster_metrics_result t), local_meta)
+  | Protocol.Trace_export { clear } -> (Server.Frontend.trace_export fe ~id ~clear, local_meta)
   | Protocol.Cache_export _ | Protocol.Cache_import _ ->
     ( Protocol.error_response ~id Protocol.Invalid_request
         "cache_export/cache_import are backend-local ops; address a backend directly",
-      None )
-  | Protocol.Single job -> begin
-    match forward_job t ~timeout_ms job with
-    | Payload payload, meta -> (Protocol.ok_response ~id payload, Some meta)
-    | Failed e, meta -> (error_envelope ~id e, Some meta)
-  end
-  | Protocol.Calibrate spec -> begin
+      local_meta )
+  | Protocol.Single job -> forwarded ~id (forward_job t ~timeout_ms job)
+  | Protocol.Calibrate spec ->
     let key = Protocol.calibrate_cache_key spec in
-    let line = encode_line ~timeout_ms (Protocol.Calibrate spec) in
-    match forward t ~key ~timeout_ms ~line with
-    | Payload payload, meta -> (Protocol.ok_response ~id payload, Some meta)
-    | Failed e, meta -> (error_envelope ~id e, Some meta)
-  end
+    forwarded ~id
+      (forward t ~key ~timeout_ms ~line:(encode_line ~timeout_ms (Protocol.Calibrate spec)))
   | Protocol.Batch jobs ->
     (* Jobs are split and routed independently — each to its own owner,
        each with its own failover — and reassembled in request order.
@@ -871,149 +731,25 @@ let dispatch t ~id ~timeout_ms request =
     let failovers = ref 0 in
     let coalesced = ref false in
     let one job =
-      match forward_job t ~timeout_ms job with
-      | Payload payload, meta ->
-        failovers := !failovers + meta.failovers;
-        coalesced := !coalesced || meta.coalesced;
-        payload
-      | Failed e, meta ->
-        failovers := !failovers + meta.failovers;
-        coalesced := !coalesced || meta.coalesced;
-        job_error_of e
-      | exception Reject e -> job_error_of (reject_details e)
+      let outcome, meta = forward_job t ~timeout_ms job in
+      failovers := !failovers + meta.failovers;
+      coalesced := !coalesced || meta.coalesced;
+      match outcome with Payload payload -> payload | Failed e -> job_error_of e
     in
-    let results = List.map one jobs in
+    let results = List.map (Server.Frontend.batch_entry fe ~timeout_ms one) jobs in
     ( Protocol.ok_response ~id
         (Json.Assoc [ ("kind", Json.String "batch"); ("results", Json.List results) ]),
-      Some
-        {
-          meta_backend = None;
-          failovers = !failovers;
-          leader_trace_id = None;
-          coalesced = !coalesced;
-        } )
+      { local_meta with failovers = !failovers; coalesced = !coalesced } )
 
-let request_id = function
-  | Json.Assoc kvs -> (
-    match List.assoc_opt "id" kvs with Some (Json.String s) -> Some s | _ -> None)
-  | _ -> None
-
-let fresh_cid t = function
-  | Some id -> id
-  | None -> Printf.sprintf "fleet-%d" (Atomic.fetch_and_add t.seq 1)
-
-(* --- access log and the per-request observability envelope --- *)
-
-let set_access_log t oc =
-  Mutex.lock t.access_lock;
-  t.access_log <- Some oc;
-  Mutex.unlock t.access_lock
-
-let response_ok response =
-  match Json.member_opt "ok" response with Some (Json.Bool b) -> b | _ -> false
-
-let response_error_code response =
-  match Json.member_opt "error" response with
-  | Some e -> ( match Json.member_opt "code" e with Some (Json.String c) -> Some c | _ -> None)
-  | None -> None
-
-(* One JSONL record per handled request, written under a mutex so
-   connection threads never interleave. Same base shape as a backend's
-   access log plus the routing fields: which backend served it, how
-   many failover hops it took, and whether it was coalesced onto
+(* The router's access-log fields: which backend served the request,
+   how many failover hops it took, and whether it was coalesced onto
    another flight. *)
-let access_log_write t ~cid ~endpoint ~ok ~elapsed_s ~error ~meta =
-  Mutex.lock t.access_lock;
-  (match t.access_log with
-  | None -> ()
-  | Some oc ->
-    let routing =
-      match meta with
-      | None ->
-        [ ("backend", Json.Null); ("failover_count", Json.Int 0); ("coalesced", Json.Bool false) ]
-      | Some m ->
-        [
-          ( "backend",
-            match m.meta_backend with Some b -> Json.String b | None -> Json.Null );
-          ("failover_count", Json.Int m.failovers);
-          ("coalesced", Json.Bool m.coalesced);
-        ]
-    in
-    let fields =
-      [
-        ("ts", Json.Float (Unix.gettimeofday ()));
-        ("cid", Json.String cid);
-        ("endpoint", Json.String endpoint);
-        ("ok", Json.Bool ok);
-        ("elapsed_s", Json.Float elapsed_s);
-      ]
-      @ routing
-      @ match error with None -> [] | Some code -> [ ("error", Json.String code) ]
-    in
-    (* A failing access-log disk never fails the request being logged. *)
-    (try
-       output_string oc (Json.to_string (Json.Assoc fields));
-       output_char oc '\n';
-       flush oc
-     with Sys_error _ -> ()));
-  Mutex.unlock t.access_lock
-
-(* The envelope's trace context is adopted when the client sent one;
-   otherwise, when tracing is on, the router originates a trace here —
-   the client edge of the fleet — so untraced clients still produce
-   linkable multi-process traces. *)
-let with_trace_opt trace f =
-  match trace with
-  | Some tr -> Obs.Ctx.with_trace tr f
-  | None ->
-    if Obs.Trace.enabled () then
-      Obs.Ctx.with_trace { Obs.Ctx.trace_id = Obs.Trace.new_trace_id (); parent_span = None } f
-    else f ()
-
-let handle t request_json =
-  match Protocol.envelope_of_json request_json with
-  | Error { Protocol.code; message; details } ->
-    let id = request_id request_json in
-    Protocol.error_response ~id ~details code message
-  | Ok { Protocol.id; timeout_ms; trace; request } ->
-    let endpoint = endpoint_name request in
-    let cid = fresh_cid t id in
-    Obs.Ctx.with_id cid @@ fun () ->
-    with_trace_opt trace @@ fun () ->
-    let t0 = Unix.gettimeofday () in
-    let meta = ref None in
-    let response =
-      try
-        Server.Metrics.time t.metrics ~endpoint (fun () ->
-            Obs.Trace.with_span ~cat:"fleet"
-              ~args:[ ("endpoint", Obs.Fields.Str endpoint) ]
-              "request"
-              (fun () ->
-                let response, m = dispatch t ~id ~timeout_ms request in
-                meta := m;
-                response))
-      with
-      | Reject { Protocol.code; message; details } ->
-        Protocol.error_response ~id ~details code message
-      | Json.Type_error m -> Protocol.error_response ~id Protocol.Bad_request m
-      | exn -> Protocol.error_response ~id Protocol.Internal_error (Printexc.to_string exn)
-    in
-    let elapsed_s = Unix.gettimeofday () -. t0 in
-    let ok = response_ok response in
-    (match t.slo with
-    | None -> ()
-    | Some slo -> Obs.Slo.observe slo ~op:endpoint ~ok ~elapsed_s);
-    access_log_write t ~cid ~endpoint ~ok ~elapsed_s ~error:(response_error_code response)
-      ~meta:!meta;
-    response
-
-let handle_line t line =
-  let response =
-    match Json.of_string line with
-    | exception Json.Parse_error m -> Protocol.error_response ~id:None Protocol.Parse_error m
-    | json -> handle t json
-  in
-  Json.to_string response
+let access_fields m =
+  [
+    ("backend", match m.meta_backend with Some b -> Json.String b | None -> Json.Null);
+    ("failover_count", Json.Int m.failovers);
+    ("coalesced", Json.Bool m.coalesced);
+  ]
 
 (* --- fleet trace collection --- *)
 
@@ -1022,90 +758,61 @@ let trace_export_line = encode_line ~timeout_ms:None (Protocol.Trace_export { cl
 (* Drain every reachable backend's span ring, for the shutdown-time
    merge of a --trace'd fleet run. Unreachable or untraced backends are
    skipped — a partial fleet trace is still a trace. *)
-let collect_backend_traces t =
+let collect_backend_traces fe =
+  let t = Server.Frontend.state fe in
   List.filter_map
     (fun b ->
-      let client =
-        Server.Client.create
-          ~read_timeout_s:(float_of_int t.config.probe_timeout_ms /. 1000.0)
-          (Backend.endpoint b)
-      in
-      Fun.protect
-        ~finally:(fun () -> Server.Client.close client)
-        (fun () ->
-          match Server.Client.call client ~policy:handoff_policy trace_export_line with
-          | Ok response -> begin
-            match Json.of_string response with
-            | json -> begin
-              match Json.member_opt "result" json with
-              | Some result -> begin
-                match Json.member_opt "trace" result with
-                | Some trace -> Some (Backend.name b, trace)
-                | None -> None
-              end
-              | None -> None
-            end
-            | exception Json.Parse_error _ -> None
-          end
-          | Error _ -> None))
+      with_backend ~policy:handoff_policy t b @@ fun call ->
+      Option.map
+        (fun trace -> (Backend.name b, trace))
+        (Option.bind (call trace_export_line) (Json.member_opt "trace")))
     t.backends
 
-(* --- serving --- *)
+(* --- the route role --- *)
 
-let connection_loop t fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let write_response line =
-    output_string oc line;
-    output_char oc '\n';
-    flush oc
+let role =
+  {
+    Server.Frontend.cid_prefix = "fleet-";
+    span_cat = "fleet";
+    process_name = Some "router";
+    originates_traces = true;
+    faults = (fun t -> t.faults);
+    dispatch;
+    no_meta = local_meta;
+    access_fields;
+    tick = Some probe_due_backends;
+  }
+
+let create ?(config = default_config) ?(faults = Server.Faults.none) ?slo endpoints =
+  if endpoints = [] then invalid_arg "Router.create: no backends";
+  let backends = List.map Backend.create endpoints in
+  let ring = Ring.create ~vnodes:config.vnodes (List.map Backend.name backends) in
+  let by_name = Hashtbl.create 8 in
+  List.iter (fun b -> Hashtbl.replace by_name (Backend.name b) b) backends;
+  let t =
+    {
+      config;
+      ring;
+      backends;
+      by_name;
+      flight = Singleflight.create ();
+      slo;
+      metrics = Server.Metrics.create ();
+      registry = Obs.Registry.create ();
+      faults;
+      circuits = Server.Circuits.create ();
+      rng = Physics.Rng.split (Physics.Rng.create ~seed:11);
+      rng_lock = Mutex.create ();
+      started_at = Unix.gettimeofday ();
+    }
   in
-  let rec loop () =
-    match Server.Netline.read_request_line ic ~max_bytes:t.config.max_line_bytes with
-    | Server.Netline.Eof -> ()
-    | Server.Netline.Oversized ->
-      write_response
-        (Json.to_string
-           (Protocol.error_response ~id:None
-              ~details:[ ("max_line_bytes", Json.Int t.config.max_line_bytes) ]
-              Protocol.Invalid_request
-              (Printf.sprintf "request line exceeds %d bytes" t.config.max_line_bytes)));
-      loop ()
-    | Server.Netline.Line line ->
-      let line =
-        let n = String.length line in
-        if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
-      in
-      if String.trim line <> "" then write_response (handle_line t line);
-      loop ()
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      try loop () with
-      | Sys_error _ | Unix.Unix_error _ -> Server.Metrics.incr_counter t.metrics "disconnects")
+  register_collectors t;
+  Server.Metrics.observe_cache "circuits" (Server.Circuits.cache t.circuits);
+  Server.Frontend.create role ~metrics:t.metrics ~registry:t.registry ?slo
+    ~max_line_bytes:config.max_line_bytes t
 
-let stop t =
-  Mutex.lock t.state;
-  t.running <- false;
-  Mutex.unlock t.state
-
-let install_signal_handlers t =
-  let handler = Sys.Signal_handle (fun _ -> stop t) in
-  Sys.set_signal Sys.sigint handler;
-  Sys.set_signal Sys.sigterm handler
-
-let serve t endpoint ?(on_ready = fun () -> ()) () =
-  Mutex.lock t.state;
-  t.running <- true;
-  Mutex.unlock t.state;
-  let prober = Thread.create (fun () -> probe_loop t) () in
-  Fun.protect
-    ~finally:(fun () ->
-      stop t;
-      Thread.join prober)
-    (fun () ->
-      Server.Netline.serve endpoint ~on_ready
-        ~running:(fun () -> running t)
-        ~on_connection:(fun fd -> connection_loop t fd)
-        ())
+let handle_line = Server.Frontend.handle_line
+let metrics fe = (Server.Frontend.state fe).metrics
+let ring fe = (Server.Frontend.state fe).ring
+let backend_list fe = (Server.Frontend.state fe).backends
+let probe_due_backends fe = probe_due_backends (Server.Frontend.state fe)

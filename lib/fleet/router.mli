@@ -33,7 +33,17 @@
       backend hops, serves [trace_export], and {!collect_backend_traces}
       drains backend span rings for a {!Server.Tracefile.merge}.
     - {e SLOs}: with [?slo], every request is scored against its op's
-      objective; burn rates surface in [stats] and [metrics]. *)
+      objective; burn rates surface in [stats] and [metrics].
+
+    The router is the [route] role of {!Server.Frontend}, which owns the
+    socket, the request envelope and shutdown exactly as for [serve]: a
+    router value is the front-end itself, served with
+    {!Server.Frontend.serve} (which runs the probe thread for the
+    duration), stopped with {!Server.Frontend.stop} and drained with
+    {!Server.Frontend.drain}. Generated correlation ids read ["fleet-N"],
+    request spans are ["fleet"]-category, and an untraced request starts
+    a trace when a collector is installed (the router is the fleet's
+    client edge). *)
 
 type config = {
   vnodes : int;  (** virtual nodes per backend on the hash ring *)
@@ -48,23 +58,27 @@ type config = {
 
 val default_config : config
 
-type t
+type state
+type meta
+type t = (state, meta) Server.Frontend.t
 
 val create :
   ?config:config -> ?faults:Server.Faults.t -> ?slo:Obs.Slo.t -> Server.Netline.endpoint list -> t
 (** Fleet over the given backends (their canonical endpoint strings are
     the ring identities — raises [Invalid_argument] on duplicates or an
     empty list). Fault sites honored router-side: [connect] (forwarding
-    connections), [probe], [handoff]. [slo] arms per-op objectives
-    scored on every handled request. *)
-
-val set_access_log : t -> out_channel -> unit
-(** Arms a JSONL access log: the backend access-log shape
-    ([ts]/[cid]/[endpoint]/[ok]/[elapsed_s] plus [error]) extended with
-    routing fields — ["backend"] (the endpoint that served the forward,
-    null for local/degraded answers), ["failover_count"] (extra hops
-    beyond the first owner; summed across a batch) and ["coalesced"]
-    (this request rode another request's flight). *)
+    connections), [probe], [handoff], and the front-end's [write]. [slo]
+    arms per-op objectives scored on every handled request. The access
+    log ({!Server.Frontend.set_access_log}) extends the backend shape
+    with routing fields — ["backend"] (the endpoint that served the
+    forward, null for local/degraded answers), ["failover_count"] (extra
+    hops beyond the first owner; summed across a batch) and
+    ["coalesced"] (this request rode another request's flight). A drain
+    ({!Server.Frontend.drain}, SIGTERM) reports [state:"draining"] in
+    [health], stops accepting, and waits up to
+    {!Server.Frontend.default_drain_timeout_ms} for open connections —
+    and the forwards in flight on them — to finish while probes keep
+    running. *)
 
 val collect_backend_traces : t -> (string * Server.Json.t) list
 (** Drains each reachable backend's span ring via [trace_export]
@@ -74,25 +88,13 @@ val collect_backend_traces : t -> (string * Server.Json.t) list
     skipped. *)
 
 val handle_line : t -> string -> string
-(** One request line in, one response line out (no trailing newline) —
-    the protocol entry point, also used directly by tests. *)
-
-val serve : t -> Server.Netline.endpoint -> ?on_ready:(unit -> unit) -> unit -> unit
-(** Listens and serves until {!stop}; runs the probe thread for the
-    duration. Blocks the calling thread. *)
-
-val stop : t -> unit
-val install_signal_handlers : t -> unit
-(** SIGINT and SIGTERM both {!stop} the router — it holds no state
-    worth draining; in-flight forwards finish on their own threads. *)
+(** {!Server.Frontend.handle_line}: one request line in, one response
+    line out (no trailing newline). *)
 
 val probe_due_backends : t -> unit
 (** One probe pass over the backends whose probes are due (the probe
     thread's tick); exposed for deterministic tests. *)
 
-val health_result : t -> Server.Json.t
-val stats_result : t -> Server.Json.t
 val metrics : t -> Server.Metrics.t
-val registry : t -> Obs.Registry.t
 val ring : t -> Ring.t
 val backend_list : t -> Backend.t list

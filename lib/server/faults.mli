@@ -3,11 +3,13 @@
     A fault plan is a comma-separated list of rules, each
     [site=action[:param][@N]]:
 
-    - {b sites} — ["admission"] (request admission), ["compute"] (job
-      execution inside a worker), ["write"] (response serialization onto
-      the socket); and, inside the fleet router, ["connect"] (dialing a
-      backend for a forwarded request), ["probe"] (a health probe) and
-      ["handoff"] (a warm-cache handoff transfer);
+    - {b sites} — ["write"] (response serialization onto the socket, in
+      {!Frontend}'s connection loop, so on both [serve] and [route]);
+      inside the service, ["admission"] (request admission) and
+      ["compute"] (job execution inside a worker); and, inside the fleet
+      router, ["connect"] (dialing a backend for a forwarded request),
+      ["probe"] (a health probe) and ["handoff"] (a warm-cache handoff
+      transfer);
     - {b actions} — [delay:MS] (sleep before proceeding), [fail] (raise
       {!Injected} as if the worker crashed), [truncate] (cut the response
       line short and drop the connection), [shed] (force admission
@@ -17,10 +19,10 @@
       the shape a retrying client must survive). Without [@N] the rule
       fires on every hit.
 
-    Plans come from the hidden [serve --faults SPEC] flag or the
-    [NBTI_FAULTS] environment variable; an empty/absent spec is
-    {!none}. The service consults {!fire} at each named site and applies
-    whatever actions are armed; fired counts are reported under
+    Plans come from the [--faults SPEC] flag of [serve] and [route] or
+    the [NBTI_FAULTS] environment variable; an empty/absent spec is
+    {!none}. Each process consults {!fire} at its named sites and
+    applies whatever actions are armed; fired counts are reported under
     ["faults"] in [stats]. *)
 
 type action = Delay_ms of int | Fail | Truncate | Shed

@@ -1,7 +1,6 @@
-(* Shared newline-delimited socket plumbing: endpoint addressing, the
-   bounded request-line reader and the polling accept loop. Both the
-   backend daemon (Service) and the fleet router serve through this
-   module, so their connection semantics cannot drift apart. *)
+(* Newline-delimited socket plumbing: endpoint addressing and the
+   bounded request-line reader that Frontend's connection loop reads
+   through. *)
 
 type endpoint = Unix_socket of string | Tcp of string * int
 
@@ -62,48 +61,3 @@ let read_request_line ic ~max_bytes =
       else go ()
   in
   go ()
-
-let serve endpoint ?(backlog = 64) ?(on_ready = fun () -> ()) ~running ~on_connection () =
-  (* A client closing its socket mid-response must surface as a write
-     error on that connection, not kill the process with SIGPIPE. *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let path =
-    match endpoint with
-    | Unix_socket p ->
-      if Sys.file_exists p then ( try Unix.unlink p with Unix.Unix_error _ -> ());
-      Some p
-    | Tcp _ -> None
-  in
-  let domain, addr = sockaddr_of_endpoint endpoint in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd addr;
-  Unix.listen fd backlog;
-  on_ready ();
-  (* The accept loop polls the stop flag (select with a short timeout)
-     because on Linux closing a listening fd from another thread does
-     not wake a blocked accept(2). *)
-  let rec accept_loop () =
-    if running () then begin
-      match Unix.select [ fd ] [] [] 0.2 with
-      | [], _, _ -> accept_loop ()
-      | _ :: _, _, _ -> begin
-        match Unix.accept fd with
-        | client, _ ->
-          ignore (Thread.create (fun () -> on_connection client) ());
-          accept_loop ()
-        | exception
-            Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED), _, _)
-          ->
-          accept_loop ()
-      end
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-    end
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      match path with
-      | Some p -> ( try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
-      | None -> ())
-    accept_loop

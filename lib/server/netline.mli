@@ -1,10 +1,6 @@
-(** Shared plumbing for newline-delimited-JSON socket servers.
-
-    {!Service} (the backend daemon) and the fleet router both serve one
-    request per line over a Unix-domain or TCP socket; this module holds
-    the pieces they must agree on — endpoint addressing, the bounded
-    request-line reader, and the polling accept loop — so the two
-    serving paths cannot drift apart. *)
+(** Plumbing for newline-delimited-JSON sockets: endpoint addressing and
+    the bounded request-line reader. {!Frontend} serves both roles
+    through it, one request per line over a Unix-domain or TCP socket. *)
 
 type endpoint = Unix_socket of string | Tcp of string * int
 
@@ -27,18 +23,3 @@ val sockaddr_of_endpoint : endpoint -> Unix.socket_domain * Unix.sockaddr
 type read_line = Line of string | Oversized | Eof
 
 val read_request_line : in_channel -> max_bytes:int -> read_line
-
-val serve :
-  endpoint ->
-  ?backlog:int ->
-  ?on_ready:(unit -> unit) ->
-  running:(unit -> bool) ->
-  on_connection:(Unix.file_descr -> unit) ->
-  unit ->
-  unit
-(** Binds, listens and accepts until [running ()] goes false (polled at
-    ~200 ms): each accepted connection runs [on_connection] on its own
-    thread, which owns (and must close) the descriptor. Ignores SIGPIPE
-    for the whole process. [on_ready] runs once the socket is listening.
-    A pre-existing Unix socket file is replaced; the file is unlinked on
-    shutdown. Requires the [threads] runtime. *)

@@ -111,6 +111,20 @@ let ops =
 
 let supported_ops = List.map fst ops
 
+let op_name = function
+  | Single (Analyze _) -> "analyze"
+  | Single (Ivc_search _) -> "ivc_search"
+  | Single (Sleep_sizing _) -> "sleep_sizing"
+  | Batch _ -> "batch"
+  | Calibrate _ -> "calibrate"
+  | Health -> "health"
+  | Stats -> "stats"
+  | Metrics -> "metrics"
+  | Cache_export _ -> "cache_export"
+  | Cache_import _ -> "cache_import"
+  | Trace_export _ -> "trace_export"
+  | Cluster_metrics -> "cluster_metrics"
+
 type error_code =
   | Parse_error
   | Unsupported_version
@@ -298,6 +312,15 @@ let job_of_json o =
     let vth_st =
       match Json.member_opt "vth_st" o with Some v -> Some (Json.to_float v) | None -> None
     in
+    (* V_dd of the one technology the wire can select; St_sizing.make_spec
+       refuses anything outside (0, V_dd). *)
+    let vdd = Device.Tech.ptm_90nm.Device.Tech.vdd in
+    (match vth_st with
+    | Some v when not (Float.is_finite v && v > 0.0 && v < vdd) ->
+      invalid_field "vth_st"
+        (Printf.sprintf "must be finite and in (0, %g) V" vdd)
+        [ ("min", Json.Int 0); ("max", Json.Float vdd) ]
+    | _ -> ());
     let nbti_aware =
       match Json.member_opt "nbti_aware" o with Some v -> Json.to_bool v | None -> true
     in

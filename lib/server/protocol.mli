@@ -27,6 +27,7 @@
     {"v":1, "op":"sleep_sizing", "circuit":..., "config"?:...,
      "style"?:"footer"|"header"|"both", "beta"?:0.03,
      "vth_st"?:0.3, "nbti_aware"?:true}
+       (vth_st finite and in (0, V_dd); V_dd = 1.0 V)
     {"v":1, "op":"batch", "jobs":[{"op":"analyze",...}, ...]}
     {"v":1, "op":"calibrate",
      "measurements":[{"time_s":3.1e7,"temp_k":400,"vdd_v":1.0,
@@ -59,7 +60,8 @@ val max_ivc_pool : int
     may ask for: 4096, i.e. 64 packed 64-vector sweeps per round. A
     pool outside [[2, max_ivc_pool]] or a ["tolerance"] that is negative
     or not finite is an [invalid_request] whose details name the
-    field. *)
+    field; so is a [sleep_sizing] ["vth_st"] that is not finite or lies
+    outside (0, V_dd). *)
 
 (** {1 Requests} *)
 
@@ -157,6 +159,10 @@ val ops : (string * string) list
 
 val supported_ops : string list
 (** [List.map fst ops]. *)
+
+val op_name : request -> string
+(** The request's op as {!ops} spells it; requests are metered, traced,
+    scored and access-logged under this name. *)
 
 type envelope = {
   id : string option;

@@ -1,7 +1,9 @@
 (** The aging-analysis daemon: dispatches {!Protocol} requests against
     the {!Flow.Platform}, backed by content-addressed caches and request
-    metrics, and serves newline-delimited JSON over a Unix-domain or TCP
-    socket.
+    metrics. It is the [serve] role of {!Frontend}, which owns the
+    socket, the request envelope and shutdown; a service value is the
+    front-end itself, so it is served, stopped and drained with
+    {!Frontend.serve}, {!Frontend.stop} and {!Frontend.drain}.
 
     Three cache tiers sit in front of the platform:
     - a [circuits] resolver ({!Circuits}) keyed on the circuit name or
@@ -30,13 +32,17 @@
     - oversized request lines, oversized batches, oversized netlists and
       malformed [.bench] text all map to positioned [invalid_request]
       errors — {!limits} are enforced, never trusted;
-    - a peer vanishing mid-read or mid-write (EPIPE, ECONNRESET) costs
-      that connection only; SIGPIPE is ignored in {!serve} and
-      disconnects are counted in [stats];
+    - inside a [batch], each job fails independently with the same error
+      vocabulary as a whole request;
     - a {!Faults} plan can inject delays, worker failures, truncated
-      writes and forced shedding at named sites for chaos testing. *)
+      writes and forced shedding at named sites for chaos testing.
 
-type t
+    Every handled request runs under a correlation id — the envelope's
+    ["id"] when present, a generated ["req-N"] otherwise — and its
+    dispatch is a ["server"]-category span. *)
+
+type state
+type t = (state, unit) Frontend.t
 
 type limits = {
   max_line_bytes : int;  (** longest accepted request line (default 4 MiB) *)
@@ -72,8 +78,10 @@ val create :
     and {!Circuits.default_max_bytes} bounds;
     [max_pending] bounds concurrent compute-path requests before
     [overloaded] (default 64). [faults] arms a fault-injection plan
-    (default {!Faults.none}). [drain_timeout_ms] bounds how long
-    {!drain} waits for in-flight connections (default 5000).
+    (default {!Faults.none}); its [write] site is read at every
+    response, so {!set_faults} arms it too. [drain_timeout_ms] bounds
+    how long {!Frontend.drain} waits for in-flight connections (default
+    {!Frontend.default_drain_timeout_ms}).
     [pool] (default {!Parallel.Pool.default})
     runs every compute path — Monte-Carlo SPs, IVC search, and [batch]
     job fan-out; results stay bit-identical for any domain count, and
@@ -87,91 +95,9 @@ val set_faults : t -> Faults.t -> unit
 (** Swap the fault plan at runtime (used by tests to arm faults after
     priming caches). *)
 
-val faults : t -> Faults.t
-
 val pending : t -> int
 (** Requests currently admitted to the compute path. *)
 
-val draining : t -> bool
-(** Whether {!drain} has been requested; the [health] op reports
-    [state:"draining"] from the same flag. *)
-
-val connections : t -> int
-(** Connection threads currently open. *)
-
-(** {1 Observability}
-
-    Every handled request runs under a correlation id — the envelope's
-    ["id"] when present, a generated ["req-N"] otherwise — installed via
-    {!Obs.Ctx} so spans, log records, pool chunks and cache events
-    produced while handling it all carry the same id. Dispatch is a
-    ["server"]-category span; cache hits / misses / evictions surface as
-    trace markers and debug log records. *)
-
-val registry : t -> Obs.Registry.t
-(** The service's metrics registry: request counts / errors / latency
-    histograms per endpoint, named event counters, cache and pool and
-    admission gauges, uptime, and an [nbti_build_info] constant. Served
-    in Prometheus text form by the [metrics] endpoint; exposed here for
-    embedding and tests. *)
-
-val set_access_log : t -> out_channel -> unit
-(** Arms a JSONL access log: one record per handled request —
-    [{"ts":...,"cid":...,"endpoint":...,"ok":...,"elapsed_s":...}] plus
-    ["error"] (the error code) on failures. Writes are mutex-serialized
-    and flushed per record; the channel stays owned by the caller. *)
-
-(** {1 In-process dispatch} *)
-
-val handle : t -> Json.t -> Json.t
-(** One request envelope in, one response envelope out. Never raises:
-    protocol and platform errors come back as structured [error]
-    responses — [bad_request], positioned [invalid_request],
-    [overloaded] (+[retry_after_ms]), [deadline_exceeded] — and
-    unexpected exceptions as [internal_error]. Inside a [batch], each
-    job fails independently with the same code vocabulary. *)
-
 val handle_line : t -> string -> string
-(** {!handle} composed with the codec: one request line (no newline) to
-    one response line. Malformed JSON yields a [parse_error] response. *)
-
-(** {1 Serving} *)
-
-type endpoint = Netline.endpoint = Unix_socket of string | Tcp of string * int
-
-val endpoint_of_string : string -> (endpoint, string) result
-(** ["unix:/path/to.sock"] or ["tcp:HOST:PORT"]; a bare path with no
-    scheme is a Unix socket. (Shared spelling: {!Netline.endpoint_of_string}.) *)
-
-val serve : t -> endpoint -> ?on_ready:(unit -> unit) -> unit -> unit
-(** Binds, listens and accepts until {!stop}: one thread per connection,
-    one request per line, responses in request order per connection.
-    Ignores SIGPIPE for the whole process (a vanished peer must be a
-    write error, not a fatal signal). Request lines are read through a
-    bounded reader, so an oversized line is drained and answered with
-    [invalid_request] without ever being buffered whole. [on_ready]
-    runs once the socket is listening (used by tests and by the CLI to
-    print the address). A pre-existing Unix socket file is replaced;
-    the file is unlinked on shutdown. Requires the [threads] runtime. *)
-
-val stop : t -> unit
-(** Immediate shutdown: the accept loop (which polls a stop flag — on
-    Linux a close from another thread would not wake a blocked accept)
-    exits within its ~200 ms poll interval, closes the listening socket
-    and unlinks the Unix socket file; in-flight connections finish their
-    current line but {!serve} does not wait for them. Idempotent; safe
-    from signal handlers and other threads. *)
-
-val drain : t -> unit
-(** Graceful shutdown: {!stop} plus a bounded wait. The [health] op
-    reports [state:"draining"] immediately (so a fleet router's probe
-    stops routing here before the socket closes), the accept loop stops
-    taking new connections, and {!serve} waits up to [drain_timeout_ms]
-    for open connections to finish their in-flight requests before
-    returning. Idempotent; safe from signal handlers. *)
-
-val install_signal_handlers : t -> unit
-(** Daemon mode: SIGINT routes to {!stop} (immediate), SIGTERM to
-    {!drain} (graceful — the rolling-restart signal). *)
-
-val uptime_s : t -> float
+(** {!Frontend.handle_line}: one request line (no newline) to one
+    response line. *)

@@ -6,7 +6,8 @@
 # eventually gets the real answer, (3) a deadline-bounded request is
 # answered with deadline_exceeded, and (4) the daemon shuts down
 # gracefully afterwards — it never dies to an injected fault or a
-# vanished peer.
+# vanished peer. (5) A router drains like a backend: a request in
+# flight through it when it gets SIGTERM still answers ok.
 set -eu
 
 TOOL=${TOOL:-./_build/default/bin/nbti_tool.exe}
@@ -128,4 +129,34 @@ kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "server exited non-zero"
 [ ! -S "$SOCK" ] || fail "socket file not cleaned up"
 
-echo "chaos-smoke: OK (structured faults + retrying client + deadline + graceful shutdown)"
+# 8. SIGTERM drains a router too: a request still computing behind it
+#    (one 1.5 s compute delay on its backend) must answer ok, and the
+#    router must exit cleanly once it has.
+SOCK3=$(mktemp -u /tmp/nbti_chaos.XXXXXX.sock)
+RSOCK=$(mktemp -u /tmp/nbti_chaos.XXXXXX.sock)
+"$TOOL" serve -s "$SOCK3" --faults 'compute=delay:1500@1' --log-level error &
+SERVER3_PID=$!
+trap 'kill "$SERVER_PID" "$SERVER2_PID" "$SERVER3_PID" "${ROUTER_PID:-}" 2>/dev/null || true; rm -f "$SOCK" "$SOCK2" "$SOCK3" "$RSOCK"' EXIT
+"$TOOL" route -s "$RSOCK" -b "$SOCK3" --log-level error > /dev/null &
+ROUTER_PID=$!
+i=0
+while [ ! -S "$SOCK3" ] || [ ! -S "$RSOCK" ]; do
+    i=$((i + 1))
+    [ "$i" -gt 50 ] && fail "router or its backend did not open a socket"
+    sleep 0.1
+done
+INFLIGHT=$(mktemp /tmp/nbti_chaos.XXXXXX.out)
+"$TOOL" request -s "$RSOCK" '{"v":1,"id":"inflight","op":"analyze","circuit":"c17"}' \
+    > "$INFLIGHT" 2>&1 &
+CLIENT_PID=$!
+sleep 0.4
+kill -TERM "$ROUTER_PID"
+wait "$CLIENT_PID" || fail "in-flight request failed when the router was drained: $(cat "$INFLIGHT")"
+grep -q '"ok":true' "$INFLIGHT" || fail "in-flight request not answered ok: $(cat "$INFLIGHT")"
+rm -f "$INFLIGHT"
+wait "$ROUTER_PID" || fail "router exited non-zero on SIGTERM drain"
+[ ! -S "$RSOCK" ] || fail "router socket file not cleaned up"
+kill -TERM "$SERVER3_PID"
+wait "$SERVER3_PID" || fail "router's backend exited non-zero"
+
+echo "chaos-smoke: OK (structured faults + retrying client + deadline + graceful shutdown + router drain)"

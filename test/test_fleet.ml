@@ -25,7 +25,7 @@ let start_service_at t path =
     Mutex.unlock ready
   in
   let thread =
-    Thread.create (fun () -> Server.Service.serve t (Server.Service.Unix_socket path) ~on_ready ()) ()
+    Thread.create (fun () -> Server.Frontend.serve t (Server.Netline.Unix_socket path) ~on_ready ()) ()
   in
   Mutex.lock ready;
   while not !is_ready do
@@ -46,7 +46,7 @@ let start_backend ?faults () =
   { service; path; thread = start_service_at service path }
 
 let stop_backend b =
-  Server.Service.stop b.service;
+  Server.Frontend.stop b.service;
   Thread.join b.thread
 
 let restart_backend b =
@@ -534,7 +534,7 @@ let test_access_log_records_routing () =
   let router = Fleet.Router.create [ endpoint_of b ] in
   let path = Filename.temp_file "fleet_access" ".jsonl" in
   let oc = open_out path in
-  Fleet.Router.set_access_log router oc;
+  Server.Frontend.set_access_log router oc;
   Alcotest.(check bool) "request ok" true
     (response_ok (Fleet.Router.handle_line router (analyze_line 4.25)));
   Alcotest.(check bool) "stats ok" true
@@ -561,6 +561,36 @@ let test_access_log_records_routing () =
     Alcotest.(check bool) "local op has null backend" true
       (List.assoc_opt "backend" (Server.Json.to_assoc jl) = Some Server.Json.Null)
   | l -> Alcotest.failf "expected 2 access records, got %d" (List.length l));
+  stop_backend b
+
+(* An envelope that does not decode is counted and access-logged by the
+   router exactly as a backend does it: endpoint "invalid", no backend. *)
+let test_access_log_records_envelope_errors () =
+  let b = start_backend () in
+  let router = Fleet.Router.create [ endpoint_of b ] in
+  let path = Filename.temp_file "fleet_access" ".jsonl" in
+  let oc = open_out path in
+  Server.Frontend.set_access_log router oc;
+  let r = Fleet.Router.handle_line router {|{"v":1,"id":"bad-1","op":"teleport"}|} in
+  Alcotest.(check string) "refused as invalid_request" "invalid_request" (response_error_code r);
+  close_out oc;
+  let ic = open_in path in
+  let lines = In_channel.input_lines ic in
+  close_in ic;
+  Sys.remove path;
+  Alcotest.(check int) "counted as invalid" 1 (counter router "invalid_requests");
+  (match lines with
+  | [ record ] ->
+    let j = Server.Json.to_assoc (Server.Json.of_string record) in
+    Alcotest.(check bool) "endpoint invalid" true
+      (List.assoc_opt "endpoint" j = Some (Server.Json.String "invalid"));
+    Alcotest.(check bool) "cid echoes the id" true
+      (List.assoc_opt "cid" j = Some (Server.Json.String "bad-1"));
+    Alcotest.(check bool) "error code logged" true
+      (List.assoc_opt "error" j = Some (Server.Json.String "invalid_request"));
+    Alcotest.(check bool) "no backend served it" true
+      (List.assoc_opt "backend" j = Some Server.Json.Null)
+  | l -> Alcotest.failf "expected 1 access record, got %d" (List.length l));
   stop_backend b
 
 let test_cluster_metrics_federation () =
@@ -625,12 +655,68 @@ let test_health_states_and_drain () =
   Alcotest.(check int) "pending" 0 Server.Json.(to_int (member "pending" h));
   Alcotest.(check bool) "max_pending present" true
     (Server.Json.member_opt "max_pending" h <> None);
-  Server.Service.drain t;
+  Server.Frontend.drain t;
   let h = health () in
   Alcotest.(check string) "draining state" "draining"
     Server.Json.(to_string_exn (member "state" h));
   Alcotest.(check string) "status stays ok for old probes" "ok"
     Server.Json.(to_string_exn (member "status" h))
+
+(* The router drains like a backend: with a forward in flight, a drain
+   flips its health to "draining", stops the accept loop, and [serve]
+   returns only once that forward has answered, within the bound. *)
+let test_router_drains_in_flight () =
+  let faults =
+    match Server.Faults.parse "compute=delay:600@1" with
+    | Ok f -> f
+    | Error m -> Alcotest.fail m
+  in
+  let b = start_backend ~faults () in
+  let router = Fleet.Router.create [ endpoint_of b ] in
+  let path = fresh_socket_path () in
+  let serve_returned = ref 0.0 in
+  let serving =
+    let t = start_service_at router path in
+    Thread.create
+      (fun () ->
+        Thread.join t;
+        serve_returned := Unix.gettimeofday ())
+      ()
+  in
+  let answered = ref 0.0 in
+  let response = ref "" in
+  let client =
+    Thread.create
+      (fun () ->
+        let c = Server.Client.create (Server.Netline.Unix_socket path) in
+        (match Server.Client.call c (analyze_line 8.5) with
+        | Ok r -> response := r
+        | Error { Server.Client.reason; _ } -> response := reason);
+        answered := Unix.gettimeofday ();
+        Server.Client.close c)
+      ()
+  in
+  (* let the request reach the backend's delayed compute, then drain *)
+  Unix.sleepf 0.2;
+  Alcotest.(check int) "the forward is in flight" 1 (Server.Frontend.connections router);
+  let drained_at = Unix.gettimeofday () in
+  Server.Frontend.drain router;
+  let health =
+    Server.Json.member "result"
+      (Server.Json.of_string (Fleet.Router.handle_line router {|{"v":1,"op":"health"}|}))
+  in
+  Alcotest.(check string) "health reports the drain" "draining"
+    Server.Json.(to_string_exn (member "state" health));
+  Thread.join client;
+  Thread.join serving;
+  Alcotest.(check bool) ("in-flight request answered ok: " ^ !response) true (response_ok !response);
+  Alcotest.(check bool) "serve waited for the in-flight request" true
+    (!serve_returned >= !answered);
+  Alcotest.(check bool) "serve returned within the drain bound" true
+    (!serve_returned -. drained_at
+    < float_of_int Server.Frontend.default_drain_timeout_ms /. 1000.0);
+  Alcotest.(check bool) "the socket file is gone" false (Sys.file_exists path);
+  stop_backend b
 
 let test_cache_export_import_roundtrip () =
   let src = Server.Service.create () in
@@ -703,7 +789,7 @@ let test_client_retries_refused_connection () =
   | Error { Server.Client.reason; _ } -> Alcotest.fail ("still failing: " ^ reason));
   Server.Client.close client;
   Thread.join starter;
-  Server.Service.stop service
+  Server.Frontend.stop service
 
 (* --- router rejects backend-local ops --- *)
 
@@ -779,6 +865,7 @@ let () =
             test_router_coalesces_identical_requests;
           Alcotest.test_case "equal structure keeps names" `Quick
             test_router_equal_structure_keeps_names;
+          Alcotest.test_case "drains an in-flight forward" `Quick test_router_drains_in_flight;
           Alcotest.test_case "rejects backend-local cache ops" `Quick
             test_router_rejects_cache_ops;
         ] );
@@ -789,6 +876,8 @@ let () =
           Alcotest.test_case "trace survives failover" `Quick test_trace_survives_failover;
           Alcotest.test_case "coalesced follower links the leader trace" `Quick
             test_trace_links_coalesced_followers;
+          Alcotest.test_case "access log records envelope errors" `Quick
+            test_access_log_records_envelope_errors;
           Alcotest.test_case "access log records routing fields" `Quick
             test_access_log_records_routing;
           Alcotest.test_case "cluster_metrics federates backends + SLO" `Quick

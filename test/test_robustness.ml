@@ -159,12 +159,12 @@ let test_rejected_circuits_not_memoized () =
   ignore (expect_ok t (bench "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n"));
   Alcotest.(check int) "a valid upload is" 1 (circuits_stat t "size")
 
-(* --- ivc_search limits --- *)
+(* --- Wire field limits --- *)
 
-let ivc_line extra =
-  Printf.sprintf "{\"v\":1,\"op\":\"ivc_search\",\"circuit\":\"c17\"%s}" extra
+let job_line op extra = Printf.sprintf "{\"op\":\"%s\",\"circuit\":\"c17\"%s}" op extra
+let op_line op extra = Printf.sprintf "{\"v\":1,\"op\":\"%s\",\"circuit\":\"c17\"%s}" op extra
 
-(* Out-of-range search knobs, each with the field the error must name. *)
+(* Out-of-range knobs, each with the field the error must name. *)
 let ivc_rejects =
   [
     (",\"pool\":1", "pool");
@@ -174,39 +174,50 @@ let ivc_rejects =
     (",\"tolerance\":1e999", "tolerance");
   ]
 
-let check_ivc_limits name handle =
+let ivc_accepts =
+  [
+    ",\"pool\":2,\"tolerance\":0";
+    Printf.sprintf ",\"pool\":%d,\"tolerance\":0.5" Server.Protocol.max_ivc_pool;
+  ]
+
+(* the sleep transistor's threshold must lie in (0, V_dd = 1.0 V) *)
+let vth_st_rejects =
+  List.map
+    (fun v -> (",\"vth_st\":" ^ v, "vth_st"))
+    [ "0"; "-1"; "1.0"; "2.0"; "1e999"; "-1e999" ]
+
+let vth_st_accepts = [ ",\"vth_st\":0.3"; ",\"vth_st\":0.5" ]
+
+let check_field_limits name handle ~op ~rejects ~accepts =
   List.iter
     (fun (extra, field) ->
-      let line = ivc_line extra in
+      let line = op_line op extra in
       let response = Server.Json.of_string (handle line) in
       Alcotest.(check (option string)) (name ^ " code for " ^ line) (Some "invalid_request")
         (response_code response);
       Alcotest.(check string) (name ^ " field for " ^ line) field
         Server.Json.(to_string_exn (member "field" (member "error" response))))
-    ivc_rejects;
+    rejects;
   (* the same limits hold inside a batch *)
   let batch =
-    Printf.sprintf "{\"v\":1,\"op\":\"batch\",\"jobs\":[{\"op\":\"ivc_search\",\"circuit\":\"c17\",\"pool\":1}]}"
+    Printf.sprintf "{\"v\":1,\"op\":\"batch\",\"jobs\":[%s]}" (job_line op (fst (List.hd rejects)))
   in
   Alcotest.(check (option string)) (name ^ " batch job") (Some "invalid_request")
     (response_code (Server.Json.of_string (handle batch)));
   (* the bounds themselves are accepted *)
   List.iter
     (fun extra ->
-      let line = ivc_line extra in
+      let line = op_line op extra in
       Alcotest.(check (option string)) (name ^ " accepts " ^ line) None
         (response_code (Server.Json.of_string (handle line))))
-    [
-      ",\"pool\":2,\"tolerance\":0";
-      Printf.sprintf ",\"pool\":%d,\"tolerance\":0.5" Server.Protocol.max_ivc_pool;
-    ]
+    accepts
 
-let test_ivc_limits_direct () =
+let check_limits_direct ~op ~rejects ~accepts () =
   let t = Server.Service.create () in
-  check_ivc_limits "direct" (Server.Service.handle_line t);
+  check_field_limits "direct" (Server.Service.handle_line t) ~op ~rejects ~accepts;
   let stats = expect_ok t "{\"v\":1,\"op\":\"stats\"}" in
   Alcotest.(check int) "every rejection counted as invalid"
-    (List.length ivc_rejects + 1)
+    (List.length rejects + 1)
     Server.Json.(to_int (member "invalid_requests" (member "counters" stats)))
 
 (* --- Positioned .bench errors --- *)
@@ -443,11 +454,9 @@ let test_backoff_deterministic_and_bounded () =
 
 (* --- Socket-level chaos --- *)
 
-let with_server ?limits ?faults:fault_plan f =
-  let t = Server.Service.create ?limits () in
-  (match fault_plan with Some p -> Server.Service.set_faults t (faults p) | None -> ());
-  let path = Filename.temp_file "nbti_chaos" ".sock" in
-  Sys.remove path;
+type role = Serve | Route
+
+let serve_until_ready fe path =
   let ready = Mutex.create () in
   let ready_cond = Condition.create () in
   let is_ready = ref false in
@@ -457,24 +466,86 @@ let with_server ?limits ?faults:fault_plan f =
     Condition.signal ready_cond;
     Mutex.unlock ready
   in
-  let server_thread =
-    Thread.create (fun () -> Server.Service.serve t (Server.Service.Unix_socket path) ~on_ready ()) ()
+  let thread =
+    Thread.create (fun () -> Server.Frontend.serve fe (Server.Netline.Unix_socket path) ~on_ready ()) ()
   in
   Mutex.lock ready;
   while not !is_ready do
     Condition.wait ready_cond ready
   done;
   Mutex.unlock ready;
-  Fun.protect
-    ~finally:(fun () ->
-      Server.Service.stop t;
-      Thread.join server_thread)
-    (fun () -> f t path)
+  thread
 
-let test_ivc_limits_routed () =
+let fresh_socket () =
+  let path = Filename.temp_file "nbti_chaos" ".sock" in
+  Sys.remove path;
+  path
+
+(* Runs [f backend path] against a served socket: the service itself
+   ([Serve]), or a router over it ([Route]). Limits that shape the front
+   end (the line bound) and the fault plan go to whichever process owns
+   the socket; the backend gets [limits] either way. *)
+let with_server ?(role = Serve) ?limits ?faults:fault_plan f =
+  let t = Server.Service.create ?limits () in
+  let path = fresh_socket () in
+  let thread = serve_until_ready t path in
+  let stop_backend () =
+    Server.Frontend.stop t;
+    Thread.join thread
+  in
+  match role with
+  | Serve ->
+    Option.iter (fun p -> Server.Service.set_faults t (faults p)) fault_plan;
+    Fun.protect ~finally:stop_backend (fun () -> f t path)
+  | Route ->
+    let config =
+      match limits with
+      | None -> Fleet.Router.default_config
+      | Some l ->
+        {
+          Fleet.Router.default_config with
+          Fleet.Router.max_line_bytes = l.Server.Service.max_line_bytes;
+        }
+    in
+    let faults = Option.map faults fault_plan in
+    let router = Fleet.Router.create ~config ?faults [ Server.Netline.Unix_socket path ] in
+    let router_path = fresh_socket () in
+    let router_thread = serve_until_ready router router_path in
+    Fun.protect
+      ~finally:(fun () ->
+        Server.Frontend.stop router;
+        Thread.join router_thread;
+        stop_backend ())
+      (fun () -> f t router_path)
+
+let check_limits_routed ~op ~rejects ~accepts () =
   with_server (fun _t path ->
       let router = Fleet.Router.create [ Server.Netline.Unix_socket path ] in
-      check_ivc_limits "routed" (Fleet.Router.handle_line router))
+      check_field_limits "routed" (Fleet.Router.handle_line router) ~op ~rejects ~accepts)
+
+(* A job that raises inside the platform (here Invalid_argument from an
+   out-of-range input probability) fails alone, whether the batch runs
+   on the service or is split by the router; both answers are the same
+   bytes. *)
+let test_batch_isolates_raising_jobs () =
+  let line =
+    {|{"v":1,"op":"batch","jobs":[{"op":"analyze","circuit":"c17"},{"op":"analyze","circuit":"c17","config":{"input_sp":2.0}}]}|}
+  in
+  let direct = Server.Service.handle_line (Server.Service.create ()) line in
+  (match Server.Protocol.response_result (Server.Json.of_string direct) with
+  | Ok result -> (
+    match Server.Json.member "results" result with
+    | Server.Json.List [ ok; failed ] ->
+      Alcotest.(check string) "sibling answered" "analysis"
+        Server.Json.(to_string_exn (member "kind" ok));
+      Alcotest.(check string) "raising job is an error entry" "internal_error"
+        Server.Json.(to_string_exn (member "code" failed))
+    | _ -> Alcotest.fail "expected two batch results")
+  | Error (code, m) -> Alcotest.fail ("the batch itself failed: " ^ code ^ ": " ^ m));
+  with_server (fun _t path ->
+      let router = Fleet.Router.create [ Server.Netline.Unix_socket path ] in
+      Alcotest.(check string) "routed batch = direct batch" direct
+        (Fleet.Router.handle_line router line))
 
 let connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -486,9 +557,9 @@ let send oc line =
   output_char oc '\n';
   flush oc
 
-let test_socket_oversized_line () =
+let test_socket_oversized_line role () =
   let limits = { Server.Service.default_limits with Server.Service.max_line_bytes = 1024 } in
-  with_server ~limits (fun _t path ->
+  with_server ~role ~limits (fun _t path ->
       let fd, ic, oc = connect path in
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -505,8 +576,8 @@ let test_socket_oversized_line () =
           | Ok _ -> ()
           | Error (c, m) -> Alcotest.fail (c ^ ": " ^ m)))
 
-let test_socket_midline_eof () =
-  with_server (fun _t path ->
+let test_socket_midline_eof role () =
+  with_server ~role (fun _t path ->
       let fd, ic, oc = connect path in
       Fun.protect
         ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -524,8 +595,8 @@ let test_socket_midline_eof () =
                false
              with End_of_file -> true)))
 
-let test_socket_truncated_write_then_retry () =
-  with_server ~faults:"write=truncate@1" (fun _t path ->
+let test_socket_truncated_write_then_retry role () =
+  with_server ~role ~faults:"write=truncate@1" (fun _t path ->
       let line = "{\"v\":1,\"op\":\"analyze\",\"circuit\":\"c17\"}" in
       let fd, ic, oc = connect path in
       let first =
@@ -555,8 +626,8 @@ let test_socket_truncated_write_then_retry () =
               (Server.Json.to_bool (Server.Json.member "cached" r))
           | Error (c, m) -> Alcotest.fail (c ^ ": " ^ m)))
 
-let test_socket_vanished_peer_survival () =
-  with_server ~faults:"write=delay:150@1" (fun t path ->
+let test_socket_vanished_peer_survival role () =
+  with_server ~role ~faults:"write=delay:150@1" (fun t path ->
       (* the peer sends a request and vanishes before the (delayed)
          response is written: the write must fail EPIPE-style on that
          connection only *)
@@ -597,8 +668,16 @@ let () =
           Alcotest.test_case "gate limit" `Quick test_gate_limit;
           Alcotest.test_case "rejected circuits not memoized" `Quick
             test_rejected_circuits_not_memoized;
-          Alcotest.test_case "ivc_search limits, direct" `Quick test_ivc_limits_direct;
-          Alcotest.test_case "ivc_search limits, routed" `Quick test_ivc_limits_routed;
+          Alcotest.test_case "ivc_search limits, direct" `Quick
+            (check_limits_direct ~op:"ivc_search" ~rejects:ivc_rejects ~accepts:ivc_accepts);
+          Alcotest.test_case "ivc_search limits, routed" `Quick
+            (check_limits_routed ~op:"ivc_search" ~rejects:ivc_rejects ~accepts:ivc_accepts);
+          Alcotest.test_case "sleep_sizing vth_st, direct" `Quick
+            (check_limits_direct ~op:"sleep_sizing" ~rejects:vth_st_rejects
+               ~accepts:vth_st_accepts);
+          Alcotest.test_case "sleep_sizing vth_st, routed" `Quick
+            (check_limits_routed ~op:"sleep_sizing" ~rejects:vth_st_rejects
+               ~accepts:vth_st_accepts);
         ] );
       ( "bench",
         [
@@ -616,6 +695,8 @@ let () =
           Alcotest.test_case "compute failure is transient" `Quick
             test_compute_fail_is_structured_and_transient;
           Alcotest.test_case "batch failures isolated" `Quick test_batch_job_failures_are_isolated;
+          Alcotest.test_case "batch isolates a raising job, direct = routed" `Quick
+            test_batch_isolates_raising_jobs;
         ] );
       ( "cache",
         [
@@ -623,12 +704,19 @@ let () =
           Alcotest.test_case "bytes in stats" `Quick test_service_reports_cache_bytes;
         ] );
       ("retry", [ Alcotest.test_case "deterministic backoff" `Quick test_backoff_deterministic_and_bounded ]);
+      (* the same cases against a serve socket and a route socket: one
+         front-end, one behaviour *)
       ( "socket chaos",
-        [
-          Alcotest.test_case "oversized line" `Quick test_socket_oversized_line;
-          Alcotest.test_case "mid-line EOF" `Quick test_socket_midline_eof;
-          Alcotest.test_case "truncated write then retry" `Quick
-            test_socket_truncated_write_then_retry;
-          Alcotest.test_case "vanished peer" `Quick test_socket_vanished_peer_survival;
-        ] );
+        List.concat_map
+          (fun (role, suffix) ->
+            [
+              Alcotest.test_case ("oversized line" ^ suffix) `Quick
+                (test_socket_oversized_line role);
+              Alcotest.test_case ("mid-line EOF" ^ suffix) `Quick (test_socket_midline_eof role);
+              Alcotest.test_case ("truncated write then retry" ^ suffix) `Quick
+                (test_socket_truncated_write_then_retry role);
+              Alcotest.test_case ("vanished peer" ^ suffix) `Quick
+                (test_socket_vanished_peer_survival role);
+            ])
+          [ (Serve, ""); (Route, ", routed") ] );
     ]

@@ -390,7 +390,7 @@ let test_service_roundtrip_exact () =
 
 let test_service_cache_hit () =
   let t = Server.Service.create () in
-  let ask () = result_of_response (Server.Service.handle t (analyze_c17_request ())) in
+  let ask () = result_of_response (Server.Frontend.handle t (analyze_c17_request ())) in
   let r1 = ask () in
   let r2 = ask () in
   Alcotest.(check bool) "first uncached" false
@@ -404,7 +404,7 @@ let test_service_cache_hit () =
      second prepare *)
   let stats =
     result_of_response
-      (Server.Service.handle t
+      (Server.Frontend.handle t
          (Server.Json.Assoc [ ("v", Server.Json.Int 1); ("op", Server.Json.String "stats") ]))
   in
   let cache_field group field =
@@ -431,14 +431,14 @@ let test_service_prepared_shared_across_years () =
         request = Single (Analyze { circuit = Named "c17"; flow; standby = Worst });
       }
     in
-    ignore (result_of_response (Server.Service.handle t (json_of_envelope e)))
+    ignore (result_of_response (Server.Frontend.handle t (json_of_envelope e)))
   in
   ask 10.0;
   ask 3.0;
   ask 1.0;
   let stats =
     result_of_response
-      (Server.Service.handle t
+      (Server.Frontend.handle t
          (Server.Json.Assoc [ ("v", Server.Json.Int 1); ("op", Server.Json.String "stats") ]))
   in
   let prepared field =
@@ -673,7 +673,7 @@ let test_socket_end_to_end () =
     Mutex.unlock ready
   in
   let server_thread =
-    Thread.create (fun () -> Server.Service.serve t (Server.Service.Unix_socket path) ~on_ready ()) ()
+    Thread.create (fun () -> Server.Frontend.serve t (Server.Netline.Unix_socket path) ~on_ready ()) ()
   in
   Mutex.lock ready;
   while not !is_ready do
@@ -709,25 +709,99 @@ let test_socket_end_to_end () =
   let served = Server.Protocol.analysis_of_json (Server.Json.member "analysis" r1) in
   Alcotest.(check bool) "socket analysis bit-exact" true (served = direct);
   Unix.close fd;
-  Server.Service.stop t;
+  Server.Frontend.stop t;
   Thread.join server_thread;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
 let test_endpoint_parsing () =
   let check_ok s expected =
-    match Server.Service.endpoint_of_string s with
+    match Server.Netline.endpoint_of_string s with
     | Ok e -> Alcotest.(check bool) s true (e = expected)
     | Error m -> Alcotest.fail m
   in
-  check_ok "/tmp/x.sock" (Server.Service.Unix_socket "/tmp/x.sock");
-  check_ok "unix:/tmp/x.sock" (Server.Service.Unix_socket "/tmp/x.sock");
-  check_ok "tcp:localhost:9000" (Server.Service.Tcp ("localhost", 9000));
-  check_ok "tcp::9000" (Server.Service.Tcp ("127.0.0.1", 9000));
+  check_ok "/tmp/x.sock" (Server.Netline.Unix_socket "/tmp/x.sock");
+  check_ok "unix:/tmp/x.sock" (Server.Netline.Unix_socket "/tmp/x.sock");
+  check_ok "tcp:localhost:9000" (Server.Netline.Tcp ("localhost", 9000));
+  check_ok "tcp::9000" (Server.Netline.Tcp ("127.0.0.1", 9000));
   List.iter
     (fun s ->
       Alcotest.(check bool) ("rejects " ^ s) true
-        (match Server.Service.endpoint_of_string s with Error _ -> true | Ok _ -> false))
+        (match Server.Netline.endpoint_of_string s with Error _ -> true | Ok _ -> false))
     [ ""; "tcp:localhost:notaport"; "tcp:localhost:0"; "tcp:nocolon" ]
+
+(* --- Frontend: one exception-to-error table --- *)
+
+(* A role whose dispatch raises [exn] for a whole request and for every
+   batch entry: the front-end must answer both with the same code,
+   message and details. *)
+let raising_role exn =
+  {
+    Server.Frontend.cid_prefix = "test-";
+    span_cat = "test";
+    process_name = None;
+    originates_traces = false;
+    faults = (fun () -> Server.Faults.none);
+    dispatch =
+      (fun fe { Server.Protocol.id; timeout_ms; request; _ } ->
+        match request with
+        | Server.Protocol.Batch jobs ->
+          let results =
+            List.map (Server.Frontend.batch_entry fe ~timeout_ms (fun _ -> raise exn)) jobs
+          in
+          ( Server.Protocol.ok_response ~id
+              (Server.Json.Assoc [ ("results", Server.Json.List results) ]),
+            () )
+        | _ -> raise exn);
+    no_meta = ();
+    access_fields = (fun () -> []);
+    tick = None;
+  }
+
+let test_frontend_error_table () =
+  let rejected =
+    {
+      Server.Protocol.code = Server.Protocol.Invalid_request;
+      message = "netlist too large";
+      details = [ ("line", Server.Json.Int 3) ];
+    }
+  in
+  List.iter
+    (fun (exn, code) ->
+      let fe =
+        Server.Frontend.create (raising_role exn) ~metrics:(Server.Metrics.create ())
+          ~registry:(Obs.Registry.create ()) ~max_line_bytes:4096 ()
+      in
+      let ask line = Server.Json.of_string (Server.Frontend.handle_line fe line) in
+      let whole =
+        Server.Json.member "error"
+          (ask {|{"v":1,"op":"analyze","circuit":"c17","timeout_ms":50}|})
+      in
+      let entry =
+        match
+          Server.Json.member "results"
+            (Server.Json.member "result"
+               (ask {|{"v":1,"op":"batch","jobs":[{"op":"analyze","circuit":"c17"}],"timeout_ms":50}|}))
+        with
+        | Server.Json.List [ e ] -> e
+        | _ -> Alcotest.fail "expected one batch entry"
+      in
+      let name = Printexc.to_string exn in
+      Alcotest.(check string) (name ^ ": code") code
+        Server.Json.(to_string_exn (member "code" whole));
+      Alcotest.(check string) (name ^ ": batch entry = whole-request error")
+        (Server.Json.to_string
+           (Server.Json.Assoc (("kind", Server.Json.String "error") :: Server.Json.to_assoc whole)))
+        (Server.Json.to_string entry))
+    [
+      (Server.Frontend.Rejected rejected, "invalid_request");
+      (Server.Frontend.Overloaded { max_pending = 4; retry_after_ms = 250 }, "overloaded");
+      (Parallel.Budget.Deadline_exceeded, "deadline_exceeded");
+      (Server.Faults.Injected "compute", "internal_error");
+      (Server.Json.Type_error "expected a number", "bad_request");
+      (Invalid_argument "vth_st out of range", "internal_error");
+      (Failure "no convergence", "internal_error");
+      (Not_found, "internal_error");
+    ]
 
 let () =
   Alcotest.run "server"
@@ -782,6 +856,8 @@ let () =
           Alcotest.test_case "batch identical across domain counts" `Quick
             test_batch_identical_across_domain_counts;
           Alcotest.test_case "endpoint parsing" `Quick test_endpoint_parsing;
+          Alcotest.test_case "one error table for requests and batch entries" `Quick
+            test_frontend_error_table;
           Alcotest.test_case "socket end to end" `Quick test_socket_end_to_end;
         ] );
     ]
