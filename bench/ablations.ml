@@ -209,15 +209,12 @@ let slope_resolution () =
         let net = Circuit.Generators.by_name name in
         let sp = Logic.Signal_prob.analytic net ~input_sp:(Logic.Signal_prob.uniform_inputs net 0.5) in
         let aging = Aging.Circuit_aging.default_config ~t_standby:400.0 () in
-        let stage_dvth =
-          Aging.Circuit_aging.stage_dvth_map aging net ~node_sp:sp
-            ~standby:Aging.Circuit_aging.Standby_all_stressed
-        in
+        let standby = Aging.Circuit_aging.Standby_all_stressed in
+        let stage_dvth = Aging.Circuit_aging.stage_dvth_map aging net ~node_sp:sp ~standby in
         let temp_k = 400.0 in
         let worst_slope =
-          let fresh = Sta.Timing.fresh tech net ~temp_k () in
-          let aged = Sta.Timing.analyze tech net ~temp_k ~stage_dvth () in
-          Sta.Timing.degradation ~fresh ~aged
+          let r = Aging.Circuit_aging.analyze aging net ~node_sp:sp ~standby () in
+          r.Aging.Circuit_aging.degradation
         in
         let resolved =
           let fresh = Sta.Timing.analyze_slopes tech net ~temp_k ~stage_dvth:Sta.Timing.no_aging () in

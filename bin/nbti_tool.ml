@@ -623,7 +623,11 @@ let profile_cmd =
     let sp =
       Logic.Signal_prob.monte_carlo net ~rng:(Physics.Rng.create ~seed:7) ~input_sp ~n_vectors:4096
     in
-    let stage_dvth = Aging.Circuit_aging.stage_dvth_map aging net ~node_sp:sp ~standby in
+    let a = Compiled.Arena.get net in
+    let dvth =
+      Compiled.Arena.stage_values a
+        (Aging.Circuit_aging.stage_dvth_map aging net ~node_sp:sp ~standby)
+    in
     let stages =
       [
         ( "signal-prob (MC, 4096 vectors)",
@@ -644,10 +648,11 @@ let profile_cmd =
               Aging.Circuit_aging.stage_dvth_map aging net ~node_sp:sp ~standby
             in
             () );
-        ( "STA (fresh + aged)",
+        ( "STA (compiled: constants + fresh + aged)",
           fun () ->
-            ignore (Sta.Timing.fresh tech net ~temp_k ());
-            ignore (Sta.Timing.analyze tech net ~temp_k ~stage_dvth ()) );
+            let tm = Compiled.Timing.build a ~tech ~temp_k () in
+            ignore (Compiled.Timing.fresh_result tm);
+            ignore (Compiled.Timing.aged_result tm ~dvth ()) );
         ( "leakage (tables + expectation)",
           fun () ->
             let tabs = Leakage.Circuit_leakage.build_tables tech net ~temp_k:400.0 in
@@ -1191,13 +1196,6 @@ let serve_cmd =
         ~result_max_bytes:(result_cache_mb * 1024 * 1024)
         ~prepared_capacity ~max_pending ~drain_timeout_ms ~limits ~faults ?slo ()
     in
-    (* Whether the edit-heavy request paths (IVC search, co-optimization,
-       gate sizing) run on resident incremental sessions or fall back to
-       full passes — an operator toggling NBTI_INCREMENTAL should see
-       the effect at startup, not infer it from latency. *)
-    Obs.Log.info
-      ~fields:[ ("enabled", Obs.Fields.Bool (Compiled.Incremental.enabled ())) ]
-      "serve: incremental sessions";
     (* The pool this host actually runs with, so an operator can spot a
        mis-sized one (e.g. NBTI_JOBS from a stale deployment) at startup. *)
     Obs.Log.info

@@ -35,8 +35,11 @@ let () =
   let oc = open_out aged_lib in
   output_string oc aged_text;
   close_out oc;
-  Format.printf "wrote %s (%d gates as structural Verilog)@." vpath (Circuit.Netlist.n_gates net);
-  Format.printf "wrote %s and %s@.@." fresh_lib aged_lib;
+  (* Names relative to the fresh temporary directory, so the output is
+     the same on every run. *)
+  Format.printf "wrote %s (%d gates as structural Verilog) in a temporary directory@."
+    (Filename.basename vpath) (Circuit.Netlist.n_gates net);
+  Format.printf "wrote %s and %s@.@." (Filename.basename fresh_lib) (Filename.basename aged_lib);
 
   (* 2. The library-level derate: one conservative number per cell. *)
   let shift = Cell.Characterize.aged_shift params tech ~schedule:mission ~time in
@@ -71,9 +74,7 @@ let () =
   let standby = Aging.Circuit_aging.Standby_all_stressed in
   let stage_dvth = Aging.Circuit_aging.stage_dvth_map aging net ~node_sp:sp ~standby in
   let worst_slope =
-    let fresh = Sta.Timing.fresh tech net ~temp_k:400.0 () in
-    let aged = Sta.Timing.analyze tech net ~temp_k:400.0 ~stage_dvth () in
-    Sta.Timing.degradation ~fresh ~aged
+    (Aging.Circuit_aging.analyze aging net ~node_sp:sp ~standby ()).Aging.Circuit_aging.degradation
   in
   let resolved =
     let fresh = Sta.Timing.analyze_slopes tech net ~temp_k:400.0 ~stage_dvth:Sta.Timing.no_aging () in

@@ -92,57 +92,20 @@ type analysis = {
   max_dvth : float;
 }
 
-let analyze_dvth config t ?po_load ?stage_dvth_n ~stage_dvth () =
-  let temp_k = config.schedule.Nbti.Schedule.t_ref in
-  let fresh =
-    Obs.Trace.with_span ~cat:"sta" "sta.fresh" @@ fun () ->
-    Sta.Timing.fresh config.tech t ?po_load ~temp_k ()
-  in
-  let aged =
-    Obs.Trace.with_span ~cat:"sta" "sta.aged" @@ fun () ->
-    Sta.Timing.analyze config.tech t ?po_load ?stage_dvth_n ~temp_k ~stage_dvth ()
-  in
-  let max_dvth = ref 0.0 in
-  Array.iteri
-    (fun i node ->
-      match node with
-      | Circuit.Netlist.Primary_input _ -> ()
-      | Circuit.Netlist.Gate { cell; _ } ->
-        for stage = 0 to Array.length cell.Cell.Stdcell.stages - 1 do
-          max_dvth := Float.max !max_dvth (stage_dvth ~gate:i ~stage)
-        done)
-    t.Circuit.Netlist.nodes;
-  {
-    fresh;
-    aged;
-    degradation = Sta.Timing.degradation ~fresh ~aged;
-    max_dvth = !max_dvth;
-  }
-
 let nmos_cond config =
   { Nbti.Vth_shift.vgs = config.tech.Device.Tech.vdd; vth0 = config.tech.Device.Tech.vth_n }
 
-let analyze_boxed config t ?po_load ~node_sp ~standby () =
-  let stage_dvth_n =
-    match config.pbti_scale with
-    | None -> None
-    | Some scale ->
-      let duties = duty_table ~polarity:`Nmos t ~node_sp ~standby in
-      Some (stage_dvth_general config ~cond:(nmos_cond config) ~scale ~duties)
-  in
-  analyze_dvth config t ?po_load ?stage_dvth_n
-    ~stage_dvth:(stage_dvth_map config t ~node_sp ~standby) ()
-
 (* --- Compiled backend ---
 
-   The dvth table + two STA passes re-expressed over [Compiled]. A
-   standby state only decides, per gate stage, which of two stored
-   threshold shifts applies ([Compiled.Duty]): the tables are memoized on
-   everything they depend on, so analysing a new standby vector is one
-   logic simulation, a per-stage pick and the timing passes on the flat
-   arena. Results are bit-identical to [analyze_boxed]: each stored shift
-   is the boxed [Vth_shift.dvth] expression on the same duty pair, and
-   the compiled STA preserves the boxed float association. *)
+   The dvth table + two STA passes over [Compiled]. A standby state only
+   decides, per gate stage, which of two stored threshold shifts applies
+   ([Compiled.Duty]): the tables are memoized on everything they depend
+   on, so analysing a new standby vector is one logic simulation, a
+   per-stage pick and the timing passes on the flat arena. Results are
+   bit-identical to the boxed reference the tests keep ([duty_table],
+   one R-D evaluation per gate stage, boxed STA): each stored shift is
+   the boxed [Vth_shift.dvth] expression on the same duty pair, and the
+   compiled STA preserves the boxed float association. *)
 
 let fp_config buf config =
   Compiled.Memo.Fp.params buf config.params;

@@ -71,9 +71,11 @@ val stage_dvth_map :
   standby:standby_state ->
   (gate:int -> stage:int -> float)
 (** [stage_dvth_of_duties] over [duty_table]: the per-stage
-    threshold-shift function consumed by {!Sta.Timing.analyze}. Computed
-    eagerly for every gate stage (the returned closure is a table
-    lookup). *)
+    threshold-shift function of one standby state, for the slope-resolved
+    pass ({!Sta.Timing.analyze_slopes}) or, laid out by
+    {!Compiled.Arena.stage_values}, for {!Compiled.Timing.aged_result}.
+    Computed eagerly for every gate stage (the returned closure is a
+    table lookup). *)
 
 type analysis = {
   fresh : Sta.Timing.result;
@@ -112,18 +114,6 @@ val analyze_arena :
     the vector's node values and per-gate fanin indices, so a caller can
     read the standby leakage of the same evaluation
     ({!Compiled.Logic.leakage_of_idxs}). *)
-
-val analyze_boxed :
-  config ->
-  Circuit.Netlist.t ->
-  ?po_load:float ->
-  node_sp:float array ->
-  standby:standby_state ->
-  unit ->
-  analysis
-(** The boxed-DAG reference implementation of {!analyze}: {!duty_table}
-    and one R-D evaluation per gate stage; bit-identical results. Kept as
-    the equivalence-test oracle. *)
 
 val shifts : config -> Compiled.Arena.t -> node_sp:float array -> Compiled.Duty.shifts
 (** The memoized PMOS shift pair {!analyze} reads: per flat stage, the

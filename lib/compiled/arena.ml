@@ -232,6 +232,18 @@ let get net =
     Mutex.unlock ring_m;
     a
 
+(* A per-gate-stage function ([Circuit_aging]'s threshold-shift maps)
+   laid out on the flat stage ids: node ids are netlist ids, and
+   primary inputs own no stages. *)
+let stage_values a f =
+  let v = Array.make a.n_stages 0.0 in
+  for i = 0 to a.n_nodes - 1 do
+    for s = 0 to a.stage_off.(i + 1) - a.stage_off.(i) - 1 do
+      v.(a.stage_off.(i) + s) <- f ~gate:i ~stage:s
+    done
+  done;
+  v
+
 (* --- Scalar (one-vector) evaluation --- *)
 
 (* Values are ints 0/1 in [vals] (the caller pre-fills PI rows); the

@@ -23,8 +23,8 @@
    is the boxed expression evaluated on the inputs the boxed chain would
    pass it (the stage's [active] and exactly 0.0 or 1.0), and a pure float
    function returns the same bits for the same arguments. The max-dvth
-   fold runs over the picked values in node/stage order, as
-   [Circuit_aging.analyze_dvth] folds them.
+   fold runs over the picked values in node/stage order, as the boxed
+   reference analysis folds them.
 
    The tables hold both shifts of every stage, including pairs no
    standby state the boxed chain meets would evaluate. Evaluating those

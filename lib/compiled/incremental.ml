@@ -46,20 +46,6 @@
 
 let bits_eq a b = Int64.bits_of_float a = Int64.bits_of_float b
 
-(* Global enable knob: NBTI_INCREMENTAL=0|false|off|no disables the
-   incremental sessions ([Analysis] under IVC co-optimization, [Sizing]
-   under gate sizing), forcing the full-pass pipelines. [set_enabled]
-   overrides the environment for tests and benches. *)
-let env_enabled =
-  lazy
-    (match Sys.getenv_opt "NBTI_INCREMENTAL" with
-    | Some ("0" | "false" | "off" | "no") -> false
-    | _ -> true)
-
-let override : bool option ref = ref None
-let set_enabled b = override := b
-let enabled () = match !override with Some b -> b | None -> Lazy.force env_enabled
-
 (* --- Min-heap of node ids (pop ascending = topological order) --- *)
 
 module Heap = struct

@@ -1,5 +1,6 @@
-(* Compiled STA: the cell delay model of [Cell.Cell_delay] +
-   [Sta.Timing.analyze] evaluated over flat per-stage constant arrays.
+(* Compiled STA, the one static timing engine: the cell delay model of
+   [Cell.Cell_delay] and a forward arrival pass evaluated over flat
+   per-stage constant arrays.
 
    Everything that does not depend on a threshold shift is precomputed
    at compile time, in forms that preserve the boxed float associativity
@@ -11,8 +12,11 @@
      over the stage dependency DAG with dvth = 0)
    The aged stage delay recomputes only [lv /. (kw *. pow od alpha)]
    with [od = vdd -. (vth_base +. dvth)] — the boxed operand order —
-   so fresh and aged passes are bit-identical to the boxed analyzer,
-   including the Inf arrivals a non-conducting stage would produce.
+   so fresh and aged passes are bit-identical to the boxed reference
+   analyzer the tests keep, including the Inf arrivals a non-conducting
+   stage would produce. An optional per-node [scale] multiplies each
+   gate's delay as [scale.(i) *. delay], the boxed [gate_scale] product
+   (dual-V_th assignment slows its high-threshold gates this way).
 
    Results are assembled into [Sta.Timing.result] with the boxed
    critical-output fold (strict [>], first-wins on ties) and the same
@@ -132,14 +136,16 @@ let result_of (a : Arena.t) ~arrival ~gate_delay =
     critical_output = !critical_output;
   }
 
-let fresh_result tm =
+let[@inline] scaled scale i d = match scale with None -> d | Some s -> s.(i) *. d
+
+let fresh_result ?scale tm =
   let a = tm.a in
   let n = a.Arena.n_nodes in
   let arrival = Array.make n 0.0 in
   let gate_delay = Array.make n 0.0 in
   for i = 0 to n - 1 do
     if a.Arena.op.(i) <> Arena.op_pi then begin
-      let d = tm.d0.(i) in
+      let d = scaled scale i tm.d0.(i) in
       gate_delay.(i) <- d;
       arrival.(i) <- fanin_arrival a arrival i +. d
     end
@@ -172,7 +178,7 @@ let[@inline] aged_delay_into tm ~dvth ~dvth_n ~scratch i =
   done;
   scratch.(b + n_st - 1)
 
-let aged_result tm ~dvth ?dvth_n () =
+let aged_result tm ?scale ~dvth ?dvth_n () =
   let a = tm.a in
   let n = a.Arena.n_nodes in
   let arrival = Array.make n 0.0 in
@@ -180,7 +186,7 @@ let aged_result tm ~dvth ?dvth_n () =
   let scratch = Array.make a.Arena.n_stages 0.0 in
   for i = 0 to n - 1 do
     if a.Arena.op.(i) <> Arena.op_pi then begin
-      let d = aged_delay_into tm ~dvth ~dvth_n ~scratch i in
+      let d = scaled scale i (aged_delay_into tm ~dvth ~dvth_n ~scratch i) in
       gate_delay.(i) <- d;
       arrival.(i) <- fanin_arrival a arrival i +. d
     end

@@ -7,17 +7,14 @@ let co_optimize ?par ?budget ?currents config tables t ~node_sp ~candidates =
   let p = match par with Some p -> p | None -> Parallel.Pool.default () in
   let cands = Array.of_list candidates in
   let n = Array.length cands in
-  (* Incremental path (PR 8): the MLV set is a cluster of highly
-     correlated vectors, so one full-analysis session per worker chunk
-     answers each candidate from the previous one's resident state
-     (logic, threshold shifts, aged arrivals) over the dirty cone only.
-     Results are bit-identical to [Circuit_aging.analyze] (pinned by
-     test_incremental); PBTI-scaled configs stay on the full pass. *)
-  let use_incr =
-    config.Aging.Circuit_aging.pbti_scale = None && Compiled.Incremental.enabled ()
-  in
+  (* The MLV set is a cluster of highly correlated vectors, so one
+     full-analysis session per worker chunk answers each candidate from
+     the previous one's resident state (logic, threshold shifts, aged
+     arrivals) over the dirty cone only. Results are bit-identical to
+     [Circuit_aging.analyze] (pinned by test_incremental). Sessions model
+     PMOS aging only, so PBTI-scaled configs take the full pass. *)
   let evaluated, fresh_delay =
-    if use_incr then begin
+    if config.Aging.Circuit_aging.pbti_scale = None then begin
       (* The context follows [config]: its shift pair comes from the
          memo [Circuit_aging.analyze] reads, so repeated searches under
          one config share the tables. *)

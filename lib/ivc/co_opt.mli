@@ -39,11 +39,11 @@ val co_optimize :
     {!Mlv.vector_key}, so the result is independent of the domain count.
     [budget] is polled inside the pooled evaluations.
 
-    When {!Compiled.Incremental.enabled} and the config has no PBTI
-    scale, candidates are answered by per-worker
-    {!Compiled.Incremental.Analysis} sessions that re-evaluate only the
-    dirty cone between the (highly correlated) MLV vectors —
-    bit-identical to the full per-candidate analyses. The sessions read
+    When the config has no PBTI scale, candidates are answered by
+    per-worker {!Compiled.Incremental.Analysis} sessions that re-evaluate
+    only the dirty cone between the (highly correlated) MLV vectors —
+    bit-identical to the full per-candidate analyses; a PBTI config runs
+    one {!Aging.Circuit_aging.analyze} per candidate. The sessions read
     the shift pair of [config] ({!Aging.Circuit_aging.shifts}) and the
     per-node leakage LUT rows [currents]
     ({!Leakage.Circuit_leakage.node_currents} of [tables], computed here

@@ -1,50 +1,8 @@
 let input_activity ~sp = 2.0 *. sp *. (1.0 -. sp)
 
-let popcount x =
-  let rec go x acc = if x = 0L then acc else go (Int64.logand x (Int64.sub x 1L)) (acc + 1) in
-  go x 0
-
-(* One block of 64 vector pairs on a private stream: first vector of the
-   pair drawn input-by-input, then the second, then two bit-parallel
-   sweeps and a per-node XOR popcount. *)
-let pair_block_toggles (t : Circuit.Netlist.t) ~input_sp ~n_pi rng =
-  let pack sp =
-    let w = ref 0L in
-    for bit = 0 to 63 do
-      if Physics.Rng.bernoulli rng ~p:sp then w := Int64.logor !w (Int64.shift_left 1L bit)
-    done;
-    !w
-  in
-  let draw () =
-    let v = Array.make n_pi 0L in
-    for k = 0 to n_pi - 1 do
-      v.(k) <- pack input_sp.(k)
-    done;
-    v
-  in
-  let v1 = draw () in
-  let v2 = draw () in
-  let r1 = Eval.eval_packed t ~inputs:v1 in
-  let r2 = Eval.eval_packed t ~inputs:v2 in
-  Array.mapi (fun i w1 -> popcount (Int64.logxor w1 r2.(i))) r1
-
-let monte_carlo_boxed ?pool (t : Circuit.Netlist.t) ~rng ~input_sp ~n_pairs =
-  if n_pairs < 1 then invalid_arg "Activity.monte_carlo: n_pairs must be >= 1";
-  let n_pi = Circuit.Netlist.n_primary_inputs t in
-  assert (Array.length input_sp = n_pi);
-  let n_words = (n_pairs + 63) / 64 in
-  let total = n_words * 64 in
-  let p = match pool with Some p -> p | None -> Parallel.Pool.default () in
-  let per_block =
-    Parallel.Pool.init_rng p ~rng n_words (fun rng _ -> pair_block_toggles t ~input_sp ~n_pi rng)
-  in
-  let toggles = Array.make (Circuit.Netlist.n_nodes t) 0 in
-  Array.iter (fun block -> Array.iteri (fun i c -> toggles.(i) <- toggles.(i) + c) block) per_block;
-  Array.map (fun c -> float_of_int c /. float_of_int total) toggles
-
-(* Compiled-arena backend: same per-block streams, same v1-then-v2 draw
-   order, same XOR popcounts as integers — bit-identical to the boxed
-   estimator at any domain count. *)
+(* One stream per block of 64 pairs, the v1-then-v2 draw order and XOR
+   popcounts as integers: bit-identical to the boxed estimator the tests
+   keep, at any domain count. *)
 let monte_carlo ?pool (t : Circuit.Netlist.t) ~rng ~input_sp ~n_pairs =
   if n_pairs < 1 then invalid_arg "Activity.monte_carlo: n_pairs must be >= 1";
   assert (Array.length input_sp = Circuit.Netlist.n_primary_inputs t);

@@ -20,15 +20,5 @@ val monte_carlo :
     split stream per block, so the estimate is independent of the domain
     count. Runs on the compiled arena ({!Compiled.Arena}). *)
 
-val monte_carlo_boxed :
-  ?pool:Parallel.Pool.t ->
-  Circuit.Netlist.t ->
-  rng:Physics.Rng.t ->
-  input_sp:float array ->
-  n_pairs:int ->
-  float array
-(** The boxed-DAG reference implementation of [monte_carlo]; same streams,
-    bit-identical results. Kept as the equivalence-test oracle. *)
-
 val input_activity : sp:float -> float
 (** The temporal-independence input activity [2 p (1-p)]. *)

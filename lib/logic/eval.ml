@@ -16,46 +16,6 @@ let eval_outputs t ~inputs =
   let values = eval t ~inputs in
   Array.map (fun o -> values.(o)) t.Circuit.Netlist.outputs
 
-(* Packed evaluation applies each cell's truth table as a sum of minterms
-   over the fanin words. For the library's <= 4 inputs this is at most 16
-   minterm terms; precomputing per-cell would gain little. *)
-let apply_packed cell words =
-  let n = Array.length words in
-  let tt = Cell.Stdcell.truth_table cell in
-  let out = ref 0L in
-  Array.iteri
-    (fun idx one ->
-      if one then begin
-        let term = ref (-1L) in
-        for i = 0 to n - 1 do
-          let lane = if (idx lsr i) land 1 = 1 then words.(i) else Int64.lognot words.(i) in
-          term := Int64.logand !term lane
-        done;
-        out := Int64.logor !out !term
-      end)
-    tt;
-  !out
-
-let eval_packed (t : Circuit.Netlist.t) ~inputs =
-  let pis = Circuit.Netlist.primary_inputs t in
-  assert (Array.length inputs = Array.length pis);
-  let values = Array.make (Circuit.Netlist.n_nodes t) 0L in
-  Array.iteri (fun k id -> values.(id) <- inputs.(k)) pis;
-  Array.iteri
-    (fun i node ->
-      match node with
-      | Circuit.Netlist.Primary_input _ -> ()
-      | Circuit.Netlist.Gate { cell; fanin; _ } ->
-        values.(i) <- apply_packed cell (Array.map (fun f -> values.(f)) fanin))
-    t.Circuit.Netlist.nodes;
-  values
-
-let popcount64 x =
-  let rec go x acc = if x = 0L then acc else go (Int64.logand x (Int64.sub x 1L)) (acc + 1) in
-  go x 0
-
-let count_ones t ~inputs = Array.map popcount64 (eval_packed t ~inputs)
-
 let input_vector_of_int t idx =
   let n = Circuit.Netlist.n_primary_inputs t in
   Array.init n (fun i -> (idx lsr i) land 1 = 1)

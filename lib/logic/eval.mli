@@ -1,9 +1,6 @@
-(** Logic simulation over netlists.
-
-    Two engines: a plain single-vector evaluator and a 64-way bit-parallel
-    evaluator (one [int64] lane per vector) used by Monte-Carlo signal
-    probability estimation, where it is the difference between simulating
-    thousands of vectors and hundreds of thousands. *)
+(** Single-vector logic simulation over boxed netlists. The 64-way
+    bit-parallel simulator that Monte-Carlo signal probability estimation
+    runs on is {!Compiled.Arena.eval_packed}. *)
 
 val eval : Circuit.Netlist.t -> inputs:bool array -> bool array
 (** Values of every node, indexed by node id. [inputs] are the primary
@@ -11,14 +8,6 @@ val eval : Circuit.Netlist.t -> inputs:bool array -> bool array
 
 val eval_outputs : Circuit.Netlist.t -> inputs:bool array -> bool array
 (** Primary output values in [outputs] order. *)
-
-val eval_packed : Circuit.Netlist.t -> inputs:int64 array -> int64 array
-(** 64 vectors at once: bit [k] of every word belongs to vector [k].
-    Returns a word per node. *)
-
-val count_ones : Circuit.Netlist.t -> inputs:int64 array -> int array
-(** Per-node population count over the 64 lanes of one packed evaluation —
-    the kernel of Monte-Carlo SP estimation. *)
 
 val input_vector_of_int : Circuit.Netlist.t -> int -> bool array
 (** Little-endian expansion of an integer into a primary-input vector —

@@ -25,44 +25,10 @@ let analytic (t : Circuit.Netlist.t) ~input_sp =
     t.Circuit.Netlist.nodes;
   sp
 
-(* One 64-vector word block: draw the packed inputs from the block's
-   private stream, simulate, count ones per node. Pure up to [rng]. *)
-let word_block_counts t ~input_sp ~n_pi rng =
-  let packed = Array.make n_pi 0L in
-  for k = 0 to n_pi - 1 do
-    let w = ref 0L in
-    for bit = 0 to 63 do
-      if Physics.Rng.bernoulli rng ~p:input_sp.(k) then
-        w := Int64.logor !w (Int64.shift_left 1L bit)
-    done;
-    packed.(k) <- !w
-  done;
-  Eval.count_ones t ~inputs:packed
-
-let monte_carlo_boxed ?pool ?budget t ~rng ~input_sp ~n_vectors =
-  let input_sp = check_sp input_sp in
-  if n_vectors < 1 then invalid_arg "Signal_prob.monte_carlo: n_vectors must be >= 1";
-  let n_pi = Circuit.Netlist.n_primary_inputs t in
-  assert (Array.length input_sp = n_pi);
-  let n_words = (n_vectors + 63) / 64 in
-  let total = n_words * 64 in
-  let p = match pool with Some p -> p | None -> Parallel.Pool.default () in
-  (* One independent stream per word block, split in block order: the
-     estimate is bit-identical for any domain count. The ordered
-     integer reduction below cannot depend on scheduling either. *)
-  let per_block =
-    Parallel.Pool.init_rng p ?budget ~rng n_words (fun rng _ ->
-        word_block_counts t ~input_sp ~n_pi rng)
-  in
-  let counts = Array.make (Circuit.Netlist.n_nodes t) 0 in
-  Array.iter (fun ones -> Array.iteri (fun i c -> counts.(i) <- counts.(i) + c) ones) per_block;
-  Array.map (fun c -> float_of_int c /. float_of_int total) counts
-
-(* Same estimator on the compiled arena: identical streams (one per word
-   block, split in block order), identical per-PI draw order within a
-   block, and per-node integer ones counts whose merge order cannot
-   change the totals — bit-identical to [monte_carlo_boxed] at any
-   domain count. *)
+(* One stream per word block, split in block order, the same per-PI
+   draw order within a block as the boxed reference the tests keep, and
+   per-node integer ones counts whose merge order cannot change the
+   totals: bit-identical to that reference at any domain count. *)
 let monte_carlo ?pool ?budget t ~rng ~input_sp ~n_vectors =
   let input_sp = check_sp input_sp in
   if n_vectors < 1 then invalid_arg "Signal_prob.monte_carlo: n_vectors must be >= 1";

@@ -33,17 +33,6 @@ val monte_carlo :
     {!Parallel.Budget.Deadline_exceeded}. Runs on the compiled arena
     ({!Compiled.Arena}), cached per netlist. *)
 
-val monte_carlo_boxed :
-  ?pool:Parallel.Pool.t ->
-  ?budget:Parallel.Budget.t ->
-  Circuit.Netlist.t ->
-  rng:Physics.Rng.t ->
-  input_sp:float array ->
-  n_vectors:int ->
-  float array
-(** The boxed-DAG reference implementation of [monte_carlo]; same streams,
-    bit-identical results. Kept as the equivalence-test oracle. *)
-
 val uniform_inputs : Circuit.Netlist.t -> float -> float array
 (** An input SP array with every PI at the given probability (the paper
     uses 0.5). *)

@@ -71,8 +71,16 @@ let optimize config (t : Circuit.Netlist.t) ~node_sp ~standby ?(max_iterations =
   let factor = hvt_delay_factor config in
   let n = Circuit.Netlist.n_nodes t in
   let hvt = Array.make n false in
-  let gate_scale i = if hvt.(i) then factor else 1.0 in
-  let fresh_sta () = Sta.Timing.analyze tech t ~gate_scale ~temp_k ~stage_dvth:Sta.Timing.no_aging () in
+  (* Per-gate delay scale of the current assignment, kept in step with
+     [hvt] by [assign]. *)
+  let scale = Array.make n 1.0 in
+  let assign i b =
+    hvt.(i) <- b;
+    scale.(i) <- (if b then factor else 1.0)
+  in
+  let a = Compiled.Arena.get t in
+  let tm = Compiled.Timing.get a ~tech ~temp_k () in
+  let fresh_sta () = Compiled.Timing.fresh_result ~scale tm in
   let fresh0 = fresh_sta () in
   let target = fresh0.Sta.Timing.max_delay *. (1.0 +. config.timing_tolerance) in
   (* Slack-driven sweeps: batch-assign where slack safely covers the
@@ -95,7 +103,7 @@ let optimize config (t : Circuit.Netlist.t) ~node_sp ~standby ?(max_iterations =
             && slack.Sta.Slack.slack.(i)
                >= 3.0 *. (factor -. 1.0) *. timing.Sta.Timing.gate_delay.(i)
           then begin
-            hvt.(i) <- true;
+            assign i true;
             flipped := i :: !flipped
           end)
       t.Circuit.Netlist.nodes;
@@ -103,7 +111,7 @@ let optimize config (t : Circuit.Netlist.t) ~node_sp ~standby ?(max_iterations =
     else if (fresh_sta ()).Sta.Timing.max_delay > target then begin
       (* Over-committed: revert everything from this sweep, then retry one
          by one in the order of decreasing slack. *)
-      List.iter (fun i -> hvt.(i) <- false) !flipped;
+      List.iter (fun i -> assign i false) !flipped;
       let by_slack =
         List.sort
           (fun a b -> compare slack.Sta.Slack.slack.(b) slack.Sta.Slack.slack.(a))
@@ -111,8 +119,8 @@ let optimize config (t : Circuit.Netlist.t) ~node_sp ~standby ?(max_iterations =
       in
       List.iter
         (fun i ->
-          hvt.(i) <- true;
-          if (fresh_sta ()).Sta.Timing.max_delay > target then hvt.(i) <- false)
+          assign i true;
+          if (fresh_sta ()).Sta.Timing.max_delay > target then assign i false)
         by_slack;
       continue_ := false
     end
@@ -134,14 +142,10 @@ let optimize config (t : Circuit.Netlist.t) ~node_sp ~standby ?(max_iterations =
     Nbti.Vth_shift.dvth aging.Aging.Circuit_aging.params tech cond ~schedule:sched
       ~time:aging.Aging.Circuit_aging.time
   in
-  let aged_sta ~assignment_scale =
-    Sta.Timing.analyze tech t ~gate_scale:assignment_scale ~temp_k ~stage_dvth ()
+  let aged_after =
+    Compiled.Timing.aged_result tm ~scale ~dvth:(Compiled.Arena.stage_values a stage_dvth) ()
   in
-  let stage_dvth_lvt = Aging.Circuit_aging.stage_dvth_of_duties aging ~duties in
-  let aged_before =
-    Sta.Timing.analyze tech t ~temp_k ~stage_dvth:stage_dvth_lvt ()
-  in
-  let aged_after = aged_sta ~assignment_scale:gate_scale in
+  let before = Aging.Circuit_aging.analyze_with_duties aging t ~duties () in
   (* Leakage: per-gate blend of the LVT/HVT tables. *)
   let lvt = gate_leakages tech t ~node_sp in
   let hvt_tabs = gate_leakages (hvt_tech config) t ~node_sp in
@@ -172,10 +176,7 @@ let optimize config (t : Circuit.Netlist.t) ~node_sp ~standby ?(max_iterations =
     n_gates = Circuit.Netlist.n_gates t;
     fresh_before = fresh0.Sta.Timing.max_delay;
     fresh_after = fresh_after.Sta.Timing.max_delay;
-    degradation_before =
-      Sta.Timing.degradation
-        ~fresh:(Sta.Timing.fresh tech t ~temp_k ())
-        ~aged:aged_before;
+    degradation_before = before.Aging.Circuit_aging.degradation;
     degradation_after = Sta.Timing.degradation ~fresh:fresh_after ~aged:aged_after;
     active_leakage_before = sum_lvt fst;
     active_leakage_after = blend fst;

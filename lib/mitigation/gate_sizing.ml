@@ -32,10 +32,6 @@ let area (t : Circuit.Netlist.t) =
       | Circuit.Netlist.Gate { cell; _ } -> acc +. Cell.Stdcell.area cell)
     0.0 t.Circuit.Netlist.nodes
 
-let check_args ~margin ~step =
-  if margin < 0.0 then invalid_arg "Gate_sizing.optimize: negative margin";
-  if step <= 1.0 then invalid_arg "Gate_sizing.optimize: step must exceed 1"
-
 (* One upsizing step: multiply the drive of every unsaturated gate on
    the aged critical path by [step]. Returns the gates that actually
    grew (empty = the whole path is saturated, stop). *)
@@ -53,79 +49,31 @@ let grow_path (t : Circuit.Netlist.t) ~drives ~critical_path ~step ~max_drive =
     critical_path;
   List.rev !grown
 
-let optimize_boxed ?(budget = Parallel.Budget.unlimited) config (t : Circuit.Netlist.t) ~node_sp
+(* Each iteration upsizes a handful of critical-path gates; a
+   [Compiled.Incremental.Sizing] session keeps the per-stage timing
+   constants and aged arrivals resident, and a drive edit recomputes
+   only the touched gates' constants (plus their fanin drivers' loads)
+   and the downstream arrival cone. The final netlist is materialized
+   once. Delays are bit-identical to a full STA of every materialized
+   netlist (the reference test_incremental compares against), so the
+   sizing trajectory — critical paths, drive vector, iteration count —
+   is the full-pass one. *)
+let optimize ?(budget = Parallel.Budget.unlimited) config (t : Circuit.Netlist.t) ~node_sp
     ~standby ?(margin = 0.01) ?(step = 1.2) ?(max_drive = 4.0) ?(max_iterations = 40) () =
-  check_args ~margin ~step;
+  if margin < 0.0 then invalid_arg "Gate_sizing.optimize: negative margin";
+  if step <= 1.0 then invalid_arg "Gate_sizing.optimize: step must exceed 1";
   let tech = config.Aging.Circuit_aging.tech in
   let temp_k = config.Aging.Circuit_aging.schedule.Nbti.Schedule.t_ref in
-  (* Duty pairs survive scaling (pin structure is unchanged), so extract
-     once and rebuild only the dvth closure per materialized netlist. *)
-  let duties = Aging.Circuit_aging.duty_table t ~node_sp ~standby in
-  let stage_dvth = Aging.Circuit_aging.stage_dvth_of_duties config ~duties in
-  let aged_sta net = Sta.Timing.analyze tech net ~temp_k ~stage_dvth () in
-  let fresh0 = Sta.Timing.fresh tech t ~temp_k () in
-  let aged0 = aged_sta t in
-  let target = fresh0.Sta.Timing.max_delay *. (1.0 +. margin) in
-  let n = Circuit.Netlist.n_nodes t in
-  let drives = Array.make n 1.0 in
-  let rec loop net aged iterations =
-    if aged.Sta.Timing.max_delay <= target || iterations >= max_iterations then
-      (net, aged, iterations)
-    else begin
-      Parallel.Budget.check budget;
-      let grown =
-        grow_path t ~drives ~critical_path:aged.Sta.Timing.critical_path ~step ~max_drive
-      in
-      if grown = [] then (net, aged, iterations)
-      else begin
-        let net' = materialize t ~drives in
-        loop net' (aged_sta net') (iterations + 1)
-      end
-    end
-  in
-  let sized, aged_final, iterations = loop t aged0 0 in
-  let fresh_final = Sta.Timing.fresh tech sized ~temp_k () in
-  {
-    drives;
-    sized;
-    fresh_before = fresh0.Sta.Timing.max_delay;
-    aged_before = aged0.Sta.Timing.max_delay;
-    fresh_after = fresh_final.Sta.Timing.max_delay;
-    aged_after = aged_final.Sta.Timing.max_delay;
-    target;
-    met = aged_final.Sta.Timing.max_delay <= target;
-    area_overhead = (area sized -. area t) /. area t;
-    iterations;
-  }
-
-(* Incremental path (PR 8): each iteration upsizes a handful of
-   critical-path gates; a [Compiled.Incremental.Sizing] session keeps
-   the per-stage timing constants and aged arrivals resident and a
-   drive edit recomputes only the touched gates' constants (plus their
-   fanin drivers' loads) and the downstream arrival cone. The final
-   netlist is materialized once. Delays are bit-identical to
-   [optimize_boxed] (pinned by test_incremental), so the sizing
-   trajectory — critical paths, drive vector, iteration count — is
-   identical. *)
-let optimize_incremental ~budget config (t : Circuit.Netlist.t) ~node_sp ~standby ~margin ~step
-    ~max_drive ~max_iterations () =
-  check_args ~margin ~step;
-  let tech = config.Aging.Circuit_aging.tech in
-  let temp_k = config.Aging.Circuit_aging.schedule.Nbti.Schedule.t_ref in
+  (* Duty pairs survive scaling (pin structure is unchanged), so the
+     shifts are extracted once and stay frozen in the session. *)
   let duties = Aging.Circuit_aging.duty_table t ~node_sp ~standby in
   let stage_dvth = Aging.Circuit_aging.stage_dvth_of_duties config ~duties in
   let a = Compiled.Arena.get t in
-  (* Flatten the frozen dvth closure onto the arena's flat stage ids
-     (node ids are netlist ids, so the mapping is direct). *)
-  let dvth = Array.make a.Compiled.Arena.n_stages 0.0 in
-  for i = 0 to a.Compiled.Arena.n_nodes - 1 do
-    if a.Compiled.Arena.op.(i) <> Compiled.Arena.op_pi then
-      for s = 0 to a.Compiled.Arena.stage_off.(i + 1) - a.Compiled.Arena.stage_off.(i) - 1 do
-        dvth.(a.Compiled.Arena.stage_off.(i) + s) <- stage_dvth ~gate:i ~stage:s
-      done
-  done;
-  let session = Compiled.Incremental.Sizing.session a ~tech ~temp_k ~dvth () in
-  let fresh0 = Sta.Timing.fresh tech t ~temp_k () in
+  let session =
+    Compiled.Incremental.Sizing.session a ~tech ~temp_k
+      ~dvth:(Compiled.Arena.stage_values a stage_dvth) ()
+  in
+  let fresh0 = Compiled.Timing.fresh_result (Compiled.Timing.get a ~tech ~temp_k ()) in
   let target = fresh0.Sta.Timing.max_delay *. (1.0 +. margin) in
   let aged_before = Compiled.Incremental.Sizing.aged_max session in
   let n = Circuit.Netlist.n_nodes t in
@@ -152,7 +100,12 @@ let optimize_incremental ~budget config (t : Circuit.Netlist.t) ~node_sp ~standb
     (Compiled.Incremental.Sizing.stats session)
     ~n_nodes:(Compiled.Incremental.Sizing.n_nodes session);
   let sized = materialize t ~drives in
-  let fresh_final = Sta.Timing.fresh tech sized ~temp_k () in
+  (* A one-off netlist: compiled outside the arena and timing memos,
+     which hold the circuits callers come back to. *)
+  let fresh_final =
+    Compiled.Timing.fresh_result
+      (Compiled.Timing.build (Compiled.Arena.build sized) ~tech ~temp_k ())
+  in
   {
     drives;
     sized;
@@ -165,11 +118,3 @@ let optimize_incremental ~budget config (t : Circuit.Netlist.t) ~node_sp ~standb
     area_overhead = (area sized -. area t) /. area t;
     iterations;
   }
-
-let optimize ?(budget = Parallel.Budget.unlimited) config (t : Circuit.Netlist.t) ~node_sp
-    ~standby ?(margin = 0.01) ?(step = 1.2) ?(max_drive = 4.0) ?(max_iterations = 40) () =
-  if Compiled.Incremental.enabled () then
-    optimize_incremental ~budget config t ~node_sp ~standby ~margin ~step ~max_drive
-      ~max_iterations ()
-  else
-    optimize_boxed ~budget config t ~node_sp ~standby ~margin ~step ~max_drive ~max_iterations ()

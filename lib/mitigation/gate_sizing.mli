@@ -28,6 +28,21 @@ val materialize : Circuit.Netlist.t -> drives:float array -> Circuit.Netlist.t
 (** The netlist with each gate's cell scaled by its per-node drive
     factor (1.0 leaves the node untouched). *)
 
+val area : Circuit.Netlist.t -> float
+(** Total device W/L of the netlist's gates. *)
+
+val grow_path :
+  Circuit.Netlist.t ->
+  drives:float array ->
+  critical_path:int list ->
+  step:float ->
+  max_drive:float ->
+  int list
+(** One sizing step: multiplies the drive of every gate on
+    [critical_path] below [max_drive] by [step] (saturating at
+    [max_drive]) and returns those gates, in path order; empty when the
+    whole path is saturated. *)
+
 val optimize :
   ?budget:Parallel.Budget.t ->
   Aging.Circuit_aging.config ->
@@ -48,22 +63,7 @@ val optimize :
     or [max_iterations] (default 40). [budget] (default unlimited) is
     polled at every iteration boundary.
 
-    When {!Compiled.Incremental.enabled}, each iteration re-times only
-    the upsized gates' affected cone through a resident
-    {!Compiled.Incremental.Sizing} session instead of re-running a full
-    STA on a re-materialized netlist; results are bit-identical. *)
-
-val optimize_boxed :
-  ?budget:Parallel.Budget.t ->
-  Aging.Circuit_aging.config ->
-  Circuit.Netlist.t ->
-  node_sp:float array ->
-  standby:Aging.Circuit_aging.standby_state ->
-  ?margin:float ->
-  ?step:float ->
-  ?max_drive:float ->
-  ?max_iterations:int ->
-  unit ->
-  result
-(** The full-STA-per-iteration reference implementation {!optimize}
-    must match bit-for-bit; kept as the oracle for tests and benches. *)
+    Each iteration re-times only the upsized gates' affected cone
+    through a resident {!Compiled.Incremental.Sizing} session instead of
+    re-running a full STA on a re-materialized netlist; results are
+    bit-identical to the full pass. *)

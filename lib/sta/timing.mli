@@ -1,10 +1,13 @@
 (** Static timing analysis over gate netlists (the role of the STA tool
-    [44] in the paper's flow).
+    [44] in the paper's flow): the result record, the load model and the
+    slope-resolved pass.
 
-    Arrival times propagate forward through the topologically ordered
-    netlist; each gate's delay comes from the cell timing model with its
-    actual fanout load and an optional per-stage NBTI threshold shift. The
-    critical path is recovered by backtracking the max-arrival chain. *)
+    The worst-slope analysis itself runs on the compiled arena
+    ({!Compiled.Timing}): arrival times propagate forward through the
+    topologically ordered netlist; each gate's delay comes from the cell
+    timing model with its actual fanout load and an optional per-stage
+    NBTI threshold shift. The critical path is recovered by backtracking
+    the max-arrival chain. *)
 
 type result = {
   arrival : float array;  (** latest arrival time [s] per node *)
@@ -22,26 +25,8 @@ val loads : Device.Tech.t -> Circuit.Netlist.t -> ?po_load:float -> unit -> floa
     output-stage device width in gate-capacitance units) — so even a
     dangling gate has a positive delay. *)
 
-val analyze :
-  Device.Tech.t ->
-  Circuit.Netlist.t ->
-  ?po_load:float ->
-  ?gate_scale:(int -> float) ->
-  ?stage_dvth_n:(gate:int -> stage:int -> float) ->
-  temp_k:float ->
-  stage_dvth:(gate:int -> stage:int -> float) ->
-  unit ->
-  result
-(** Full analysis. [stage_dvth ~gate ~stage] is the PMOS threshold shift of
-    stage [stage] of gate node [gate]; pass {!no_aging} for fresh timing.
-    [stage_dvth_n] is the NMOS (PBTI) shift, default none — only the
-    high-k analysis uses it. [gate_scale] multiplies each gate's delay
-    (default 1.0) — the hook the process-variation study uses to apply
-    per-gate V_th0 samples. *)
-
 val no_aging : gate:int -> stage:int -> float
-
-val fresh : Device.Tech.t -> Circuit.Netlist.t -> ?po_load:float -> temp_k:float -> unit -> result
+(** The zero threshold shift: fresh timing. *)
 
 val degradation : fresh:result -> aged:result -> float
 (** Relative critical-path slowdown [(aged - fresh) / fresh]. *)

@@ -19,62 +19,13 @@ type study = {
   aged_3sigma : float * float;
 }
 
-let run_boxed ?pool config t ~node_sp ~standby ~rng =
-  let aging = config.aging in
-  let tech = aging.Aging.Circuit_aging.tech in
-  let temp_k = aging.Aging.Circuit_aging.schedule.Nbti.Schedule.t_ref in
-  let duties = Aging.Circuit_aging.duty_table t ~node_sp ~standby in
-  let n_nodes = Circuit.Netlist.n_nodes t in
-  let vth_nom = Device.Tech.vth_at tech `P ~temp_k in
-  let overdrive_nom = tech.Device.Tech.vdd -. vth_nom in
-  let alpha = tech.Device.Tech.alpha in
-  (* One task per Monte-Carlo sample, each on its own stream split from
-     [rng] in sample order, so the study is bit-identical for any domain
-     count. The sample body reads only immutable shared state (netlist,
-     duty table, technology). *)
-  let one_sample rng =
-    (* Per-gate V_th0 offset; the same offset scales the gate delay
-       ((Vdd - Vth)^-alpha) and feeds the NBTI field acceleration. *)
-    let offsets = Array.make n_nodes 0.0 in
-    for i = 0 to n_nodes - 1 do
-      offsets.(i) <- Physics.Rng.gaussian rng ~mean:0.0 ~sigma:config.sigma_vth
-    done;
-    let gate_scale i =
-      let od = tech.Device.Tech.vdd -. (vth_nom +. offsets.(i)) in
-      Float.pow (overdrive_nom /. od) alpha
-    in
-    let stage_dvth ~gate ~stage =
-      let active, standby_duty = duties.(gate).(stage) in
-      let vth0 = tech.Device.Tech.vth_p +. offsets.(gate) in
-      let cond = { Nbti.Vth_shift.vgs = tech.Device.Tech.vdd; vth0 } in
-      let sched =
-        Nbti.Schedule.with_stress_duties aging.Aging.Circuit_aging.schedule ~active
-          ~standby:standby_duty
-      in
-      Nbti.Vth_shift.dvth aging.Aging.Circuit_aging.params tech cond ~schedule:sched
-        ~time:aging.Aging.Circuit_aging.time
-    in
-    let fresh =
-      Sta.Timing.analyze tech t ~gate_scale ~temp_k ~stage_dvth:Sta.Timing.no_aging ()
-    in
-    let aged = Sta.Timing.analyze tech t ~gate_scale ~temp_k ~stage_dvth () in
-    { fresh_delay = fresh.Sta.Timing.max_delay; aged_delay = aged.Sta.Timing.max_delay }
-  in
-  let p = match pool with Some p -> p | None -> Parallel.Pool.default () in
-  let samples = Parallel.Pool.init_rng p ~rng config.n_samples (fun rng _ -> one_sample rng) in
-  let fresh = Physics.Stats.summarize (Array.map (fun s -> s.fresh_delay) samples) in
-  let aged = Physics.Stats.summarize (Array.map (fun s -> s.aged_delay) samples) in
-  let band (s : Physics.Stats.summary) =
-    (s.Physics.Stats.mean -. (3.0 *. s.Physics.Stats.stddev),
-     s.Physics.Stats.mean +. (3.0 *. s.Physics.Stats.stddev))
-  in
-  { samples; fresh; aged; fresh_3sigma = band fresh; aged_3sigma = band aged }
-
-(* Compiled backend: same streams (one per sample in sample order), same
-   gaussian draw order, same float association per sample — bit-identical
-   to [run_boxed] at any domain count, with the duty table, equivalent
-   schedules and timing constants hoisted out of the sample loop (the
-   NBTI shape and compiled timing are memoized across calls). *)
+(* On the compiled arena: one stream per sample in sample order, the
+   boxed gaussian draw order and float association per sample, so the
+   study is bit-identical to the boxed reference the tests keep (a boxed
+   R-D evaluation per gate stage and two boxed STA passes per sample) at
+   any domain count. The duty table, equivalent schedules and timing
+   constants are hoisted out of the sample loop (the NBTI shape and
+   compiled timing are memoized across calls). *)
 let run ?pool config t ~node_sp ~standby ~rng =
   let aging = config.aging in
   let tech = aging.Aging.Circuit_aging.tech in

@@ -44,17 +44,6 @@ val run :
     with the duty table and equivalent schedules hoisted out of the
     sample loop ({!Compiled.Variation}). *)
 
-val run_boxed :
-  ?pool:Parallel.Pool.t ->
-  config ->
-  Circuit.Netlist.t ->
-  node_sp:float array ->
-  standby:Aging.Circuit_aging.standby_state ->
-  rng:Physics.Rng.t ->
-  study
-(** The boxed-DAG reference implementation of {!run}; bit-identical
-    results. Kept as the equivalence-test oracle. *)
-
 val crossover :
   study -> bool
 (** The paper's headline observation on C880: the aged distribution's

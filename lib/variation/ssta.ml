@@ -31,7 +31,9 @@ let gate_gaussians (config : Aging.Circuit_aging.config) (t : Circuit.Netlist.t)
     ~node_sp ~standby ~aged =
   let tech = config.Aging.Circuit_aging.tech in
   let temp_k = config.Aging.Circuit_aging.schedule.Nbti.Schedule.t_ref in
-  let fresh = Sta.Timing.fresh tech t ~temp_k () in
+  let fresh =
+    Compiled.Timing.fresh_result (Compiled.Timing.get (Compiled.Arena.get t) ~tech ~temp_k ())
+  in
   let duties = Aging.Circuit_aging.duty_table t ~node_sp ~standby in
   let vth_nom = Device.Tech.vth_at tech `P ~temp_k in
   let od_nom = tech.Device.Tech.vdd -. vth_nom in

@@ -1,6 +1,6 @@
 (* Equivalence suite for the compiled struct-of-arrays netlist core:
    every compiled hot path must be bit-identical to its boxed-DAG
-   reference (the `_boxed` oracles kept for exactly this purpose) — on
+   reference (the [Oracle] library kept for exactly this purpose) — on
    logic evaluation (scalar and 64-lane packed), Monte-Carlo signal
    probabilities and activity, the duty tables, fresh/aged STA and the
    platform analysis built on them, the process-variation
@@ -79,7 +79,7 @@ let test_eval_packed () =
       let words =
         Array.init (Array.length a.Compiled.Arena.pis) (fun _ -> Physics.Rng.int64 rng)
       in
-      let expect = Logic.Eval.eval_packed net ~inputs:words in
+      let expect = Oracle.Eval.eval_packed net ~inputs:words in
       let lo = Array.make n 0 and hi = Array.make n 0 in
       Array.iteri
         (fun k id ->
@@ -103,7 +103,7 @@ let test_signal_prob_mc () =
     (fun net ->
       let input_sp = Logic.Signal_prob.uniform_inputs net 0.4 in
       let boxed =
-        Logic.Signal_prob.monte_carlo_boxed net ~rng:(Physics.Rng.create ~seed:7) ~input_sp
+        Oracle.Signal_prob.monte_carlo net ~rng:(Physics.Rng.create ~seed:7) ~input_sp
           ~n_vectors:4096
       in
       List.iter
@@ -124,7 +124,7 @@ let test_activity_mc () =
     (fun net ->
       let input_sp = Logic.Signal_prob.uniform_inputs net 0.5 in
       let boxed =
-        Logic.Activity.monte_carlo_boxed net ~rng:(Physics.Rng.create ~seed:9) ~input_sp
+        Oracle.Activity.monte_carlo net ~rng:(Physics.Rng.create ~seed:9) ~input_sp
           ~n_pairs:2048
       in
       List.iter
@@ -180,7 +180,8 @@ let aging_configs =
   ]
 
 (* Every field of [Flow.Platform.analyze] against the boxed composition:
-   [analyze_boxed], the boxed leakage folds and [Netlist.stats]. *)
+   [Oracle.Circuit_aging.analyze], the boxed leakage folds and
+   [Netlist.stats]. *)
 let check_platform name net tables ~node_sp ~standby (boxed : Aging.Circuit_aging.analysis)
     (got : Flow.Platform.analysis) =
   let bits field a b = Alcotest.(check bool) (name ^ " " ^ field) true (bits_equal a b) in
@@ -200,9 +201,32 @@ let check_platform name net tables ~node_sp ~standby (boxed : Aging.Circuit_agin
     (Leakage.Circuit_leakage.expected_leakage tables net ~node_sp)
     got.Flow.Platform.active_leakage
 
+(* Per-gate delay scales (the dual-V_th hook): compiled fresh and aged
+   passes against the boxed analyzer's [gate_scale] product, under the
+   PMOS shifts of one standby state. *)
+let check_scaled_timing name net aging ~node_sp ~standby ~scale =
+  let tech = aging.Aging.Circuit_aging.tech in
+  let temp_k = aging.Aging.Circuit_aging.schedule.Nbti.Schedule.t_ref in
+  let stage_dvth = Aging.Circuit_aging.stage_dvth_map aging net ~node_sp ~standby in
+  let a = Compiled.Arena.get net in
+  let tm = Compiled.Timing.get a ~tech ~temp_k () in
+  let gate_scale i = scale.(i) in
+  check_timing_result (name ^ " scaled fresh")
+    (Oracle.Timing.analyze tech net ~gate_scale ~temp_k ~stage_dvth:Sta.Timing.no_aging ())
+    (Compiled.Timing.fresh_result ~scale tm);
+  check_timing_result (name ^ " scaled aged")
+    (Oracle.Timing.analyze tech net ~gate_scale ~temp_k ~stage_dvth ())
+    (Compiled.Timing.aged_result tm ~scale ~dvth:(Compiled.Arena.stage_values a stage_dvth) ())
+
 let test_aging_analysis () =
   List.iter
     (fun net ->
+      (* Scales around 1.0, exactly 1.0 on every fourth node. *)
+      let rng = Physics.Rng.create ~seed:31 in
+      let scale =
+        Array.init (Circuit.Netlist.n_nodes net) (fun i ->
+            if i mod 4 = 0 then 1.0 else 0.5 +. Physics.Rng.float rng 1.5)
+      in
       List.iter
         (fun (cname, aging) ->
           let cfg =
@@ -219,9 +243,10 @@ let test_aging_analysis () =
               (* Duties are clamped into [0, 1] where they are
                  produced, so every state answers on both paths — PBTI
                  on the 10^4-gate DAG included. *)
-              let boxed = Aging.Circuit_aging.analyze_boxed aging net ~node_sp ~standby () in
+              let boxed = Oracle.Circuit_aging.analyze aging net ~node_sp ~standby () in
               let compiled = Aging.Circuit_aging.analyze aging net ~node_sp ~standby () in
               check_analysis name boxed compiled;
+              check_scaled_timing name net aging ~node_sp ~standby ~scale;
               check_platform name net (Flow.Platform.tables p) ~node_sp ~standby boxed
                 (Flow.Platform.analyze cfg p ~standby))
             (standby_states net))
@@ -293,7 +318,7 @@ let test_aging_analysis_pbti_and_load () =
   let config = Aging.Circuit_aging.default_config ~pbti_scale:0.5 () in
   let standby = Aging.Circuit_aging.Standby_all_relaxed in
   let boxed =
-    Aging.Circuit_aging.analyze_boxed config net ~po_load:5e-15 ~node_sp ~standby ()
+    Oracle.Circuit_aging.analyze config net ~po_load:5e-15 ~node_sp ~standby ()
   in
   let compiled =
     Aging.Circuit_aging.analyze config net ~po_load:5e-15 ~node_sp ~standby ()
@@ -331,7 +356,7 @@ let test_process_var () =
       in
       let standby = Aging.Circuit_aging.Standby_all_stressed in
       let boxed =
-        Variation.Process_var.run_boxed config net ~node_sp ~standby
+        Oracle.Process_var.run config net ~node_sp ~standby
           ~rng:(Physics.Rng.create ~seed:3)
       in
       List.iter

@@ -12,6 +12,9 @@ let sp17 = sp c17
 let sp432 = sp c432
 let aging = Aging.Circuit_aging.default_config ()
 
+let fresh_timing net =
+  Compiled.Timing.fresh_result (Compiled.Timing.get (Compiled.Arena.get net) ~tech ~temp_k:400.0 ())
+
 let check_close ?(eps = 1e-9) msg expected actual = Alcotest.(check (float eps)) msg expected actual
 
 (* --- Stdcell.scaled --- *)
@@ -51,7 +54,7 @@ let test_scaled_speeds_fixed_load () =
 (* --- Sta.Slack --- *)
 
 let slack_of net =
-  let timing = Sta.Timing.fresh tech net ~temp_k:400.0 () in
+  let timing = fresh_timing net in
   (timing, Sta.Slack.compute net ~timing ())
 
 let test_slack_critical_path_zero () =
@@ -70,7 +73,7 @@ let test_slack_nonnegative_at_critical_target () =
   Alcotest.(check bool) "min slack is zero" true (Float.abs (Sta.Slack.min_slack slack) < 1e-15)
 
 let test_slack_tighter_target_negative () =
-  let timing = Sta.Timing.fresh tech c432 ~temp_k:400.0 () in
+  let timing = fresh_timing c432 in
   let slack =
     Sta.Slack.compute c432 ~timing ~target:(0.9 *. timing.Sta.Timing.max_delay) ()
   in
@@ -212,7 +215,7 @@ let test_control_point_insert_logic_active () =
      that drives internal nets to 0 and creates candidates. *)
   let standby_vector = Array.make 5 true in
   let input_sp = Array.make 5 0.5 in
-  let timing = Sta.Timing.fresh tech c17 ~temp_k:400.0 () in
+  let timing = fresh_timing c17 in
   let slack = Sta.Slack.compute c17 ~timing ~target:(1.5 *. timing.Sta.Timing.max_delay) () in
   let candidates =
     Ivc.Control_point.candidate_gates c17 ~standby_vector ~timing ~slack
@@ -248,7 +251,7 @@ let test_control_point_insert_logic_active () =
 let test_control_point_forces_one_in_standby () =
   let standby_vector = Array.make 5 true in
   let input_sp = Array.make 5 0.5 in
-  let timing = Sta.Timing.fresh tech c17 ~temp_k:400.0 () in
+  let timing = fresh_timing c17 in
   let slack = Sta.Slack.compute c17 ~timing ~target:(1.5 *. timing.Sta.Timing.max_delay) () in
   let candidates =
     Ivc.Control_point.candidate_gates c17 ~standby_vector ~timing ~slack
@@ -371,7 +374,7 @@ let test_dual_vth_critical_path_stays_lvt () =
     Mitigation.Dual_vth.optimize dvth_config c432 ~node_sp:sp432
       ~standby:Aging.Circuit_aging.Standby_all_stressed ()
   in
-  let timing = Sta.Timing.fresh tech c432 ~temp_k:400.0 () in
+  let timing = fresh_timing c432 in
   List.iter
     (fun i ->
       match c432.Circuit.Netlist.nodes.(i) with

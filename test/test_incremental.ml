@@ -164,11 +164,7 @@ let test_analysis_duty_probe () =
   check_bits "duty probe max dvth" oracle.Aging.Circuit_aging.max_dvth
     (Compiled.Incremental.Analysis.max_dvth s)
 
-(* --- Co-optimization: incremental vs full pass, 1/2/4 domains --- *)
-
-let with_enabled b f =
-  Compiled.Incremental.set_enabled (Some b);
-  Fun.protect ~finally:(fun () -> Compiled.Incremental.set_enabled None) f
+(* --- Co-optimization vs one full analysis per candidate, 1/2/4 domains --- *)
 
 let check_choice name (a : Ivc.Co_opt.choice) (b : Ivc.Co_opt.choice) =
   Alcotest.(check string) (name ^ " vector") (Ivc.Mlv.vector_key a.Ivc.Co_opt.vector)
@@ -177,14 +173,50 @@ let check_choice name (a : Ivc.Co_opt.choice) (b : Ivc.Co_opt.choice) =
   check_bits (name ^ " degradation") a.Ivc.Co_opt.degradation b.Ivc.Co_opt.degradation;
   check_bits (name ^ " aged") a.Ivc.Co_opt.aged_delay b.Ivc.Co_opt.aged_delay
 
-let test_co_opt_domains () =
+(* The reference answer: one [Circuit_aging.analyze] per candidate, in
+   [Co_opt]'s order (degradation, then vector key). *)
+let per_candidate_reference config net ~node_sp ~candidates =
+  let analyses =
+    List.map
+      (fun (c : Ivc.Mlv.candidate) ->
+        let r =
+          Aging.Circuit_aging.analyze config net ~node_sp
+            ~standby:(Aging.Circuit_aging.Standby_vector c.Ivc.Mlv.vector) ()
+        in
+        ( {
+            Ivc.Co_opt.vector = c.Ivc.Mlv.vector;
+            leakage = c.Ivc.Mlv.leakage;
+            degradation = r.Aging.Circuit_aging.degradation;
+            aged_delay = r.Aging.Circuit_aging.aged.Sta.Timing.max_delay;
+          },
+          r.Aging.Circuit_aging.fresh.Sta.Timing.max_delay ))
+      candidates
+  in
+  let all =
+    List.sort
+      (fun (a : Ivc.Co_opt.choice) (b : Ivc.Co_opt.choice) ->
+        match compare a.Ivc.Co_opt.degradation b.Ivc.Co_opt.degradation with
+        | 0 ->
+          compare (Ivc.Mlv.vector_key a.Ivc.Co_opt.vector) (Ivc.Mlv.vector_key b.Ivc.Co_opt.vector)
+        | c -> c)
+      (List.map fst analyses)
+  in
+  let best = List.hd all and worst = List.nth all (List.length all - 1) in
+  {
+    Ivc.Co_opt.best;
+    all;
+    fresh_delay = snd (List.hd analyses);
+    spread = worst.Ivc.Co_opt.degradation -. best.Ivc.Co_opt.degradation;
+  }
+
+(* A correlated candidate cluster on c432: one random base vector and
+   its single-bit neighbours, like an MLV set; [co_optimize] at 1, 2 and
+   4 domains must return the reference's bits. *)
+let check_co_opt_domains config =
   let net = Circuit.Generators.by_name "c432" in
-  let config = Aging.Circuit_aging.default_config () in
   let tables = tables_of net in
   let node_sp = node_sp_of net in
   let n_pi = Array.length (Circuit.Netlist.primary_inputs net) in
-  (* A correlated candidate cluster: one random base vector and its
-     single-bit neighbours, like an MLV set. *)
   let rng = Physics.Rng.create ~seed:9 in
   let base = Array.init n_pi (fun _ -> Physics.Rng.bool rng) in
   let candidates =
@@ -194,17 +226,11 @@ let test_co_opt_domains () =
            v.(i * 3) <- not v.(i * 3);
            Ivc.Mlv.evaluate tables net v)
   in
-  let reference =
-    with_enabled false (fun () ->
-        Ivc.Co_opt.co_optimize config tables net ~node_sp ~candidates)
-  in
+  let reference = per_candidate_reference config net ~node_sp ~candidates in
   List.iter
     (fun domains ->
       with_pool ~domains (fun par ->
-          let got =
-            with_enabled true (fun () ->
-                Ivc.Co_opt.co_optimize ~par config tables net ~node_sp ~candidates)
-          in
+          let got = Ivc.Co_opt.co_optimize ~par config tables net ~node_sp ~candidates in
           let name = Printf.sprintf "co_opt @ %d domains" domains in
           check_bits (name ^ " fresh") reference.Ivc.Co_opt.fresh_delay got.Ivc.Co_opt.fresh_delay;
           check_bits (name ^ " spread") reference.Ivc.Co_opt.spread got.Ivc.Co_opt.spread;
@@ -215,42 +241,12 @@ let test_co_opt_domains () =
             got.Ivc.Co_opt.all))
     [ 1; 2; 4 ]
 
-let test_searches_match_disabled () =
-  (* The MLV searches do not consult the switch: on and off must
-     return the same bits. *)
-  let net = Circuit.Generators.by_name "c17" in
-  let tables = tables_of net in
-  let on, off =
-    ( with_enabled true (fun () -> Ivc.Mlv.exhaustive tables net),
-      with_enabled false (fun () -> Ivc.Mlv.exhaustive tables net) )
-  in
-  Alcotest.(check string) "exhaustive vector" (Ivc.Mlv.vector_key off.Ivc.Mlv.vector)
-    (Ivc.Mlv.vector_key on.Ivc.Mlv.vector);
-  check_bits "exhaustive leakage" off.Ivc.Mlv.leakage on.Ivc.Mlv.leakage;
-  let net = Circuit.Generators.by_name "c432" in
-  let tables = tables_of net in
-  let run enabled =
-    with_enabled enabled (fun () ->
-        Ivc.Mlv.random_search tables net ~rng:(Physics.Rng.create ~seed:5) ~n:64)
-  in
-  let on, off = (run true, run false) in
-  Alcotest.(check string) "random vector" (Ivc.Mlv.vector_key off.Ivc.Mlv.vector)
-    (Ivc.Mlv.vector_key on.Ivc.Mlv.vector);
-  check_bits "random leakage" off.Ivc.Mlv.leakage on.Ivc.Mlv.leakage;
-  let search enabled =
-    with_enabled enabled (fun () ->
-        Ivc.Mlv.probability_based tables net ~rng:(Physics.Rng.create ~seed:6) ~pool:16
-          ~max_rounds:4 ())
-  in
-  let set_on, _ = search true and set_off, _ = search false in
-  Alcotest.(check int) "probability_based set size" (List.length set_off) (List.length set_on);
-  List.iter2
-    (fun (a : Ivc.Mlv.candidate) (b : Ivc.Mlv.candidate) ->
-      Alcotest.(check string) "probability_based vector"
-        (Ivc.Mlv.vector_key a.Ivc.Mlv.vector)
-        (Ivc.Mlv.vector_key b.Ivc.Mlv.vector);
-      check_bits "probability_based leakage" a.Ivc.Mlv.leakage b.Ivc.Mlv.leakage)
-    set_off set_on
+(* Sessions answer a PMOS-only config. *)
+let test_co_opt_domains () = check_co_opt_domains (Aging.Circuit_aging.default_config ())
+
+(* A PBTI config takes [Co_opt]'s per-candidate full pass. *)
+let test_co_opt_pbti_domains () =
+  check_co_opt_domains (Aging.Circuit_aging.default_config ~pbti_scale:0.5 ())
 
 let test_random_search_budget () =
   (* Satellite: an expired deadline returns the best-so-far (one
@@ -285,21 +281,15 @@ let sizing_oracle config net ~node_sp ~standby ~drives =
   let tech = config.Aging.Circuit_aging.tech in
   let temp_k = config.Aging.Circuit_aging.schedule.Nbti.Schedule.t_ref in
   let sized = Mitigation.Gate_sizing.materialize net ~drives in
-  Sta.Timing.analyze tech sized ~temp_k ~stage_dvth ()
+  Oracle.Timing.analyze tech sized ~temp_k ~stage_dvth ()
 
 let sizing_session config net ~node_sp ~standby =
   let duties = Aging.Circuit_aging.duty_table net ~node_sp ~standby in
   let stage_dvth = Aging.Circuit_aging.stage_dvth_of_duties config ~duties in
   let a = Compiled.Arena.get net in
-  let dvth = Array.make a.Compiled.Arena.n_stages 0.0 in
-  for i = 0 to a.Compiled.Arena.n_nodes - 1 do
-    if a.Compiled.Arena.op.(i) <> Compiled.Arena.op_pi then
-      for st = 0 to a.Compiled.Arena.stage_off.(i + 1) - a.Compiled.Arena.stage_off.(i) - 1 do
-        dvth.(a.Compiled.Arena.stage_off.(i) + st) <- stage_dvth ~gate:i ~stage:st
-      done
-  done;
   Compiled.Incremental.Sizing.session a ~tech:config.Aging.Circuit_aging.tech
-    ~temp_k:config.Aging.Circuit_aging.schedule.Nbti.Schedule.t_ref ~dvth ()
+    ~temp_k:config.Aging.Circuit_aging.schedule.Nbti.Schedule.t_ref
+    ~dvth:(Compiled.Arena.stage_values a stage_dvth) ()
 
 let gate_ids net =
   let ids = ref [] in
@@ -388,7 +378,7 @@ let test_sizing_cell_swap_and_probe () =
     if gate = g then d +. off else d
   in
   let oracle =
-    Sta.Timing.analyze config.Aging.Circuit_aging.tech net
+    Oracle.Timing.analyze config.Aging.Circuit_aging.tech net
       ~temp_k:config.Aging.Circuit_aging.schedule.Nbti.Schedule.t_ref ~stage_dvth:perturbed ()
   in
   check_bits "dvth probe aged max" oracle.Sta.Timing.max_delay
@@ -403,13 +393,8 @@ let test_optimize_matches_boxed () =
       let name = net_name net in
       let node_sp = node_sp_of net in
       let standby = Aging.Circuit_aging.Standby_all_stressed in
-      let boxed =
-        Mitigation.Gate_sizing.optimize_boxed config net ~node_sp ~standby ~margin:0.005 ()
-      in
-      let incr =
-        with_enabled true (fun () ->
-            Mitigation.Gate_sizing.optimize config net ~node_sp ~standby ~margin:0.005 ())
-      in
+      let boxed = Oracle.Gate_sizing.optimize config net ~node_sp ~standby ~margin:0.005 () in
+      let incr = Mitigation.Gate_sizing.optimize config net ~node_sp ~standby ~margin:0.005 () in
       check_floats_exact (name ^ " drives") boxed.Mitigation.Gate_sizing.drives
         incr.Mitigation.Gate_sizing.drives;
       check_bits (name ^ " aged before") boxed.Mitigation.Gate_sizing.aged_before
@@ -442,8 +427,8 @@ let () =
         [
           Alcotest.test_case "co_optimize = full pass, 1/2/4 domains" `Quick
             test_co_opt_domains;
-          Alcotest.test_case "searches match disabled paths" `Quick
-            test_searches_match_disabled;
+          Alcotest.test_case "PBTI co_optimize = full pass, 1/2/4 domains" `Quick
+            test_co_opt_pbti_domains;
           Alcotest.test_case "random_search returns best-so-far on expiry" `Quick
             test_random_search_budget;
         ] );

@@ -37,7 +37,7 @@ let test_eval_packed_matches_scalar () =
         done;
         !w)
   in
-  let packed_values = Logic.Eval.eval_packed c17 ~inputs:packed in
+  let packed_values = Oracle.Eval.eval_packed c17 ~inputs:packed in
   for idx = 0 to 31 do
     let inputs = Array.init n_pi (fun i -> (idx lsr i) land 1 = 1) in
     let scalar = Logic.Eval.eval c17 ~inputs in
@@ -58,7 +58,7 @@ let test_count_ones () =
         done;
         !w)
   in
-  let ones = Logic.Eval.count_ones c17 ~inputs:packed in
+  let ones = Oracle.Eval.count_ones c17 ~inputs:packed in
   (* Each PI is 1 in exactly half of the 32 vectors (the upper 32 lanes of
      the word are zero). *)
   Array.iter
@@ -150,7 +150,7 @@ let prop_packed_matches_scalar =
       let inputs = Array.init n_pi (fun i -> (bits lsr (i mod 30)) land 1 = 1) in
       let scalar = Logic.Eval.eval t ~inputs in
       let packed =
-        Logic.Eval.eval_packed t ~inputs:(Array.map (fun b -> if b then -1L else 0L) inputs)
+        Oracle.Eval.eval_packed t ~inputs:(Array.map (fun b -> if b then -1L else 0L) inputs)
       in
       Array.for_all2 (fun s w -> if s then w = -1L else w = 0L) scalar packed)
 

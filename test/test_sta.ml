@@ -1,10 +1,19 @@
-(* Tests for static timing analysis. *)
+(* Tests for static timing analysis: the compiled engine every analysis
+   times on, the load model and the slope-resolved pass. *)
 
 let tech = Device.Tech.ptm_90nm
 let c17 = Circuit.Generators.c17 ()
 let c432 = Circuit.Generators.by_name "c432"
 
-let fresh t = Sta.Timing.fresh tech t ~temp_k:400.0 ()
+let timing ?po_load ?(temp_k = 400.0) t =
+  Compiled.Timing.get (Compiled.Arena.get t) ~tech ~temp_k ?po_load ()
+
+let fresh ?po_load ?temp_k t = Compiled.Timing.fresh_result (timing ?po_load ?temp_k t)
+
+let aged t ~stage_dvth =
+  Compiled.Timing.aged_result (timing t)
+    ~dvth:(Compiled.Arena.stage_values (Compiled.Arena.get t) stage_dvth)
+    ()
 
 let test_fresh_positive () =
   let r = fresh c17 in
@@ -75,15 +84,16 @@ let test_loads_reflect_fanout () =
     c17.Circuit.Netlist.outputs
 
 let test_po_load_slows () =
-  let small = Sta.Timing.fresh tech c17 ~po_load:1e-15 ~temp_k:400.0 () in
-  let big = Sta.Timing.fresh tech c17 ~po_load:1e-14 ~temp_k:400.0 () in
+  let small = fresh c17 ~po_load:1e-15 in
+  let big = fresh c17 ~po_load:1e-14 in
   Alcotest.(check bool) "heavier PO load is slower" true
     (big.Sta.Timing.max_delay > small.Sta.Timing.max_delay)
 
 let test_aging_slows () =
   let fresh_r = fresh c432 in
-  let aged = Sta.Timing.analyze tech c432 ~temp_k:400.0 ~stage_dvth:(fun ~gate:_ ~stage:_ -> 0.04) () in
-  let d = Sta.Timing.degradation ~fresh:fresh_r ~aged in
+  let d =
+    Sta.Timing.degradation ~fresh:fresh_r ~aged:(aged c432 ~stage_dvth:(fun ~gate:_ ~stage:_ -> 0.04))
+  in
   Alcotest.(check bool) "positive degradation" true (d > 0.0);
   (* 40 mV on a ~0.85 V overdrive at alpha 1.3: a few percent at most
      (only rise delays are hit). *)
@@ -92,8 +102,7 @@ let test_aging_slows () =
 let test_gate_scale () =
   let r1 = fresh c17 in
   let r2 =
-    Sta.Timing.analyze tech c17 ~gate_scale:(fun _ -> 2.0) ~temp_k:400.0
-      ~stage_dvth:Sta.Timing.no_aging ()
+    Compiled.Timing.fresh_result ~scale:(Array.make (Circuit.Netlist.n_nodes c17) 2.0) (timing c17)
   in
   Alcotest.(check (float 1e-18)) "uniform 2x scaling" (2.0 *. r1.Sta.Timing.max_delay)
     r2.Sta.Timing.max_delay
@@ -104,8 +113,8 @@ let test_hotter_is_slower () =
      delay model uses Vth(T), so hotter means smaller Vth, faster gate.
      Check the direction our model actually encodes: Vth(400K) < Vth(330K)
      so the 400K circuit is FASTER in this simplified model. *)
-  let hot = Sta.Timing.fresh tech c432 ~temp_k:400.0 () in
-  let cold = Sta.Timing.fresh tech c432 ~temp_k:330.0 () in
+  let hot = fresh c432 ~temp_k:400.0 in
+  let cold = fresh c432 ~temp_k:330.0 in
   Alcotest.(check bool) "vth-dominated temperature scaling" true
     (hot.Sta.Timing.max_delay < cold.Sta.Timing.max_delay)
 
@@ -151,10 +160,7 @@ let test_slope_degradation_below_worst_slope () =
     Aging.Circuit_aging.stage_dvth_map aging c432 ~node_sp:sp
       ~standby:Aging.Circuit_aging.Standby_all_stressed
   in
-  let worst =
-    Sta.Timing.degradation ~fresh:(fresh c432)
-      ~aged:(Sta.Timing.analyze tech c432 ~temp_k:400.0 ~stage_dvth ())
-  in
+  let worst = Sta.Timing.degradation ~fresh:(fresh c432) ~aged:(aged c432 ~stage_dvth) in
   let resolved =
     Sta.Timing.slope_degradation
       ~fresh:(Sta.Timing.analyze_slopes tech c432 ~temp_k:400.0 ~stage_dvth:Sta.Timing.no_aging ())
