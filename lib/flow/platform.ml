@@ -27,64 +27,101 @@ let default_config ?aging ?pool ?(budget = Parallel.Budget.unlimited) () =
    and [budget] fields are deliberately excluded: the domain count never
    changes any result (see Parallel.Pool) and a budget only decides
    whether a computation finishes, never what it computes — so configs
-   differing only in those must share cache entries. *)
+   differing only in those must share cache entries.
 
-let add_float buf x = Buffer.add_string buf (Printf.sprintf "%.17g;" x)
+   The fields are walked once per use by [prepare_fields] /
+   [config_fields] into a [sink]: [num] takes a float, [label] a
+   string. One sink renders the fingerprint text; the other builds the
+   memo key below from the same walk, so the key covers exactly what
+   the rendering reads. *)
 
-let add_string buf x =
-  Buffer.add_string buf x;
-  Buffer.add_char buf ';'
+type sink = { num : float -> unit; label : string -> unit }
 
-let add_tech buf (t : Device.Tech.t) =
-  add_string buf t.Device.Tech.name;
-  List.iter (add_float buf)
+let prepare_fields k cfg =
+  let t = cfg.aging.Aging.Circuit_aging.tech in
+  k.label t.Device.Tech.name;
+  List.iter k.num
     [
       t.Device.Tech.vdd; t.Device.Tech.vth_p; t.Device.Tech.vth_n; t.Device.Tech.tox;
       t.Device.Tech.lmin; t.Device.Tech.alpha; t.Device.Tech.k_sat_n; t.Device.Tech.k_sat_p;
       t.Device.Tech.i0_sub; t.Device.Tech.n_swing; t.Device.Tech.dvth_dt; t.Device.Tech.jg0;
       t.Device.Tech.vg0; t.Device.Tech.cg_per_wl; t.Device.Tech.ea_sub_ev;
-    ]
-
-let add_prepare_fields buf cfg =
-  add_tech buf cfg.aging.Aging.Circuit_aging.tech;
-  add_float buf cfg.input_sp;
+    ];
+  k.num cfg.input_sp;
   (match cfg.sp_method with
-  | Sp_analytic -> add_string buf "analytic"
-  | Sp_monte_carlo { n_vectors; seed } -> add_string buf (Printf.sprintf "mc:%d:%d" n_vectors seed));
-  add_float buf cfg.leakage_temp
+  | Sp_analytic -> k.label "analytic"
+  | Sp_monte_carlo { n_vectors; seed } -> k.label (Printf.sprintf "mc:%d:%d" n_vectors seed));
+  k.num cfg.leakage_temp
 
-let prepare_fingerprint cfg =
-  let buf = Buffer.create 256 in
-  add_prepare_fields buf cfg;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let config_fingerprint cfg =
-  let buf = Buffer.create 512 in
-  add_prepare_fields buf cfg;
+let config_fields k cfg =
+  prepare_fields k cfg;
   let a = cfg.aging in
   let p = a.Aging.Circuit_aging.params in
-  List.iter (add_float buf)
+  List.iter k.num
     [
       p.Nbti.Rd_model.kv_ref; p.Nbti.Rd_model.ref_temp_k; p.Nbti.Rd_model.ref_overdrive;
       p.Nbti.Rd_model.ref_vth0; p.Nbti.Rd_model.ea_ev; p.Nbti.Rd_model.e0_field;
       p.Nbti.Rd_model.time_exponent; p.Nbti.Rd_model.permanent_fraction;
     ];
   let sch = a.Aging.Circuit_aging.schedule in
-  add_float buf sch.Nbti.Schedule.period;
-  add_float buf sch.Nbti.Schedule.t_ref;
+  k.num sch.Nbti.Schedule.period;
+  k.num sch.Nbti.Schedule.t_ref;
   List.iter
     (fun (ph : Nbti.Schedule.phase) ->
-      add_float buf ph.Nbti.Schedule.duration;
-      add_float buf ph.Nbti.Schedule.temp_k;
-      add_float buf ph.Nbti.Schedule.stress_duty;
-      add_string buf
+      k.num ph.Nbti.Schedule.duration;
+      k.num ph.Nbti.Schedule.temp_k;
+      k.num ph.Nbti.Schedule.stress_duty;
+      k.label
         (match ph.Nbti.Schedule.mode with Nbti.Schedule.Active -> "A" | Nbti.Schedule.Standby -> "S"))
     sch.Nbti.Schedule.phases;
-  add_float buf a.Aging.Circuit_aging.time;
-  (match a.Aging.Circuit_aging.pbti_scale with
-  | None -> add_string buf "nopbti"
-  | Some x -> add_float buf x);
+  k.num a.Aging.Circuit_aging.time;
+  match a.Aging.Circuit_aging.pbti_scale with None -> k.label "nopbti" | Some x -> k.num x
+
+let render fields cfg =
+  let buf = Buffer.create 512 in
+  let label x =
+    Buffer.add_string buf x;
+    Buffer.add_char buf ';'
+  in
+  fields { num = (fun x -> label (Printf.sprintf "%.17g" x)); label } cfg;
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Fingerprint memo. Rendering ~35 floats with "%.17g" costs tens of
+   microseconds, and a request asks for its fingerprints up to three
+   times (result key, prepared key, payload; the router once more to
+   route it) while a process sees few distinct configs. The key writes
+   the walk token by token in a prefix-free code: 'f' and the float's
+   8 IEEE bytes, or 's', the decimal length, ';' and the string. Equal
+   keys therefore mean the same tokens, bit for bit, so the same
+   rendering: a hit cannot return a stale fingerprint, and 0.0 and
+   -0.0 (which render differently) get different keys. The memo keeps
+   the most recently used fingerprints, as many as the service's result
+   cache holds entries. *)
+
+let fingerprint_memo_capacity = 256
+let memo : string Compiled.Memo.t = Compiled.Memo.create ~capacity:fingerprint_memo_capacity ()
+
+let memo_key tag fields cfg =
+  let buf = Buffer.create 512 in
+  Buffer.add_char buf tag;
+  let num x =
+    Buffer.add_char buf 'f';
+    Buffer.add_int64_le buf (Int64.bits_of_float x)
+  in
+  let label x =
+    Buffer.add_char buf 's';
+    Buffer.add_string buf (string_of_int (String.length x));
+    Buffer.add_char buf ';';
+    Buffer.add_string buf x
+  in
+  fields { num; label } cfg;
+  Buffer.contents buf
+
+let memoized tag fields cfg =
+  Compiled.Memo.find_or_add memo (memo_key tag fields cfg) (fun () -> render fields cfg)
+
+let prepare_fingerprint cfg = memoized 'p' prepare_fields cfg
+let config_fingerprint cfg = memoized 'c' config_fields cfg
 
 type prepared = {
   net : Circuit.Netlist.t;

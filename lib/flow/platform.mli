@@ -49,6 +49,12 @@ val config_fingerprint : config -> string
     {!prepare} / {!analyze} produce identical results (both are
     deterministic; see the determinism regression test). *)
 
+val fingerprint_memo_capacity : int
+(** Both fingerprints are rendered once per distinct config and then
+    served from a memo ({!Compiled.Memo}) keyed on the exact bits of
+    every field the rendering reads; it keeps this many of the most
+    recently used. Safe to call from any thread or domain. *)
+
 type prepared
 (** A netlist with its signal probabilities and leakage tables computed. *)
 

@@ -273,7 +273,7 @@ let install_signal_handlers fe =
 exception Drop_connection
 
 let connection_loop fe fd =
-  let ic = Unix.in_channel_of_descr fd in
+  let reader = Netline.reader (Unix.in_channel_of_descr fd) in
   let oc = Unix.out_channel_of_descr fd in
   let write_response line =
     let actions = Faults.fire (fe.role.faults fe.state) ~site:"write" in
@@ -291,7 +291,7 @@ let connection_loop fe fd =
     flush oc
   in
   let rec loop () =
-    match Netline.read_request_line ic ~max_bytes:fe.max_line_bytes with
+    match Netline.read_request_line reader ~max_bytes:fe.max_line_bytes with
     | Netline.Eof -> ()
     | Netline.Oversized ->
       Metrics.incr_counter fe.metrics "invalid_requests";

@@ -10,14 +10,18 @@ type t =
 exception Parse_error of string
 exception Type_error of string
 
-(* --- Parsing: plain recursive descent over the input string. --- *)
+(* --- Parsing: recursive descent over the input string. The scanner
+   reads [text.[pos]] directly and copies string bodies in runs, so a
+   long string costs a few allocations, not one per byte. --- *)
 
 type parser_state = { text : string; mutable pos : int }
 
 let fail_at st msg = raise (Parse_error (Printf.sprintf "at byte %d: %s" st.pos msg))
-let peek st = if st.pos < String.length st.text then Some st.text.[st.pos] else None
-
+let at_end st = st.pos >= String.length st.text
 let advance st = st.pos <- st.pos + 1
+
+(* [text.[pos]] is [c]; false at the end of the input. *)
+let looking_at st c = st.pos < String.length st.text && String.unsafe_get st.text st.pos = c
 
 let skip_ws st =
   while
@@ -28,10 +32,9 @@ let skip_ws st =
   done
 
 let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | Some c' -> fail_at st (Printf.sprintf "expected %c, found %c" c c')
-  | None -> fail_at st (Printf.sprintf "expected %c, found end of input" c)
+  if at_end st then fail_at st (Printf.sprintf "expected %c, found end of input" c);
+  let c' = st.text.[st.pos] in
+  if c' = c then advance st else fail_at st (Printf.sprintf "expected %c, found %c" c c')
 
 let expect_keyword st kw =
   let n = String.length kw in
@@ -62,95 +65,140 @@ let parse_hex4 st =
   let v = ref 0 in
   for _ = 1 to 4 do
     let d =
-      match peek st with
-      | Some ('0' .. '9' as c) -> Char.code c - Char.code '0'
-      | Some ('a' .. 'f' as c) -> Char.code c - Char.code 'a' + 10
-      | Some ('A' .. 'F' as c) -> Char.code c - Char.code 'A' + 10
-      | _ -> fail_at st "invalid \\u escape"
+      if at_end st then fail_at st "invalid \\u escape"
+      else
+        match st.text.[st.pos] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | _ -> fail_at st "invalid \\u escape"
     in
     advance st;
     v := (!v lsl 4) lor d
   done;
   !v
 
+(* End of the run of bytes from [i] that a string body holds literally:
+   the first quote, backslash or control byte, or the end of [text]. *)
+let rec run_end text i =
+  if i < String.length text
+     && match String.unsafe_get text i with '"' | '\\' -> false | c -> c >= ' '
+  then run_end text (i + 1)
+  else i
+
+let parse_escape st buf =
+  advance st;
+  if at_end st then fail_at st "invalid escape";
+  let simple c =
+    Buffer.add_char buf c;
+    advance st
+  in
+  match st.text.[st.pos] with
+  | '"' -> simple '"'
+  | '\\' -> simple '\\'
+  | '/' -> simple '/'
+  | 'b' -> simple '\b'
+  | 'f' -> simple '\012'
+  | 'n' -> simple '\n'
+  | 'r' -> simple '\r'
+  | 't' -> simple '\t'
+  | 'u' ->
+    advance st;
+    let hi = parse_hex4 st in
+    (* Surrogate pair for characters outside the BMP. *)
+    if hi >= 0xD800 && hi <= 0xDBFF then begin
+      expect st '\\';
+      expect st 'u';
+      let lo = parse_hex4 st in
+      if lo < 0xDC00 || lo > 0xDFFF then fail_at st "unpaired surrogate";
+      add_utf8 buf (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
+    end
+    else if hi >= 0xDC00 && hi <= 0xDFFF then fail_at st "unpaired surrogate"
+    else add_utf8 buf hi
+  | _ -> fail_at st "invalid escape"
+
 let parse_string_body st =
   expect st '"';
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek st with
-    | None -> fail_at st "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' ->
-      advance st;
-      (match peek st with
-      | Some '"' -> Buffer.add_char buf '"'; advance st
-      | Some '\\' -> Buffer.add_char buf '\\'; advance st
-      | Some '/' -> Buffer.add_char buf '/'; advance st
-      | Some 'b' -> Buffer.add_char buf '\b'; advance st
-      | Some 'f' -> Buffer.add_char buf '\012'; advance st
-      | Some 'n' -> Buffer.add_char buf '\n'; advance st
-      | Some 'r' -> Buffer.add_char buf '\r'; advance st
-      | Some 't' -> Buffer.add_char buf '\t'; advance st
-      | Some 'u' ->
-        advance st;
-        let hi = parse_hex4 st in
-        (* Surrogate pair for characters outside the BMP. *)
-        if hi >= 0xD800 && hi <= 0xDBFF then begin
-          expect st '\\';
-          expect st 'u';
-          let lo = parse_hex4 st in
-          if lo < 0xDC00 || lo > 0xDFFF then fail_at st "unpaired surrogate";
-          add_utf8 buf (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
-        end
-        else if hi >= 0xDC00 && hi <= 0xDFFF then fail_at st "unpaired surrogate"
-        else add_utf8 buf hi
-      | _ -> fail_at st "invalid escape");
-      loop ()
-    | Some c when Char.code c < 0x20 -> fail_at st "unescaped control character"
-    | Some c ->
-      Buffer.add_char buf c;
-      advance st;
-      loop ()
-  in
-  loop ();
-  Buffer.contents buf
+  let text = st.text in
+  let start = st.pos in
+  let e = run_end text start in
+  if e < String.length text && text.[e] = '"' then begin
+    (* no escapes: the body is one run *)
+    st.pos <- e + 1;
+    String.sub text start (e - start)
+  end
+  else begin
+    let buf = Buffer.create (e - start + 16) in
+    Buffer.add_substring buf text start (e - start);
+    st.pos <- e;
+    let rec loop () =
+      if at_end st then fail_at st "unterminated string";
+      match text.[st.pos] with
+      | '"' -> advance st
+      | '\\' ->
+        parse_escape st buf;
+        loop ()
+      | c when c < ' ' -> fail_at st "unescaped control character"
+      | _ ->
+        let e = run_end text st.pos in
+        Buffer.add_substring buf text st.pos (e - st.pos);
+        st.pos <- e;
+        loop ()
+    in
+    loop ();
+    Buffer.contents buf
+  end
 
+let is_digit st =
+  st.pos < String.length st.text && match st.text.[st.pos] with '0' .. '9' -> true | _ -> false
+
+(* A literal whose value is not a finite float (1e999, or an integer
+   literal hundreds of digits long) is a parse error at its first byte:
+   no request field means infinity, and the printer could only write it
+   back as null. *)
 let parse_number st =
   let start = st.pos in
   let is_float = ref false in
   let consume_digits () =
     let n0 = st.pos in
-    while (match peek st with Some '0' .. '9' -> true | _ -> false) do
+    while is_digit st do
       advance st
     done;
     if st.pos = n0 then fail_at st "expected digit"
   in
-  if peek st = Some '-' then advance st;
+  if looking_at st '-' then advance st;
   consume_digits ();
-  if peek st = Some '.' then begin
+  if looking_at st '.' then begin
     is_float := true;
     advance st;
     consume_digits ()
   end;
-  (match peek st with
-  | Some ('e' | 'E') ->
+  if looking_at st 'e' || looking_at st 'E' then begin
     is_float := true;
     advance st;
-    (match peek st with Some ('+' | '-') -> advance st | _ -> ());
+    if looking_at st '+' || looking_at st '-' then advance st;
     consume_digits ()
-  | _ -> ());
+  end;
   let s = String.sub st.text start (st.pos - start) in
-  if !is_float then Float (float_of_string s)
-  else match int_of_string_opt s with Some i -> Int i | None -> Float (float_of_string s)
+  let float () =
+    let f = float_of_string s in
+    if Float.is_finite f then Float f
+    else begin
+      st.pos <- start;
+      fail_at st "number out of range"
+    end
+  in
+  if !is_float then float ()
+  else match int_of_string_opt s with Some i -> Int i | None -> float ()
 
 let rec parse_value st =
   skip_ws st;
-  match peek st with
-  | None -> fail_at st "unexpected end of input"
-  | Some '{' ->
+  if at_end st then fail_at st "unexpected end of input";
+  match st.text.[st.pos] with
+  | '{' ->
     advance st;
     skip_ws st;
-    if peek st = Some '}' then begin
+    if looking_at st '}' then begin
       advance st;
       Assoc []
     end
@@ -162,21 +210,22 @@ let rec parse_value st =
         expect st ':';
         let v = parse_value st in
         skip_ws st;
-        match peek st with
-        | Some ',' ->
+        if looking_at st ',' then begin
           advance st;
           members ((key, v) :: acc)
-        | Some '}' ->
+        end
+        else if looking_at st '}' then begin
           advance st;
           List.rev ((key, v) :: acc)
-        | _ -> fail_at st "expected , or } in object"
+        end
+        else fail_at st "expected , or } in object"
       in
       Assoc (members [])
     end
-  | Some '[' ->
+  | '[' ->
     advance st;
     skip_ws st;
-    if peek st = Some ']' then begin
+    if looking_at st ']' then begin
       advance st;
       List []
     end
@@ -184,23 +233,24 @@ let rec parse_value st =
       let rec elements acc =
         let v = parse_value st in
         skip_ws st;
-        match peek st with
-        | Some ',' ->
+        if looking_at st ',' then begin
           advance st;
           elements (v :: acc)
-        | Some ']' ->
+        end
+        else if looking_at st ']' then begin
           advance st;
           List.rev (v :: acc)
-        | _ -> fail_at st "expected , or ] in array"
+        end
+        else fail_at st "expected , or ] in array"
       in
       List (elements [])
     end
-  | Some '"' -> String (parse_string_body st)
-  | Some 't' -> expect_keyword st "true"; Bool true
-  | Some 'f' -> expect_keyword st "false"; Bool false
-  | Some 'n' -> expect_keyword st "null"; Null
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> fail_at st (Printf.sprintf "unexpected character %c" c)
+  | '"' -> String (parse_string_body st)
+  | 't' -> expect_keyword st "true"; Bool true
+  | 'f' -> expect_keyword st "false"; Bool false
+  | 'n' -> expect_keyword st "null"; Null
+  | '-' | '0' .. '9' -> parse_number st
+  | c -> fail_at st (Printf.sprintf "unexpected character %c" c)
 
 let of_string text =
   let st = { text; pos = 0 } in
@@ -211,11 +261,16 @@ let of_string text =
 
 (* --- Printing --- *)
 
+let hex_digit n = "0123456789abcdef".[n]
+
+(* Bytes that need no escape are copied in runs. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  let rec from i =
+    let e = run_end s i in
+    Buffer.add_substring buf s i (e - i);
+    if e < String.length s then begin
+      (match s.[e] with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
@@ -223,9 +278,14 @@ let escape_string buf s =
       | '\t' -> Buffer.add_string buf "\\t"
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf (hex_digit (Char.code c lsr 4));
+        Buffer.add_char buf (hex_digit (Char.code c land 0xF)));
+      from (e + 1)
+    end
+  in
+  from 0;
   Buffer.add_char buf '"'
 
 (* 17 significant digits round-trip any finite float64 exactly. *)

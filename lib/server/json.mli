@@ -22,7 +22,9 @@ exception Parse_error of string
 (** Raised by {!of_string} with a position-annotated message. *)
 
 val of_string : string -> t
-(** @raise Parse_error on malformed input or trailing garbage. *)
+(** @raise Parse_error on malformed input, trailing garbage, or a
+    number literal whose value is not a finite float (such as [1e999]),
+    the last at the literal's first byte. *)
 
 val to_string : ?minify:bool -> t -> string
 (** One-line JSON (the service protocol is newline-delimited, so the

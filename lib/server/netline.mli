@@ -22,4 +22,17 @@ val sockaddr_of_endpoint : endpoint -> Unix.socket_domain * Unix.sockaddr
     parse fails with a structured error. *)
 type read_line = Line of string | Oversized | Eof
 
-val read_request_line : in_channel -> max_bytes:int -> read_line
+type reader
+(** One connection's reader: a fixed chunk refilled with [input] and
+    scanned for ['\n']. Bytes after a line stay in the chunk for the
+    next call, so pipelined requests are read in order. *)
+
+val chunk_bytes : int
+(** Size of the chunk one refill reads at most (64 KiB). *)
+
+val reader : in_channel -> reader
+(** A reader over a connection's input channel; it must be the only
+    consumer of that channel. *)
+
+val read_request_line : reader -> max_bytes:int -> read_line
+(** The next line without its ['\n'] (a ['\r'] before it is kept). *)

@@ -462,6 +462,22 @@ let test_mlv_candidates_match_boxed_evaluate () =
         set)
     (Lazy.force small)
 
+(* The memo keeps the [capacity] most recently used values: a hit
+   refreshes an entry, and an insert into a full memo evicts the entry
+   looked up longest ago. *)
+let test_memo_lru () =
+  let memo = Compiled.Memo.create ~capacity:2 () in
+  let builds = ref [] in
+  let get k =
+    Compiled.Memo.find_or_add memo k (fun () ->
+        builds := k :: !builds;
+        String.uppercase_ascii k)
+  in
+  List.iter
+    (fun k -> Alcotest.(check string) k (String.uppercase_ascii k) (get k))
+    [ "a"; "b"; "a"; "c"; "a"; "b" ];
+  Alcotest.(check (list string)) "built" [ "a"; "b"; "c"; "b" ] (List.rev !builds)
+
 let () =
   Alcotest.run "compiled"
     [
@@ -492,4 +508,5 @@ let () =
             test_mlv_candidates_match_boxed_evaluate;
           Alcotest.test_case "lane kernel = boxed standby_leakage" `Quick test_lane_leakage;
         ] );
+      ("memo", [ Alcotest.test_case "keeps the most recently used" `Quick test_memo_lru ]);
     ]

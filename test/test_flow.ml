@@ -92,6 +92,133 @@ let test_fingerprints () =
     (Flow.Platform.prepare_fingerprint cfg)
     (Flow.Platform.prepare_fingerprint shorter)
 
+(* Fingerprints come from a memo keyed on the bits of what they render.
+   Memoize a config, then move one field the rendering reads by one ulp
+   (an integer by one): the fingerprint must move, so no field is
+   missing from the key. Fields [prepare] reads move both fingerprints;
+   the others move only the full one. The schedule's period is the sum
+   of its phase durations, so it moves with each duration. *)
+let test_fingerprint_memo_moves_with_every_field () =
+  let open Flow.Platform in
+  let base = default_config ~aging:(Aging.Circuit_aging.default_config ~pbti_scale:0.5 ()) () in
+  let fp0 = config_fingerprint base and pfp0 = prepare_fingerprint base in
+  let a = base.aging in
+  let aging f = { base with aging = f a } in
+  let open Aging.Circuit_aging in
+  let tech f = aging (fun a -> { a with tech = f a.tech }) in
+  let params f = aging (fun a -> { a with params = f a.params }) in
+  let sch = a.Aging.Circuit_aging.schedule in
+  let schedule ?(t_ref = sch.Nbti.Schedule.t_ref) phases =
+    aging (fun a -> { a with Aging.Circuit_aging.schedule = Nbti.Schedule.make ~t_ref phases })
+  in
+  let phase i f =
+    schedule (List.mapi (fun j ph -> if i = j then f ph else ph) sch.Nbti.Schedule.phases)
+  in
+  let u = Float.succ in
+  let mc ~n_vectors ~seed = { base with sp_method = Sp_monte_carlo { n_vectors; seed } } in
+  let prepare_cases =
+    let open Device.Tech in
+    [
+      ("tech name", tech (fun t -> { t with name = t.name ^ "'" }));
+      ("vdd", tech (fun t -> { t with vdd = u t.vdd }));
+      ("vth_p", tech (fun t -> { t with vth_p = u t.vth_p }));
+      ("vth_n", tech (fun t -> { t with vth_n = u t.vth_n }));
+      ("tox", tech (fun t -> { t with tox = u t.tox }));
+      ("lmin", tech (fun t -> { t with lmin = u t.lmin }));
+      ("alpha", tech (fun t -> { t with alpha = u t.alpha }));
+      ("k_sat_n", tech (fun t -> { t with k_sat_n = u t.k_sat_n }));
+      ("k_sat_p", tech (fun t -> { t with k_sat_p = u t.k_sat_p }));
+      ("i0_sub", tech (fun t -> { t with i0_sub = u t.i0_sub }));
+      ("n_swing", tech (fun t -> { t with n_swing = u t.n_swing }));
+      ("dvth_dt", tech (fun t -> { t with dvth_dt = u t.dvth_dt }));
+      ("jg0", tech (fun t -> { t with jg0 = u t.jg0 }));
+      ("vg0", tech (fun t -> { t with vg0 = u t.vg0 }));
+      ("cg_per_wl", tech (fun t -> { t with cg_per_wl = u t.cg_per_wl }));
+      ("ea_sub_ev", tech (fun t -> { t with ea_sub_ev = u t.ea_sub_ev }));
+      ("input_sp", { base with input_sp = u base.input_sp });
+      ("leakage_temp", { base with leakage_temp = u base.leakage_temp });
+      ("n_vectors + 1", mc ~n_vectors:4097 ~seed:7);
+      ("n_vectors - 1", mc ~n_vectors:4095 ~seed:7);
+      ("seed + 1", mc ~n_vectors:4096 ~seed:8);
+      ("seed - 1", mc ~n_vectors:4096 ~seed:6);
+      ("analytic SPs", { base with sp_method = Sp_analytic });
+    ]
+  in
+  let config_cases =
+    let open Nbti.Rd_model in
+    [
+      ("kv_ref", params (fun p -> { p with kv_ref = u p.kv_ref }));
+      ("ref_temp_k", params (fun p -> { p with ref_temp_k = u p.ref_temp_k }));
+      ("ref_overdrive", params (fun p -> { p with ref_overdrive = u p.ref_overdrive }));
+      ("ref_vth0", params (fun p -> { p with ref_vth0 = u p.ref_vth0 }));
+      ("ea_ev", params (fun p -> { p with ea_ev = u p.ea_ev }));
+      ("e0_field", params (fun p -> { p with e0_field = u p.e0_field }));
+      ("time_exponent", params (fun p -> { p with time_exponent = u p.time_exponent }));
+      ( "permanent_fraction",
+        params (fun p -> { p with permanent_fraction = u p.permanent_fraction }) );
+      ("t_ref", schedule ~t_ref:(u sch.Nbti.Schedule.t_ref) sch.Nbti.Schedule.phases);
+      ("time", aging (fun a -> { a with Aging.Circuit_aging.time = u a.Aging.Circuit_aging.time }));
+      ("pbti_scale", aging (fun a -> { a with Aging.Circuit_aging.pbti_scale = Some (u 0.5) }));
+      ("no pbti_scale", aging (fun a -> { a with Aging.Circuit_aging.pbti_scale = None }));
+    ]
+    @ List.concat
+        (List.mapi
+           (fun i (_ : Nbti.Schedule.phase) ->
+             let open Nbti.Schedule in
+             let name field = Printf.sprintf "phase %d %s" i field in
+             [
+               (name "duration", phase i (fun ph -> { ph with duration = u ph.duration }));
+               (name "temp_k", phase i (fun ph -> { ph with temp_k = u ph.temp_k }));
+               ( name "stress_duty",
+                 phase i (fun ph ->
+                     let step = if ph.stress_duty < 1.0 then u else Float.pred in
+                     { ph with stress_duty = step ph.stress_duty }) );
+               ( name "mode",
+                 phase i (fun ph ->
+                     { ph with mode = (if ph.mode = Active then Standby else Active) }) );
+             ])
+           sch.Nbti.Schedule.phases)
+  in
+  let moves name what fp fp0 = Alcotest.(check bool) (name ^ " moves the " ^ what) true (fp <> fp0) in
+  List.iter
+    (fun (name, cfg) ->
+      moves name "config fingerprint" (config_fingerprint cfg) fp0;
+      moves name "prepare fingerprint" (prepare_fingerprint cfg) pfp0)
+    prepare_cases;
+  List.iter
+    (fun (name, cfg) ->
+      moves name "config fingerprint" (config_fingerprint cfg) fp0;
+      Alcotest.(check string) (name ^ " keeps the prepare fingerprint") pfp0 (prepare_fingerprint cfg))
+    config_cases;
+  let all = List.map (fun (_, c) -> config_fingerprint c) (prepare_cases @ config_cases) in
+  Alcotest.(check int) "every case distinct" (List.length all)
+    (List.length (List.sort_uniq compare all))
+
+(* Past its bound the memo forgets, never answers wrongly: fingerprints
+   asked for again after more distinct configs than it holds, from one
+   thread or from two domains at once, equal the first answers. *)
+let test_fingerprint_memo_bound () =
+  let open Flow.Platform in
+  let base = default_config () in
+  let first = (config_fingerprint base, prepare_fingerprint base) in
+  let n = fingerprint_memo_capacity + 200 in
+  let configs =
+    Array.init n (fun i ->
+        let time = base.aging.Aging.Circuit_aging.time +. float_of_int i in
+        let aging = { base.aging with Aging.Circuit_aging.time } in
+        { base with aging; input_sp = 0.25 +. (1e-6 *. float_of_int i) })
+  in
+  let fps () = Array.map (fun c -> (config_fingerprint c, prepare_fingerprint c)) configs in
+  let once = fps () in
+  Alcotest.(check int) "all distinct" n (List.length (List.sort_uniq compare (Array.to_list once)));
+  Alcotest.(check bool) "again, after the memo filled" true (fps () = once);
+  Alcotest.(check bool) "the config memoized before it filled" true
+    ((config_fingerprint base, prepare_fingerprint base) = first);
+  let racers = List.init 2 (fun _ -> Domain.spawn fps) in
+  List.iter
+    (fun d -> Alcotest.(check bool) "two domains at once" true (Domain.join d = once))
+    racers
+
 (* A fresh standby vector is one logic simulation and a per-stage pick
    from memoized duty tables, not a walk of every cell's transistor
    networks (about 3.9 M minor words on c6288). The count repeats
@@ -171,6 +298,10 @@ let () =
           Alcotest.test_case "internal node potential" `Quick test_internal_node_potential;
           Alcotest.test_case "determinism on c432" `Quick test_determinism_c432;
           Alcotest.test_case "fingerprints" `Quick test_fingerprints;
+          Alcotest.test_case "fingerprint memo: every field moves it" `Quick
+            test_fingerprint_memo_moves_with_every_field;
+          Alcotest.test_case "fingerprint memo: bounded and sound" `Quick
+            test_fingerprint_memo_bound;
           Alcotest.test_case "fresh-vector analyze allocation" `Quick test_fresh_vector_allocation;
         ] );
       ( "report",

@@ -171,7 +171,6 @@ let ivc_rejects =
     (",\"pool\":0", "pool");
     (Printf.sprintf ",\"pool\":%d" (Server.Protocol.max_ivc_pool + 1), "pool");
     (",\"tolerance\":-0.5", "tolerance");
-    (",\"tolerance\":1e999", "tolerance");
   ]
 
 let ivc_accepts =
@@ -180,11 +179,12 @@ let ivc_accepts =
     Printf.sprintf ",\"pool\":%d,\"tolerance\":0.5" Server.Protocol.max_ivc_pool;
   ]
 
-(* the sleep transistor's threshold must lie in (0, V_dd = 1.0 V) *)
+(* the sleep transistor's threshold must lie in (0, V_dd = 1.0 V);
+   1e999 no longer reaches the protocol (see the overflow tests) *)
 let vth_st_rejects =
   List.map
     (fun v -> (",\"vth_st\":" ^ v, "vth_st"))
-    [ "0"; "-1"; "1.0"; "2.0"; "1e999"; "-1e999" ]
+    [ "0"; "-1"; "1.0"; "2.0"; "1e308"; "-1e308" ]
 
 let vth_st_accepts = [ ",\"vth_st\":0.3"; ",\"vth_st\":0.5" ]
 
@@ -557,6 +557,50 @@ let send oc line =
   output_char oc '\n';
   flush oc
 
+(* A number literal whose value is not finite is a parse error at its
+   first byte. It used to decode as infinity: "years": 1e999 answered
+   ok with null delays and was cached, and "ras": [1e999, 1] answered
+   internal_error. Now none of these reaches a cache, on either role. *)
+let overflowing_lines =
+  let zeros = String.make 400 '0' in
+  List.map
+    (fun (prefix, literal, suffix) -> (prefix ^ literal ^ suffix, String.length prefix))
+    [
+      ({|{"v":1,"op":"analyze","circuit":"c17","config":{"years":|}, "1e999", "}}");
+      ({|{"v":1,"op":"analyze","circuit":"c17","config":{"ras":[|}, "1e999", ",1]}}");
+      ({|{"v":1,"op":"analyze","circuit":"c17","config":{"t_standby":|}, "-1e999", "}}");
+      ({|{"v":1,"op":"analyze","circuit":"c17","config":{"years":|}, "1" ^ zeros, "}}");
+      ({|{"v":1,"op":"ivc_search","circuit":"c17","tolerance":|}, "1e999", "}");
+      ({|{"v":1,"op":"sleep_sizing","circuit":"c17","vth_st":|}, "-1e999", "}");
+      ( {|{"v":1,"op":"batch","jobs":[{"op":"analyze","circuit":"c17","config":{"years":|},
+        "1E+999",
+        "}}]}" );
+    ]
+
+let results_size t =
+  let stats = expect_ok t "{\"v\":1,\"op\":\"stats\"}" in
+  Server.Json.(to_int (member "size" (member "results" (member "cache" stats))))
+
+let test_overflowing_numbers role () =
+  with_server ~role (fun t path ->
+      let fd, ic, oc = connect path in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          List.iter
+            (fun (line, offset) ->
+              for _ = 1 to 2 do
+                send oc line;
+                let response = Server.Json.of_string (input_line ic) in
+                Alcotest.(check (option string)) ("code for " ^ line) (Some "parse_error")
+                  (response_code response);
+                Alcotest.(check string) ("message for " ^ line)
+                  (Printf.sprintf "at byte %d: number out of range" offset)
+                  Server.Json.(to_string_exn (member "message" (member "error" response)))
+              done)
+            overflowing_lines;
+          Alcotest.(check int) "nothing cached" 0 (results_size t)))
+
 let test_socket_oversized_line role () =
   let limits = { Server.Service.default_limits with Server.Service.max_line_bytes = 1024 } in
   with_server ~role ~limits (fun _t path ->
@@ -649,6 +693,37 @@ let test_socket_vanished_peer_survival role () =
           | Error (c, m) -> Alcotest.fail (c ^ ": " ^ m));
       Alcotest.(check int) "nothing left pending" 0 (Server.Service.pending t))
 
+(* The reader keeps bytes past a line for the next request: two
+   requests in one write are answered in order, and so is a request
+   that arrives in three writes. *)
+let test_socket_pipelined role () =
+  with_server ~role (fun _t path ->
+      let fd, ic, _oc = connect path in
+      (* a lost request fails the test instead of hanging it *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let write s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+          let answer_id () =
+            let response = Server.Json.of_string (input_line ic) in
+            (match Server.Protocol.response_result response with
+            | Ok _ -> ()
+            | Error (c, m) -> Alcotest.fail (c ^ ": " ^ m));
+            Server.Json.(to_string_exn (member "id" response))
+          in
+          write
+            ({|{"v":1,"id":"first","op":"analyze","circuit":"c17"}|} ^ "\n"
+           ^ {|{"v":1,"id":"second","op":"health"}|} ^ "\n");
+          Alcotest.(check string) "first answer" "first" (answer_id ());
+          Alcotest.(check string) "second answer" "second" (answer_id ());
+          List.iter
+            (fun piece ->
+              write piece;
+              Unix.sleepf 0.02)
+            [ {|{"v":1,"id":"split","op":"ana|}; {|lyze","circuit":|}; "\"c432\"}\n" ];
+          Alcotest.(check string) "split request answered" "split" (answer_id ())))
+
 let () =
   Alcotest.run "robustness"
     [
@@ -678,6 +753,8 @@ let () =
           Alcotest.test_case "sleep_sizing vth_st, routed" `Quick
             (check_limits_routed ~op:"sleep_sizing" ~rejects:vth_st_rejects
                ~accepts:vth_st_accepts);
+          Alcotest.test_case "overflowing numbers, direct" `Quick (test_overflowing_numbers Serve);
+          Alcotest.test_case "overflowing numbers, routed" `Quick (test_overflowing_numbers Route);
         ] );
       ( "bench",
         [
@@ -717,6 +794,8 @@ let () =
                 (test_socket_truncated_write_then_retry role);
               Alcotest.test_case ("vanished peer" ^ suffix) `Quick
                 (test_socket_vanished_peer_survival role);
+              Alcotest.test_case ("pipelined and split requests" ^ suffix) `Quick
+                (test_socket_pipelined role);
             ])
           [ (Serve, ""); (Route, ", routed") ] );
     ]
