@@ -24,28 +24,51 @@ let netlist_arg =
   let doc = "Circuit: an ISCAS85 benchmark name (c17, c432, ... c7552) or a .bench file path." in
   Arg.(required & pos 0 (some netlist_conv) None & info [] ~docv:"CIRCUIT" ~doc)
 
-let ras_arg =
-  let doc = "Active:standby time ratio, e.g. 1:9." in
+(* --- request fields as flags: name, default, domain and doc are the
+   wire's, from Server.Request_fields --- *)
+
+module F = Server.Request_fields
+module P = Server.Protocol
+
+(* A flag's text as the JSON its field decodes; a pair is written A:S. *)
+let rec flag_json : type a. a F.kind -> string -> Server.Json.t =
+ fun kind s ->
+  let number parse make = match parse s with Some x -> make x | None -> Server.Json.String s in
+  match (kind, String.split_on_char ':' s) with
+  | F.Pair (ka, kb), [ a; b ] -> Server.Json.List [ flag_json ka a; flag_json kb b ]
+  | F.Optional k, _ -> flag_json k s
+  | F.Float _, _ -> number float_of_string_opt (fun x -> Server.Json.Float x)
+  | F.Int _, _ -> number int_of_string_opt (fun n -> Server.Json.Int n)
+  | _ -> Server.Json.String s
+
+let rec flag_text = function
+  | Server.Json.List [ a; b ] -> flag_text a ^ ":" ^ flag_text b
+  | Server.Json.String s -> s
+  | Server.Json.Float x -> Printf.sprintf "%g" x
+  | Server.Json.Null -> "unset"
+  | json -> Server.Json.to_string json
+
+let error_text { F.field; message; _ } = field ^ " " ^ message
+
+(* The flag that sets [f]; a value outside its domain is a usage error
+   (exit 124) naming the flag. *)
+let field (f : 'a F.t) =
   let parse s =
-    match String.split_on_char ':' s with
-    | [ a; b ] -> begin
-      match (float_of_string_opt a, float_of_string_opt b) with
-      | Some a, Some b when a > 0.0 && b >= 0.0 -> Ok (a, b)
-      | _ -> Error (`Msg "RAS must be two positive numbers A:S")
-    end
-    | _ -> Error (`Msg "RAS must look like 1:9")
+    try Ok (F.read f (flag_json f.F.kind s)) with F.Error e -> Error (`Msg (error_text e))
   in
-  let ras_conv = Arg.conv (parse, fun fmt (a, b) -> Format.fprintf fmt "%g:%g" a b) in
-  Arg.(value & opt ras_conv (1.0, 9.0) & info [ "ras" ] ~docv:"A:S" ~doc)
+  let print ppf v = Format.pp_print_string ppf (flag_text (F.write f.F.kind v)) in
+  let name = String.map (function '_' -> '-' | c -> c) f.F.name in
+  Arg.(
+    value & opt (conv (parse, print)) f.F.default
+    & info [ name ] ~docv:(String.uppercase_ascii f.F.name) ~doc:f.F.doc)
 
-let t_active_arg =
-  Arg.(value & opt float 400.0 & info [ "t-active" ] ~docv:"K" ~doc:"Active-mode die temperature [K].")
+let schedule_arg =
+  Term.(
+    const (fun ras t_active t_standby -> { P.default_flow_spec with ras; t_active; t_standby })
+    $ field F.ras $ field F.t_active $ field F.t_standby)
 
-let t_standby_arg =
-  Arg.(value & opt float 330.0 & info [ "t-standby" ] ~docv:"K" ~doc:"Standby-mode die temperature [K].")
-
-let years_arg =
-  Arg.(value & opt float 10.0 & info [ "years" ] ~docv:"Y" ~doc:"Operation time in years.")
+let flow_arg =
+  Term.(const (fun flow years -> { flow with P.years }) $ schedule_arg $ field F.years)
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
 
@@ -62,27 +85,6 @@ let apply_jobs n =
     exit 1
   end
   else if n > 0 then Parallel.Pool.configure_default ~domains:n
-
-let standby_arg =
-  let doc =
-    "Standby state: 'worst' (all internal nodes 0), 'best' (all 1), or a 0/1 string applied to \
-     the primary inputs."
-  in
-  Arg.(value & opt string "worst" & info [ "standby" ] ~docv:"STATE" ~doc)
-
-let aging_config ras t_active t_standby years =
-  Aging.Circuit_aging.default_config ~ras ~t_active ~t_standby ~time:(Physics.Units.years years) ()
-
-let standby_state net = function
-  | "worst" -> Ok Aging.Circuit_aging.Standby_all_stressed
-  | "best" -> Ok Aging.Circuit_aging.Standby_all_relaxed
-  | bits ->
-    let n = Circuit.Netlist.n_primary_inputs net in
-    if String.length bits <> n then
-      Error (Printf.sprintf "standby vector must have %d bits" n)
-    else if String.exists (fun c -> c <> '0' && c <> '1') bits then
-      Error "standby vector must be a 0/1 string"
-    else Ok (Aging.Circuit_aging.Standby_vector (Array.init n (fun i -> bits.[i] = '1')))
 
 (* --- observability: --trace / --log-level / --log-json --- *)
 
@@ -186,9 +188,9 @@ let stats_cmd =
 (* --- analyze --- *)
 
 let analyze_cmd =
-  let run net ras t_active t_standby years standby jobs trace level json =
+  let run net (flow : P.flow_spec) standby jobs trace level json =
     apply_jobs jobs;
-    match standby_state net standby with
+    match P.standby_state net standby with
     | Error m ->
       prerr_endline m;
       exit 1
@@ -197,15 +199,15 @@ let analyze_cmd =
         ~cid:("cli:analyze:" ^ net_name net)
         ~level ~json ~trace
       @@ fun () ->
-      let aging = aging_config ras t_active t_standby years in
-      let cfg = Flow.Platform.default_config ~aging () in
+      let cfg = P.platform_config flow in
       let p = Flow.Platform.prepare cfg net in
       let a = Flow.Platform.analyze cfg p ~standby in
       Flow.Report.print
         {
           Flow.Report.title =
             Printf.sprintf "NBTI/leakage analysis of %s (RAS %g:%g, %g/%g K, %g years)"
-              net.Circuit.Netlist.name (fst ras) (snd ras) t_active t_standby years;
+              net.Circuit.Netlist.name (fst flow.ras) (snd flow.ras) flow.t_active flow.t_standby
+              flow.years;
           header = [ "metric"; "value" ];
           rows =
             [
@@ -221,23 +223,19 @@ let analyze_cmd =
   in
   let term =
     Term.(
-      const run $ netlist_arg $ ras_arg $ t_active_arg $ t_standby_arg $ years_arg $ standby_arg
-      $ jobs_arg $ trace_arg $ log_level_arg $ log_json_arg)
+      const run $ netlist_arg $ flow_arg $ field F.standby $ jobs_arg $ trace_arg $ log_level_arg
+      $ log_json_arg)
   in
   Cmd.v (Cmd.info "analyze" ~doc:"Fresh vs aged timing and leakage for a standby state.") term
 
 (* --- ivc --- *)
 
 let ivc_cmd =
-  let pool_arg =
-    Arg.(value & opt int 64 & info [ "pool" ] ~docv:"N" ~doc:"Vectors per search round.")
-  in
-  let run net ras t_active t_standby years seed pool jobs trace level json =
+  let run net flow seed pool jobs trace level json =
     apply_jobs jobs;
     with_observability ~cid:("cli:ivc:" ^ net_name net) ~level ~json ~trace
     @@ fun () ->
-    let aging = aging_config ras t_active t_standby years in
-    let cfg = Flow.Platform.default_config ~aging () in
+    let cfg = P.platform_config flow in
     let p = Flow.Platform.prepare cfg net in
     let result, stats =
       Flow.Platform.optimize_ivc cfg p ~rng:(Physics.Rng.create ~seed) ~pool ()
@@ -264,39 +262,21 @@ let ivc_cmd =
   in
   let term =
     Term.(
-      const run $ netlist_arg $ ras_arg $ t_active_arg $ t_standby_arg $ years_arg $ seed_arg
-      $ pool_arg $ jobs_arg $ trace_arg $ log_level_arg $ log_json_arg)
+      const run $ netlist_arg $ flow_arg $ field F.ivc_seed $ field F.pool $ jobs_arg $ trace_arg
+      $ log_level_arg $ log_json_arg)
   in
   Cmd.v (Cmd.info "ivc" ~doc:"Search minimum-leakage vectors and co-optimize for NBTI.") term
 
 (* --- st --- *)
 
 let st_cmd =
-  let style_arg =
-    let style_conv =
-      Arg.enum
-        [
-          ("footer", Sleep.St_insertion.Footer);
-          ("header", Sleep.St_insertion.Header);
-          ("both", Sleep.St_insertion.Footer_and_header);
-        ]
-    in
-    Arg.(value & opt style_conv Sleep.St_insertion.Footer_and_header
-        & info [ "style" ] ~docv:"STYLE" ~doc:"footer | header | both.")
-  in
-  let beta_arg =
-    Arg.(value & opt float 0.03 & info [ "beta" ] ~docv:"B" ~doc:"Allowed ST delay penalty (0-1).")
-  in
-  let vth_arg =
-    Arg.(value & opt (some float) None & info [ "vth-st" ] ~docv:"V" ~doc:"Initial ST |Vth| [V].")
-  in
-  let run net ras t_active t_standby years style beta vth_st =
-    let aging = aging_config ras t_active t_standby years in
-    let cfg = Flow.Platform.default_config ~aging () in
+  let run net flow style beta vth_st =
+    let cfg = P.platform_config flow in
     let p = Flow.Platform.prepare cfg net in
     let r = Flow.Platform.optimize_st cfg p ~style ~beta ?vth_st () in
     let no_st =
-      Sleep.St_insertion.without_st aging (Flow.Platform.netlist p) ~node_sp:(Flow.Platform.node_sp p)
+      Sleep.St_insertion.without_st cfg.Flow.Platform.aging (Flow.Platform.netlist p)
+        ~node_sp:(Flow.Platform.node_sp p)
     in
     Flow.Report.print
       {
@@ -317,8 +297,7 @@ let st_cmd =
   in
   let term =
     Term.(
-      const run $ netlist_arg $ ras_arg $ t_active_arg $ t_standby_arg $ years_arg $ style_arg
-      $ beta_arg $ vth_arg)
+      const run $ netlist_arg $ flow_arg $ field F.style $ field F.beta $ field F.vth_st)
   in
   Cmd.v (Cmd.info "st" ~doc:"Analyze sleep transistor insertion with NBTI-aware sizing.") term
 
@@ -331,7 +310,7 @@ let dvth_cmd =
   let standby_duty_arg =
     Arg.(value & opt float 1.0 & info [ "standby-duty" ] ~docv:"D" ~doc:"Standby stress duty (1 = input held at 0).")
   in
-  let run ras t_active t_standby years duty standby_duty =
+  let run { P.ras; t_active; t_standby; years; _ } duty standby_duty =
     let tech = Device.Tech.ptm_90nm in
     let params = Nbti.Rd_model.default_params in
     let schedule =
@@ -351,7 +330,7 @@ let dvth_cmd =
   in
   let term =
     Term.(
-      const run $ ras_arg $ t_active_arg $ t_standby_arg $ years_arg $ duty_arg $ standby_duty_arg)
+      const run $ flow_arg $ duty_arg $ standby_duty_arg)
   in
   Cmd.v (Cmd.info "dvth" ~doc:"Evaluate the temperature-aware device dVth for a schedule.") term
 
@@ -361,13 +340,13 @@ let lifetime_cmd =
   let margin_arg =
     Arg.(value & opt float 0.03 & info [ "margin" ] ~docv:"M" ~doc:"Timing guardband as a fraction.")
   in
-  let run net ras t_active t_standby standby margin =
-    match standby_state net standby with
+  let run net flow standby margin =
+    match P.standby_state net standby with
     | Error m ->
       prerr_endline m;
       exit 1
     | Ok standby ->
-      let aging = aging_config ras t_active t_standby 10.0 in
+      let aging = (P.platform_config flow).aging in
       let sp =
         Logic.Signal_prob.analytic net ~input_sp:(Logic.Signal_prob.uniform_inputs net 0.5)
       in
@@ -383,7 +362,7 @@ let lifetime_cmd =
           net.Circuit.Netlist.name (Flow.Report.cell_pct margin))
   in
   let term =
-    Term.(const run $ netlist_arg $ ras_arg $ t_active_arg $ t_standby_arg $ standby_arg $ margin_arg)
+    Term.(const run $ netlist_arg $ schedule_arg $ field F.standby $ margin_arg)
   in
   Cmd.v
     (Cmd.info "lifetime" ~doc:"Solve how long a timing guardband lasts under NBTI.")
@@ -411,16 +390,10 @@ let lib_cmd =
   let aged_arg =
     Arg.(value & flag & info [ "aged" ] ~doc:"Fold the mission profile's worst-case dVth into the delays.")
   in
-  let run ras t_active t_standby years out aged =
-    let tech = Device.Tech.ptm_90nm in
+  let run flow out aged =
+    let { Aging.Circuit_aging.params; tech; schedule; time; _ } = (P.platform_config flow).aging in
     let text =
-      if aged then begin
-        let schedule =
-          Nbti.Schedule.active_standby ~ras ~t_active ~t_standby ~active_duty:0.5 ~standby_duty:1.0 ()
-        in
-        Cell.Liberty.aged_library Nbti.Rd_model.default_params tech ~schedule
-          ~time:(Physics.Units.years years)
-      end
+      if aged then Cell.Liberty.aged_library params tech ~schedule ~time
       else Cell.Liberty.to_string tech (Cell.Characterize.library_characterization tech ())
     in
     let oc = open_out out in
@@ -431,7 +404,7 @@ let lib_cmd =
       (if aged then ", aged view" else "")
   in
   let term =
-    Term.(const run $ ras_arg $ t_active_arg $ t_standby_arg $ years_arg $ out_arg $ aged_arg)
+    Term.(const run $ flow_arg $ out_arg $ aged_arg)
   in
   Cmd.v
     (Cmd.info "lib" ~doc:"Emit the characterized cell library as Liberty (.lib), fresh or aged.")
@@ -456,7 +429,7 @@ let seq_cmd =
   let file_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"ISCAS89-style .bench with DFF gates.")
   in
-  let run path ras t_active t_standby years =
+  let run path (flow : P.flow_spec) =
     match (try Ok (Sequential.parse_file path) with Failure m -> Error m) with
     | Error m ->
       prerr_endline m;
@@ -468,44 +441,40 @@ let seq_cmd =
       let input_sp = Array.make (Sequential.n_real_inputs s) 0.5 in
       let sp, sweeps = Sequential.steady_state_sp s ~input_sp () in
       Format.printf "state signal probabilities converged in %d sweeps@." sweeps;
-      let aging = aging_config ras t_active t_standby years in
+      let aging = (P.platform_config flow).aging in
       let a =
         Aging.Circuit_aging.analyze aging s.Sequential.comb ~node_sp:sp
           ~standby:Aging.Circuit_aging.Standby_all_stressed ()
       in
       Format.printf "core: fresh %s ps, %g-year worst-case degradation %s %%@."
         (Flow.Report.cell_ps a.Aging.Circuit_aging.fresh.Sta.Timing.max_delay)
-        years
+        flow.years
         (Flow.Report.cell_pct a.Aging.Circuit_aging.degradation)
   in
-  let term = Term.(const run $ file_arg $ ras_arg $ t_active_arg $ t_standby_arg $ years_arg) in
+  let term = Term.(const run $ file_arg $ flow_arg) in
   Cmd.v (Cmd.info "seq" ~doc:"Analyze a sequential (DFF) .bench design.") term
 
 (* --- sram --- *)
 
 let sram_cmd =
-  let run ras t_active t_standby years =
+  let run (flow : P.flow_spec) =
     let cell = Sram.Cell6t.make () in
-    let params = Nbti.Rd_model.default_params in
-    let schedule =
-      Nbti.Schedule.active_standby ~ras ~t_active ~t_standby ~active_duty:0.5 ~standby_duty:1.0 ()
-    in
-    let time = Physics.Units.years years in
+    let { Aging.Circuit_aging.params; schedule; time; _ } = (P.platform_config flow).aging in
     let fresh =
-      Sram.Cell6t.static_noise_margin cell ~dvth_left:0.0 ~dvth_right:0.0 ~temp_k:t_active
+      Sram.Cell6t.static_noise_margin cell ~dvth_left:0.0 ~dvth_right:0.0 ~temp_k:flow.t_active
         ~mode:`Read
     in
     let static_ = Sram.Cell6t.snm_after params cell ~schedule ~time ~store_one_fraction:1.0 ~mode:`Read in
     let flip = Sram.Cell6t.snm_after params cell ~schedule ~time ~store_one_fraction:0.5 ~mode:`Read in
     Format.printf "6T cell read SNM: fresh %s mV, %g years static %s mV, with bit flipping %s mV@."
-      (Flow.Report.cell_mv fresh.Sram.Cell6t.snm) years
+      (Flow.Report.cell_mv fresh.Sram.Cell6t.snm) flow.years
       (Flow.Report.cell_mv static_.Sram.Cell6t.snm)
       (Flow.Report.cell_mv flip.Sram.Cell6t.snm);
     Format.printf "flipping recovers %s %% of the SNM loss@."
       (Flow.Report.cell_pct
          (Sram.Cell6t.recovery_from_flipping params cell ~schedule ~time ~mode:`Read))
   in
-  let term = Term.(const run $ ras_arg $ t_active_arg $ t_standby_arg $ years_arg) in
+  let term = Term.(const run $ flow_arg) in
   Cmd.v (Cmd.info "sram" ~doc:"6T SRAM read-stability degradation and bit-flipping recovery.") term
 
 (* --- thermal --- *)
@@ -546,11 +515,11 @@ let variation_cmd =
       value & opt float 0.015
       & info [ "sigma" ] ~docv:"V" ~doc:"Per-gate Vth0 standard deviation [V].")
   in
-  let run net ras t_active t_standby years seed samples sigma jobs trace level json =
+  let run net (flow : P.flow_spec) seed samples sigma jobs trace level json =
     apply_jobs jobs;
     with_observability ~cid:("cli:variation:" ^ net_name net) ~level ~json ~trace
     @@ fun () ->
-    let aging = aging_config ras t_active t_standby years in
+    let aging = (P.platform_config flow).aging in
     let config = Variation.Process_var.default_config ~sigma_vth:sigma ~n_samples:samples aging in
     let sp = Logic.Signal_prob.analytic net ~input_sp:(Logic.Signal_prob.uniform_inputs net 0.5) in
     let t0 = Unix.gettimeofday () in
@@ -567,7 +536,7 @@ let variation_cmd =
       {
         Flow.Report.title =
           Printf.sprintf "Process variation study of %s (%d samples, sigma %g mV, %g years)"
-            net.Circuit.Netlist.name samples (sigma *. 1e3) years;
+            net.Circuit.Netlist.name samples (sigma *. 1e3) flow.years;
         header = [ "metric"; "fresh"; "aged" ];
         rows =
           [
@@ -593,8 +562,8 @@ let variation_cmd =
   in
   let term =
     Term.(
-      const run $ netlist_arg $ ras_arg $ t_active_arg $ t_standby_arg $ years_arg $ seed_arg
-      $ samples_arg $ sigma_arg $ jobs_arg $ trace_arg $ log_level_arg $ log_json_arg)
+      const run $ netlist_arg $ flow_arg $ seed_arg $ samples_arg $ sigma_arg $ jobs_arg $ trace_arg
+      $ log_level_arg $ log_json_arg)
   in
   Cmd.v
     (Cmd.info "variation"
@@ -607,13 +576,13 @@ let profile_cmd =
   let runs_arg =
     Arg.(value & opt int 5 & info [ "runs" ] ~docv:"N" ~doc:"Repetitions of every stage.")
   in
-  let run net ras t_active t_standby years runs jobs =
+  let run net flow runs jobs =
     apply_jobs jobs;
     if runs < 1 then begin
       prerr_endline "runs must be >= 1";
       exit 1
     end;
-    let aging = aging_config ras t_active t_standby years in
+    let aging = (P.platform_config flow).aging in
     let tech = aging.Aging.Circuit_aging.tech in
     let temp_k = aging.Aging.Circuit_aging.schedule.Nbti.Schedule.t_ref in
     let standby = Aging.Circuit_aging.Standby_all_stressed in
@@ -692,8 +661,7 @@ let profile_cmd =
   in
   let term =
     Term.(
-      const run $ netlist_arg $ ras_arg $ t_active_arg $ t_standby_arg $ years_arg $ runs_arg
-      $ jobs_arg)
+      const run $ netlist_arg $ flow_arg $ runs_arg $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "profile"
@@ -833,60 +801,25 @@ let calibrate_cmd =
       & info [] ~docv:"CSV"
           ~doc:"Measurement CSV: time_s,temp_k,vdd_v,dvth_v rows (header and # comments ok).")
   in
-  let sampler_arg =
-    Arg.(
-      value & opt string "mh"
-      & info [ "sampler" ] ~docv:"S"
-          ~doc:"Posterior sampler: 'mh' (adaptive Metropolis-Hastings) or 'importance'.")
-  in
-  let particles_arg =
-    Arg.(
-      value & opt int 20_000
-      & info [ "particles" ] ~docv:"N" ~doc:"Importance-sampling particle count.")
-  in
-  let chains_arg =
-    Arg.(value & opt int 4 & info [ "chains" ] ~docv:"N" ~doc:"Independent MH chains.")
-  in
-  let warmup_arg =
-    Arg.(value & opt int 1000 & info [ "warmup" ] ~docv:"N" ~doc:"Adaptation iterations per chain (discarded).")
-  in
-  let samples_arg =
-    Arg.(value & opt int 1000 & info [ "samples" ] ~docv:"N" ~doc:"Kept posterior draws per chain.")
-  in
-  let thin_arg =
-    Arg.(value & opt int 1 & info [ "thin" ] ~docv:"K" ~doc:"Keep every K-th post-warmup draw.")
-  in
-  let ci_level_arg =
-    Arg.(value & opt float 0.95 & info [ "ci-level" ] ~docv:"P" ~doc:"Credible-interval mass in (0,1).")
-  in
+  (* one predict point per flag, checked as the wire's predict member *)
   let predict_arg =
-    let triple_conv =
-      let parse s =
-        match String.split_on_char ',' (String.trim s) with
-        | [ t; temp; v ] -> begin
-          match
-            (float_of_string_opt (String.trim t), float_of_string_opt (String.trim temp),
-             float_of_string_opt (String.trim v))
-          with
-          | Some t, Some temp, Some v when t > 0.0 && temp > 0.0 && v > 0.0 -> Ok (t, temp, v)
-          | _ -> Error (`Msg "predict point must be three positive numbers t_s,T_K,V")
-        end
-        | _ -> Error (`Msg "predict point must look like 3.1e8,400,1.0")
-      in
-      Arg.conv (parse, fun fmt (t, temp, v) -> Format.fprintf fmt "%g,%g,%g" t temp v)
+    let parse s =
+      let number x = flag_json (F.Float { min = None; max = None }) (String.trim x) in
+      let point = Server.Json.List (List.map number (String.split_on_char ',' s)) in
+      try Ok (F.read F.predict (Server.Json.List [ point ])).(0)
+      with F.Error e -> Error (`Msg (error_text e))
     in
+    let print fmt (t, temp, v) = Format.fprintf fmt "%g,%g,%g" t temp v in
     Arg.(
-      value & opt_all triple_conv []
-      & info [ "predict" ] ~docv:"T,K,V"
-          ~doc:"Posterior-predictive degradation point 'time_s,temp_k,vdd_v' (repeatable).")
+      value & opt_all (conv (parse, print)) []
+      & info [ "predict" ] ~docv:"T,K,V" ~doc:(F.predict.F.doc ^ " One time_s,temp_k,vdd_v point per flag."))
   in
   let output_arg =
     Arg.(
       value & opt (some string) None
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the JSON posterior here instead of stdout.")
   in
-  let run csv sampler particles chains warmup samples thin seed ci_level predict output jobs
-      trace level json =
+  let run csv config output jobs trace level json =
     apply_jobs jobs;
     with_observability ~cid:("cli:calibrate:" ^ Filename.basename csv) ~level ~json ~trace
     @@ fun () ->
@@ -898,27 +831,6 @@ let calibrate_cmd =
         | Some l -> Format.eprintf "nbti_tool calibrate: %s:%d: %s@." csv l message
         | None -> Format.eprintf "nbti_tool calibrate: %s: %s@." csv message);
         exit 1
-    in
-    let sampler =
-      match sampler with
-      | "mh" -> Calibrate.Engine.Mh
-      | "importance" -> Calibrate.Engine.Importance { particles }
-      | s ->
-        Format.eprintf "nbti_tool calibrate: unknown sampler %S (mh or importance)@." s;
-        exit 1
-    in
-    let config =
-      {
-        Calibrate.Engine.default_config with
-        sampler;
-        n_chains = chains;
-        warmup;
-        samples;
-        thin;
-        seed;
-        ci_level;
-        predict = Array.of_list predict;
-      }
     in
     (match Calibrate.Engine.validate config with
     | Ok () -> ()
@@ -943,9 +855,11 @@ let calibrate_cmd =
   in
   let term =
     Term.(
-      const run $ csv_arg $ sampler_arg $ particles_arg $ chains_arg $ warmup_arg $ samples_arg
-      $ thin_arg $ seed_arg $ ci_level_arg $ predict_arg $ output_arg $ jobs_arg $ trace_arg
-      $ log_level_arg $ log_json_arg)
+      const run $ csv_arg
+      $ (const P.calibrate_engine_config $ field F.sampler $ field F.particles
+        $ field F.chains $ field F.warmup $ field F.samples $ field F.thin $ field F.calibrate_seed
+        $ field F.ci_level $ (const Array.of_list $ predict_arg))
+      $ output_arg $ jobs_arg $ trace_arg $ log_level_arg $ log_json_arg)
   in
   Cmd.v
     (Cmd.info "calibrate"
@@ -1254,21 +1168,12 @@ let request_cmd =
     else
       (* shorthand: a circuit name (or .bench path) becomes a default analyze *)
       let circuit =
-        if Sys.file_exists body then begin
-          let ic = open_in body in
-          let text = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          Server.Json.Assoc [ ("bench", Server.Json.String text) ]
-        end
-        else Server.Json.String body
+        if Sys.file_exists body then
+          P.Bench (In_channel.with_open_bin body In_channel.input_all)
+        else P.Named body
       in
-      Server.Json.to_string
-        (Server.Json.Assoc
-           [
-             ("v", Server.Json.Int Server.Protocol.version);
-             ("op", Server.Json.String "analyze");
-             ("circuit", circuit);
-           ])
+      let request = P.Single (Analyze { circuit; flow = P.default_flow_spec; standby = Worst }) in
+      Server.Json.to_string (P.json_of_envelope { id = None; timeout_ms = None; trace = None; request })
   in
   let run endpoint body retries timeout_ms retry_seed trace =
     let policy = { Server.Retry.default_policy with Server.Retry.retries } in
@@ -1635,12 +1540,7 @@ let top_cmd =
   let run endpoint interval count =
     let client = Server.Client.create ~read_timeout_s:10.0 endpoint in
     let stats_line =
-      Server.Json.to_string
-        (Server.Json.Assoc
-           [
-             ("v", Server.Json.Int Server.Protocol.version);
-             ("op", Server.Json.String "stats");
-           ])
+      Server.Json.to_string (P.json_of_envelope { id = None; timeout_ms = None; trace = None; request = Stats })
     in
     let fetch () =
       match Server.Client.call client stats_line with

@@ -25,18 +25,20 @@ let default_config =
     predict = [||];
   }
 
+let max_chains = 64
+let max_thin = 1000
 let max_total_iterations = 20_000_000
 let max_particles = 5_000_000
 let max_predict_points = 1024
 
 let validate c =
   let err fmt = Format.kasprintf Result.error fmt in
-  if c.n_chains < 1 || c.n_chains > 64 then
-    err "n_chains must be in [1, 64] (got %d)" c.n_chains
+  if c.n_chains < 1 || c.n_chains > max_chains then
+    err "n_chains must be in [1, %d] (got %d)" max_chains c.n_chains
   else if c.warmup < 0 then err "warmup must be >= 0 (got %d)" c.warmup
   else if c.samples < 1 then err "samples must be >= 1 (got %d)" c.samples
-  else if c.thin < 1 || c.thin > 1000 then
-    err "thin must be in [1, 1000] (got %d)" c.thin
+  else if c.thin < 1 || c.thin > max_thin then
+    err "thin must be in [1, %d] (got %d)" max_thin c.thin
   else if c.n_chains * (c.warmup + (c.samples * c.thin)) > max_total_iterations
   then
     err "total iterations %d exceed the %d cap"

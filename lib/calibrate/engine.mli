@@ -30,8 +30,15 @@ type config = {
 }
 
 val default_config : config
-(** [Mh], 4 chains, 500 warmup, 500 samples, thin 1, seed 42, 95 %
+(** [Mh], 4 chains, 1000 warmup, 1000 samples, thin 1, seed 42, 95 %
     intervals, {!Model.default_prior}, no predictive points. *)
+
+val max_chains : int
+val max_thin : int
+val max_total_iterations : int
+val max_particles : int
+val max_predict_points : int
+(** The caps {!validate} enforces: 64, 1000, 20,000,000, 5,000,000, 1024. *)
 
 val validate : config -> (unit, string) result
 (** Bounds suitable for server-side admission: chains in [1, 64], total

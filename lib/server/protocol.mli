@@ -10,40 +10,17 @@
     workload, and three introspective ops ([health], [stats], and
     [metrics], which returns a Prometheus text-exposition snapshot).
 
-    Request shapes (fields marked ? are optional and default):
-
-    {v
-    {"v":1, "id"?:"...", "op":"analyze",
-     "circuit":"c432" | {"bench":"INPUT(a)\n..."},
-     "standby"?: "worst" | "best" | "0101...",
-     "config"?: {"ras"?:[1,9], "t_active"?:400, "t_standby"?:330,
-                 "years"?:10, "input_sp"?:0.5, "leakage_temp"?:400,
-                 "pbti_scale"?:0.5,
-                 "sp_method"?: "analytic"
-                            | {"n_vectors":4096, "seed":7}}}
-    {"v":1, "op":"ivc_search", "circuit":..., "config"?:...,
-     "seed"?:42, "pool"?:64, "tolerance"?:0.04}
-       (pool in [2, max_ivc_pool]; tolerance finite and >= 0)
-    {"v":1, "op":"sleep_sizing", "circuit":..., "config"?:...,
-     "style"?:"footer"|"header"|"both", "beta"?:0.03,
-     "vth_st"?:0.3, "nbti_aware"?:true}
-       (vth_st finite and in (0, V_dd); V_dd = 1.0 V)
-    {"v":1, "op":"batch", "jobs":[{"op":"analyze",...}, ...]}
-    {"v":1, "op":"calibrate",
-     "measurements":[{"time_s":3.1e7,"temp_k":400,"vdd_v":1.0,
-                      "dvth_v":0.031}, ...] | "csv":"time_s,temp_k,...",
-     "sampler"?:"mh"|"importance", "particles"?:2000, "chains"?:4,
-     "warmup"?:1000, "samples"?:1000, "thin"?:1, "seed"?:42,
-     "ci_level"?:0.95, "predict"?:[[3.1e8,400,1.0], ...]}
-    {"v":1, "op":"health"}
-    {"v":1, "op":"stats"}
-    {"v":1, "op":"metrics"}
-    {"v":1, "op":"cache_export", "max_entries"?:64}
-    {"v":1, "op":"cache_import",
-     "entries":[{"key":"analyze|...","payload":{...}}, ...]}
-    {"v":1, "op":"trace_export", "clear"?:false}
-    {"v":1, "op":"cluster_metrics"}
-    v}
+    Request shapes: every member of an [analyze], [ivc_search] or
+    [sleep_sizing] job, of its ["config"] and of a [calibrate] request is
+    an entry of {!Request_fields} (name, default, domain, doc string;
+    README's field table is rendered from {!request_fields}). A job is
+    [{"v":1, "op":..., "circuit":"c432" | {"bench":"INPUT(a)\n..."},
+    ...members}], a [batch] is [{"v":1, "op":"batch", "jobs":[job, ...]}]
+    (each job with its own ["op"]), and a [calibrate] request carries its
+    measurements inline as ["measurements"] (an array of
+    [{"time_s","temp_k","vdd_v","dvth_v"}] objects) or ["csv"]. The
+    other ops take no members ([health], [stats], [metrics],
+    [cluster_metrics]) or those on their {!request} constructor.
 
     Any request may additionally carry a distributed-trace context,
     ["trace":{"trace_id":"<hex>","parent_span"?:"<hex>"}].
@@ -55,21 +32,17 @@
 
 val version : int
 
-val max_ivc_pool : int
-(** Largest [ivc_search] ["pool"] (vectors per search round) a request
-    may ask for: 4096, i.e. 64 packed 64-vector sweeps per round. A
-    pool outside [[2, max_ivc_pool]] or a ["tolerance"] that is negative
-    or not finite is an [invalid_request] whose details name the
-    field; so is a [sleep_sizing] ["vth_st"] that is not finite or lies
-    outside (0, V_dd). *)
-
 (** {1 Requests} *)
 
 type circuit_spec =
   | Named of string  (** generator / benchmark name, e.g. ["c432"] *)
   | Bench of string  (** inline [.bench] netlist text *)
 
-type standby_spec = Worst | Best | Vector of bool array
+type standby_spec = Request_fields.standby_spec = Worst | Best | Vector of bool array
+
+val standby_state :
+  Circuit.Netlist.t -> standby_spec -> (Aging.Circuit_aging.standby_state, string) result
+(** [Error] when a vector does not have one bit per primary input. *)
 
 type flow_spec = {
   ras : float * float;
@@ -83,7 +56,8 @@ type flow_spec = {
 }
 
 val default_flow_spec : flow_spec
-(** The paper's setting (the same defaults as [nbti_tool analyze]). *)
+(** The paper's setting: every {!Request_fields} default (the same as
+    [nbti_tool analyze]'s). *)
 
 val platform_config : flow_spec -> Flow.Platform.config
 
@@ -119,11 +93,18 @@ type calibrate_spec = {
 }
 (** The [calibrate] wire op: measurements arrive inline (a
     ["measurements"] array of point objects or a ["csv"] string in the
-    {!Calibrate.Dataset} column order), sampler knobs as
-    ["sampler"]("mh"|"importance"), ["particles"], ["chains"],
-    ["warmup"], ["samples"], ["thin"], ["seed"], ["ci_level"] and
-    ["predict"] ([[time_s, temp_k, vdd_v], ...] triples). The prior is
-    the server's {!Calibrate.Model.default_prior}. *)
+    {!Calibrate.Dataset} column order), the sampler knobs as
+    {!Request_fields} members. The prior is the server's
+    {!Calibrate.Model.default_prior}. *)
+
+val calibrate_engine_config :
+  [ `Mh | `Importance ] -> int -> int -> int -> int -> int -> int -> float ->
+  (float * float * float) array -> Calibrate.Engine.config
+(** The engine config of a [calibrate] request's members, in the order
+    {!request_fields} lists them. *)
+
+val request_fields : (string * Request_fields.any list) list
+(** [(op, members)] of each table-driven op: README's field table. *)
 
 type request =
   | Single of job
@@ -184,11 +165,13 @@ type envelope = {
 type error_code =
   | Parse_error  (** the line is not valid JSON *)
   | Unsupported_version  (** missing or unknown ["v"] *)
-  | Bad_request  (** shape or value errors, unknown circuit, bad vector *)
+  | Bad_request  (** wrong JSON type, missing member, cross-field limit, unknown circuit *)
   | Invalid_request
-      (** the request violates an operational limit (line length, batch
-          size, gate count) or carries a malformed netlist; the error
-          object may carry position details such as ["line"] *)
+      (** a value outside its field's domain, an unknown member or op, an
+          operational limit (line length, batch size, gate count) or a
+          malformed netlist; the error object may carry ["field"] (a
+          dotted path such as ["config.years"]), ["min"]/["max"] or
+          position details such as ["line"] *)
   | Deadline_exceeded  (** the request's [timeout_ms] budget ran out *)
   | Overloaded
       (** admission control shed the request; the error object carries a
@@ -220,9 +203,10 @@ type decode_error = {
 }
 
 val envelope_of_json : Json.t -> (envelope, decode_error) result
+
 val json_of_envelope : envelope -> Json.t
-(** Client-side encoder; [envelope_of_json (json_of_envelope e)] gives
-    back [e] up to defaulted fields being materialized. *)
+(** Client-side encoder: [envelope_of_json (json_of_envelope e) = Ok e].
+    A job or calibration member equal to its default is not written. *)
 
 (** {1 Responses} *)
 

@@ -158,15 +158,6 @@ let check_gate_limit t net =
   if gates > t.limits.max_gates then
     invalid "netlist has %d gates; this server accepts at most %d" gates t.limits.max_gates
 
-let standby_of_spec net = function
-  | Protocol.Worst -> Aging.Circuit_aging.Standby_all_stressed
-  | Protocol.Best -> Aging.Circuit_aging.Standby_all_relaxed
-  | Protocol.Vector v ->
-    let n = Circuit.Netlist.n_primary_inputs net in
-    if Array.length v <> n then
-      bad "standby vector has %d bits, circuit has %d primary inputs" (Array.length v) n;
-    Aging.Circuit_aging.Standby_vector v
-
 (* The prepared cache is keyed on the *prepare* fingerprint, which is
    coarser than the full config fingerprint: lifetime / RAS / temperature
    sweeps reuse the same signal probabilities and leakage tables. A
@@ -195,7 +186,7 @@ let run_job t ~budget job =
     match job with
     | Protocol.Analyze { flow; standby; _ } ->
       let cfg = config_for t flow ~budget in
-      let standby = standby_of_spec net standby in
+      let standby = match Protocol.standby_state net standby with Ok s -> s | Error m -> bad "%s" m in
       let prepared, _ = prepared_for t cfg net ~digest in
       let a = Flow.Platform.analyze cfg prepared ~standby in
       Json.Assoc

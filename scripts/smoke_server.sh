@@ -1,6 +1,7 @@
 #!/bin/sh
 # Smoke test for the aging-analysis daemon: serve + request over a Unix
-# socket, assert a well-formed analyze response and working stats.
+# socket, assert a well-formed analyze response and working stats; and
+# that out-of-domain field values are refused on the wire and the CLI.
 set -eu
 
 TOOL=${TOOL:-./_build/default/bin/nbti_tool.exe}
@@ -12,6 +13,25 @@ fail() {
 }
 
 [ -x "$TOOL" ] || fail "$TOOL not built (run dune build first)"
+
+# A flag value outside its field's domain is a usage error (exit 124)
+# naming the flag.
+usage_error() {
+    flag=$1
+    shift
+    set +e
+    ERR=$("$TOOL" "$@" 2>&1 >/dev/null)
+    CODE=$?
+    set -e
+    [ "$CODE" -eq 124 ] || fail "nbti_tool $* exited $CODE, want 124"
+    case "$ERR" in
+    *"'$flag'"*) ;; *) fail "nbti_tool $* did not name $flag: $ERR" ;;
+    esac
+}
+usage_error --t-active analyze c17 --t-active=-5
+usage_error --years analyze c17 --years 0
+usage_error --pool ivc c17 --pool 1
+usage_error --beta st c17 --beta 1.5
 
 "$TOOL" serve -s "$SOCK" &
 SERVER_PID=$!
@@ -47,6 +67,12 @@ case "$REPEAT" in
 *'"cached":true'*) ;; *) fail "repeated request was not cached" ;;
 esac
 
+# the same domains on the wire: invalid_request naming the field
+BAD=$("$TOOL" request -s "$SOCK" '{"v":1,"op":"analyze","circuit":"c17","config":{"years":0}}' || true)
+case "$BAD" in
+*'"code":"invalid_request"'*'"field":"config.years"'*) ;; *) fail "years 0 not refused: $BAD" ;;
+esac
+
 STATS=$("$TOOL" request -s "$SOCK" '{"v":1,"op":"stats"}')
 case "$STATS" in
 *'"endpoints"'*'"analyze"'*) ;; *) fail "stats missing analyze endpoint" ;;
@@ -59,4 +85,4 @@ kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "server exited non-zero"
 [ ! -S "$SOCK" ] || fail "socket file not cleaned up"
 
-echo "smoke: OK (serve + analyze + cache hit + stats + graceful shutdown)"
+echo "smoke: OK (CLI domains + serve + analyze + cache hit + wire domains + stats + graceful shutdown)"

@@ -344,9 +344,12 @@ let test_wire_calibrate_errors () =
     (Server.Protocol.error_detail_int response "line");
   (* no measurements at all *)
   expect_error "bad_request" "{\"v\":1,\"op\":\"calibrate\"}";
-  (* config limits are enforced before sampling *)
-  expect_error "bad_request"
+  (* config limits are enforced before sampling: a field's own bound
+     names the field, the cross-field iteration cap stays a bad_request *)
+  expect_error "invalid_request"
     "{\"v\":1,\"op\":\"calibrate\",\"csv\":\"1e3,400,1.0,0.01\",\"chains\":100000}";
+  expect_error "bad_request"
+    "{\"v\":1,\"op\":\"calibrate\",\"csv\":\"1e3,400,1.0,0.01\",\"chains\":64,\"samples\":1000000}";
   (* unknown op: structured invalid_request listing the supported ops *)
   let unknown = dispatch t "{\"v\":1,\"op\":\"teleport\"}" in
   (match Server.Protocol.response_result unknown with

@@ -110,7 +110,9 @@ let test_protocol_error_paths () =
   expect_code t "unsupported_version" "{\"v\":99,\"op\":\"health\"}";
   expect_code t "invalid_request" "{\"v\":1,\"op\":\"teleport\"}";
   expect_code t "bad_request" "{\"v\":1,\"op\":\"analyze\",\"circuit\":\"nope\"}";
-  expect_code t "bad_request" "{\"v\":1,\"op\":\"analyze\",\"circuit\":\"c17\",\"timeout_ms\":-5}";
+  (* a value outside timeout_ms's domain; a non-integer stays a bad_request *)
+  expect_code t "invalid_request" "{\"v\":1,\"op\":\"analyze\",\"circuit\":\"c17\",\"timeout_ms\":-5}";
+  expect_code t "bad_request" "{\"v\":1,\"op\":\"analyze\",\"circuit\":\"c17\",\"timeout_ms\":\"5\"}";
   expect_code t "bad_request" "{\"v\":1,\"op\":\"batch\",\"jobs\":[]}";
   (* batch size limit *)
   let limits = { Server.Service.default_limits with Server.Service.max_batch_jobs = 2 } in
@@ -159,65 +161,178 @@ let test_rejected_circuits_not_memoized () =
   ignore (expect_ok t (bench "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n"));
   Alcotest.(check int) "a valid upload is" 1 (circuits_stat t "size")
 
-(* --- Wire field limits --- *)
+(* --- Wire field limits, from the request-field table --- *)
 
-let job_line op extra = Printf.sprintf "{\"op\":\"%s\",\"circuit\":\"c17\"%s}" op extra
-let op_line op extra = Printf.sprintf "{\"v\":1,\"op\":\"%s\",\"circuit\":\"c17\"%s}" op extra
+module F = Server.Request_fields
 
-(* Out-of-range knobs, each with the field the error must name. *)
-let ivc_rejects =
-  [
-    (",\"pool\":1", "pool");
-    (",\"pool\":0", "pool");
-    (Printf.sprintf ",\"pool\":%d" (Server.Protocol.max_ivc_pool + 1), "pool");
-    (",\"tolerance\":-0.5", "tolerance");
-  ]
+(* A value placed at [keys] in a request, whether its field's domain
+   takes it, and (rejected) the field and bounds the error must name. *)
+type edge = {
+  keys : string list;
+  value : Server.Json.t;
+  accepted : bool;
+  field : string;
+  bounds : (string * float) list;
+}
 
-let ivc_accepts =
-  [
-    ",\"pool\":2,\"tolerance\":0";
-    Printf.sprintf ",\"pool\":%d,\"tolerance\":0.5" Server.Protocol.max_ivc_pool;
-  ]
+(* Just inside and just outside each bound of a leaf kind. *)
+let rec kind_edges : type a. a F.kind -> (Server.Json.t * bool * (string * float) list) list =
+ fun kind ->
+  let open Server.Json in
+  match kind with
+  | F.Float { min; max } ->
+    let b = function F.Incl b | F.Excl b -> b in
+    let bounds =
+      List.filter_map
+        (fun (name, bound) -> Option.map (fun x -> (name, b x)) bound)
+        [ ("min", min); ("max", max) ]
+    in
+    let edge inside outside = [ (Float inside, true, []); (Float outside, false, bounds) ] in
+    (match min with
+    | Some (F.Incl b) -> edge b (Float.pred b)
+    | Some (F.Excl b) -> edge (Float.succ b) b
+    | None -> [])
+    @ (match max with
+      | Some (F.Incl b) -> edge b (Float.succ b)
+      | Some (F.Excl b) -> edge (Float.pred b) b
+      | None -> [])
+  | F.Int { min; max } ->
+    let bounds =
+      List.filter_map
+        (fun (name, bound) -> Option.map (fun x -> (name, float_of_int x)) bound)
+        [ ("min", min); ("max", max) ]
+    in
+    let edge inside outside = [ (Int inside, true, []); (Int outside, false, bounds) ] in
+    Option.fold ~none:[] ~some:(fun b -> edge b (b - 1)) min
+    @ Option.fold ~none:[] ~some:(fun b -> edge b (b + 1)) max
+  | F.Enum _ | F.Alt _ -> [ (String "nonesuch", false, []) ]
+  | F.Optional k -> kind_edges k
+  | F.Bool | F.Pair _ | F.Object _ | F.Custom _ -> []
 
-(* the sleep transistor's threshold must lie in (0, V_dd = 1.0 V);
-   1e999 no longer reaches the protocol (see the overflow tests) *)
-let vth_st_rejects =
-  List.map
-    (fun v -> (",\"vth_st\":" ^ v, "vth_st"))
-    [ "0"; "-1"; "1.0"; "2.0"; "1e308"; "-1e308" ]
+let rec field_edges : type a. string list -> a F.t -> edge list =
+ fun keys f ->
+  let keys = keys @ [ f.F.name ] in
+  let path = String.concat "." keys in
+  let leaf ?(field = path) (value, accepted, bounds) = { keys; value; accepted; field; bounds } in
+  match f.F.kind with
+  | F.Pair (ka, kb) ->
+    let a, b = f.F.default in
+    List.map
+      (fun (v, ok, bounds) -> leaf ~field:(path ^ "[0]") (Server.Json.List [ v; F.write kb b ], ok, bounds))
+      (kind_edges ka)
+    @ List.map
+        (fun (v, ok, bounds) -> leaf ~field:(path ^ "[1]") (Server.Json.List [ F.write ka a; v ], ok, bounds))
+        (kind_edges kb)
+  | F.Object o -> List.concat_map (fun (F.Any m) -> field_edges keys m) (F.members o)
+  | F.Alt (_, o) ->
+    List.map leaf (kind_edges f.F.kind)
+    @ List.concat_map (fun (F.Any m) -> field_edges keys m) (F.members o)
+  | F.Custom _ -> begin
+    let open Server.Json in
+    let triple t = List [ Float t; Float 400.0; Float 1.0 ] in
+    match f.F.name with
+    | "standby" -> List.map leaf [ (String "2x", false, []); (String "01010", true, []) ]
+    | "predict" ->
+      List.map leaf
+        [
+          (List [ triple 0.0 ], false, []);
+          (List (List.init (Calibrate.Engine.max_predict_points + 1) (fun _ -> triple 3.1e8)), false, []);
+          (List [ triple 3.1e8 ], true, []);
+        ]
+    | name -> Alcotest.fail ("no edges for custom field " ^ name)
+  end
+  | _ -> List.map leaf (kind_edges f.F.kind)
 
-let vth_st_accepts = [ ",\"vth_st\":0.3"; ",\"vth_st\":0.5" ]
+let rec put keys v (json : Server.Json.t) =
+  match (keys, json) with
+  | [], _ -> v
+  | k :: rest, Server.Json.Assoc kvs ->
+    let inner = Option.value ~default:(Server.Json.Assoc []) (List.assoc_opt k kvs) in
+    Server.Json.Assoc (List.remove_assoc k kvs @ [ (k, put rest v inner) ])
+  | _ -> Alcotest.fail "put into a non-object"
 
-let check_field_limits name handle ~op ~rejects ~accepts =
+(* Requests small enough to serve every accepted edge: c17 for jobs, a
+   three-point dataset and 20 iterations of one chain for calibrate. *)
+let base_request op =
+  let open Server.Json in
+  Assoc
+    (("v", Int 1) :: ("op", String op)
+    ::
+    (if op = "calibrate" then
+       [
+         ("csv", String "1e3,400,1.0,0.010\n1e5,400,1.0,0.020\n1e7,400,1.0,0.035");
+         ("chains", Int 1);
+         ("warmup", Int 10);
+         ("samples", Int 10);
+       ]
+     else [ ("circuit", String "c17") ]))
+
+(* The shared config codec is exercised under analyze; each op adds its
+   own members, and misspelt members are unknown. *)
+let op_edges op =
+  let members = List.assoc op Server.Protocol.request_fields in
+  let own = List.filter (fun (F.Any f) -> op = "analyze" || f.F.name <> "config") members in
+  let unknown keys = { keys; value = Server.Json.Assoc []; accepted = false; field = String.concat "." keys; bounds = [] } in
+  List.concat_map (fun (F.Any f) -> field_edges [] f) own
+  @
+  match op with
+  | "analyze" -> [ unknown [ "config"; "t_activ" ]; unknown [ "confg" ] ]
+  | "calibrate" -> [ unknown [ "chain" ] ]
+  | _ -> [ unknown [ "confg" ] ]
+
+let rec has_null = function
+  | Server.Json.Null -> true
+  | Server.Json.List xs -> List.exists has_null xs
+  | Server.Json.Assoc kvs -> List.exists (fun (_, v) -> has_null v) kvs
+  | _ -> false
+
+let check_field_limits name handle ~op =
+  let edges = op_edges op in
+  let rejects = List.filter (fun e -> not e.accepted) edges in
   List.iter
-    (fun (extra, field) ->
-      let line = op_line op extra in
+    (fun e ->
+      let line = Server.Json.to_string (put e.keys e.value (base_request op)) in
       let response = Server.Json.of_string (handle line) in
-      Alcotest.(check (option string)) (name ^ " code for " ^ line) (Some "invalid_request")
-        (response_code response);
-      Alcotest.(check string) (name ^ " field for " ^ line) field
-        Server.Json.(to_string_exn (member "field" (member "error" response))))
-    rejects;
+      if e.accepted then begin
+        (* calibrate's upper work-size edges meet the cross-field
+           iteration cap instead, a bad_request before any sampling *)
+        match response_code response with
+        | None -> Alcotest.(check bool) (name ^ " no null in " ^ line) false (has_null response)
+        | Some code when op = "calibrate" && code = "bad_request" -> ()
+        | Some code -> Alcotest.fail (name ^ ": " ^ code ^ " for accepted " ^ line)
+      end
+      else begin
+        Alcotest.(check (option string)) (name ^ " code for " ^ line) (Some "invalid_request")
+          (response_code response);
+        let error = Server.Json.member "error" response in
+        Alcotest.(check string) (name ^ " field for " ^ line) e.field
+          Server.Json.(to_string_exn (member "field" error));
+        List.iter
+          (fun (key, bound) ->
+            Alcotest.(check (float 0.0)) (name ^ " " ^ key ^ " for " ^ line) bound
+              Server.Json.(to_float (member key error)))
+          e.bounds
+      end)
+    edges;
   (* the same limits hold inside a batch *)
-  let batch =
-    Printf.sprintf "{\"v\":1,\"op\":\"batch\",\"jobs\":[%s]}" (job_line op (fst (List.hd rejects)))
-  in
-  Alcotest.(check (option string)) (name ^ " batch job") (Some "invalid_request")
-    (response_code (Server.Json.of_string (handle batch)));
-  (* the bounds themselves are accepted *)
-  List.iter
-    (fun extra ->
-      let line = op_line op extra in
-      Alcotest.(check (option string)) (name ^ " accepts " ^ line) None
-        (response_code (Server.Json.of_string (handle line))))
-    accepts
+  if op <> "calibrate" then begin
+    let first = List.hd rejects in
+    let job =
+      match put first.keys first.value (base_request op) with
+      | Server.Json.Assoc kvs -> Server.Json.Assoc (List.remove_assoc "v" kvs)
+      | j -> j
+    in
+    let batch = Server.Json.(Assoc [ ("v", Int 1); ("op", String "batch"); ("jobs", List [ job ]) ]) in
+    Alcotest.(check (option string)) (name ^ " batch job") (Some "invalid_request")
+      (response_code (Server.Json.of_string (handle (Server.Json.to_string batch))))
+  end;
+  List.length rejects + if op = "calibrate" then 0 else 1
 
-let check_limits_direct ~op ~rejects ~accepts () =
+let check_limits_direct ~op () =
   let t = Server.Service.create () in
-  check_field_limits "direct" (Server.Service.handle_line t) ~op ~rejects ~accepts;
+  let rejected = check_field_limits "direct" (Server.Service.handle_line t) ~op in
   let stats = expect_ok t "{\"v\":1,\"op\":\"stats\"}" in
-  Alcotest.(check int) "every rejection counted as invalid"
-    (List.length rejects + 1)
+  Alcotest.(check int) "every rejection counted as invalid" rejected
     Server.Json.(to_int (member "invalid_requests" (member "counters" stats)))
 
 (* --- Positioned .bench errors --- *)
@@ -518,20 +633,26 @@ let with_server ?(role = Serve) ?limits ?faults:fault_plan f =
         stop_backend ())
       (fun () -> f t router_path)
 
-let check_limits_routed ~op ~rejects ~accepts () =
+let check_limits_routed ~op () =
   with_server (fun _t path ->
       let router = Fleet.Router.create [ Server.Netline.Unix_socket path ] in
-      check_field_limits "routed" (Fleet.Router.handle_line router) ~op ~rejects ~accepts)
+      ignore (check_field_limits "routed" (Fleet.Router.handle_line router) ~op))
 
-(* A job that raises inside the platform (here Invalid_argument from an
-   out-of-range input probability) fails alone, whether the batch runs
-   on the service or is split by the router; both answers are the same
-   bytes. *)
+(* A job that raises after decode fails alone, whether the batch runs on
+   the service or is split by the router; both answers are the same
+   bytes. The first job was computed before the compute fault was armed,
+   so it is a cache hit; the second raises Faults.Injected. *)
 let test_batch_isolates_raising_jobs () =
   let line =
-    {|{"v":1,"op":"batch","jobs":[{"op":"analyze","circuit":"c17"},{"op":"analyze","circuit":"c17","config":{"input_sp":2.0}}]}|}
+    {|{"v":1,"op":"batch","jobs":[{"op":"analyze","circuit":"c17"},{"op":"analyze","circuit":"c17","standby":"best"}]}|}
   in
-  let direct = Server.Service.handle_line (Server.Service.create ()) line in
+  let arm t =
+    ignore (Server.Service.handle_line t {|{"v":1,"op":"analyze","circuit":"c17"}|});
+    Server.Service.set_faults t (faults "compute=fail")
+  in
+  let t = Server.Service.create () in
+  arm t;
+  let direct = Server.Service.handle_line t line in
   (match Server.Protocol.response_result (Server.Json.of_string direct) with
   | Ok result -> (
     match Server.Json.member "results" result with
@@ -542,7 +663,8 @@ let test_batch_isolates_raising_jobs () =
         Server.Json.(to_string_exn (member "code" failed))
     | _ -> Alcotest.fail "expected two batch results")
   | Error (code, m) -> Alcotest.fail ("the batch itself failed: " ^ code ^ ": " ^ m));
-  with_server (fun _t path ->
+  with_server (fun t path ->
+      arm t;
       let router = Fleet.Router.create [ Server.Netline.Unix_socket path ] in
       Alcotest.(check string) "routed batch = direct batch" direct
         (Fleet.Router.handle_line router line))
@@ -743,16 +865,16 @@ let () =
           Alcotest.test_case "gate limit" `Quick test_gate_limit;
           Alcotest.test_case "rejected circuits not memoized" `Quick
             test_rejected_circuits_not_memoized;
-          Alcotest.test_case "ivc_search limits, direct" `Quick
-            (check_limits_direct ~op:"ivc_search" ~rejects:ivc_rejects ~accepts:ivc_accepts);
-          Alcotest.test_case "ivc_search limits, routed" `Quick
-            (check_limits_routed ~op:"ivc_search" ~rejects:ivc_rejects ~accepts:ivc_accepts);
+          Alcotest.test_case "ivc_search limits, direct" `Quick (check_limits_direct ~op:"ivc_search");
+          Alcotest.test_case "ivc_search limits, routed" `Quick (check_limits_routed ~op:"ivc_search");
           Alcotest.test_case "sleep_sizing vth_st, direct" `Quick
-            (check_limits_direct ~op:"sleep_sizing" ~rejects:vth_st_rejects
-               ~accepts:vth_st_accepts);
+            (check_limits_direct ~op:"sleep_sizing");
           Alcotest.test_case "sleep_sizing vth_st, routed" `Quick
-            (check_limits_routed ~op:"sleep_sizing" ~rejects:vth_st_rejects
-               ~accepts:vth_st_accepts);
+            (check_limits_routed ~op:"sleep_sizing");
+          Alcotest.test_case "analyze config limits, direct" `Quick (check_limits_direct ~op:"analyze");
+          Alcotest.test_case "analyze config limits, routed" `Quick (check_limits_routed ~op:"analyze");
+          Alcotest.test_case "calibrate limits, direct" `Quick (check_limits_direct ~op:"calibrate");
+          Alcotest.test_case "calibrate limits, routed" `Quick (check_limits_routed ~op:"calibrate");
           Alcotest.test_case "overflowing numbers, direct" `Quick (test_overflowing_numbers Serve);
           Alcotest.test_case "overflowing numbers, routed" `Quick (test_overflowing_numbers Route);
         ] );

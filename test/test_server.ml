@@ -227,7 +227,8 @@ let test_protocol_versioning () =
     (Assoc [ ("v", Int 1); ("op", String "teleport") ]);
   expect_error Server.Protocol.Bad_request
     (Assoc [ ("v", Int 1); ("op", String "analyze") ]);
-  expect_error Server.Protocol.Bad_request
+  (* a string outside standby's domain names the field *)
+  expect_error Server.Protocol.Invalid_request
     (Assoc [ ("v", Int 1); ("op", String "analyze"); ("circuit", String "c17"); ("standby", String "2x") ]);
   expect_error Server.Protocol.Bad_request (String "not an object")
 
@@ -257,6 +258,200 @@ let test_job_cache_key () =
     <> job_cache_key
          (Analyze { circuit = Bench "x"; flow = default_flow_spec; standby = Worst })
          ~circuit_digest:"d")
+
+(* --- Protocol: the field table against the parent's hand-written codec --- *)
+
+module F = Server.Request_fields
+
+let ops_with_members = List.map fst Server.Protocol.request_fields
+
+(* A JSON value inside a field's domain, bounds included. *)
+let rec gen_value : type a. a F.t -> Server.Json.t QCheck.Gen.t =
+ fun f ->
+  let open QCheck.Gen in
+  let open Server.Json in
+  let rec gen_kind : type b. b F.kind -> t QCheck.Gen.t = function
+    | F.Float { min; max } ->
+      let lo = match min with Some (F.Incl b) -> b | Some (F.Excl b) -> Float.succ b | None -> -1e3 in
+      let hi = match max with Some (F.Incl b) -> b | Some (F.Excl b) -> Float.pred b | None -> lo +. 1e3 in
+      map (fun x -> Float x) (oneof [ return lo; return hi; float_range lo hi ])
+    | F.Int { min; max } ->
+      let lo = Option.value ~default:(-1_000_000) min in
+      let hi = Option.value ~default:1_000_000 max in
+      (* small work sizes too, so most calibrations pass the iteration cap *)
+      let small = int_range lo (Stdlib.min hi (lo + 100)) in
+      map (fun n -> Int n) (oneof [ return lo; return hi; int_range lo hi; small; small ])
+    | F.Bool -> map (fun b -> Bool b) bool
+    | F.Enum cases -> map (fun (name, _) -> String name) (oneofl cases)
+    | F.Pair (a, b) -> map2 (fun x y -> List [ x; y ]) (gen_kind a) (gen_kind b)
+    | F.Optional k -> gen_kind k
+    | F.Object o -> gen_members (F.members o)
+    | F.Alt (cases, o) ->
+      oneof [ map (fun (name, _) -> String name) (oneofl cases); gen_members (F.members o) ]
+    | F.Custom _ -> (
+      match f.F.name with
+      | "standby" ->
+        oneof
+          [
+            oneofl [ String "worst"; String "best" ];
+            map (fun s -> String s) (string_size ~gen:(oneofl [ '0'; '1' ]) (int_range 1 8));
+          ]
+      | "predict" ->
+        let pos lo hi = map (fun x -> Float x) (float_range lo hi) in
+        map
+          (fun pts -> List pts)
+          (list_size (int_range 0 3)
+             (map3 (fun t k v -> List [ t; k; v ]) (pos 1.0 1e9) (pos 200.0 500.0) (pos 0.5 1.5)))
+      | name -> failwith ("no generator for custom field " ^ name))
+  in
+  gen_kind f.F.kind
+
+(* Every member absent or drawn inside its domain. *)
+and gen_members members =
+  let open QCheck.Gen in
+  map
+    (fun kvs -> Server.Json.Assoc (List.filter_map Fun.id kvs))
+    (flatten_l
+       (List.map
+          (fun (F.Any f) -> opt (map (fun v -> (f.F.name, v)) (gen_value f)))
+          members))
+
+let gen_body op =
+  let open QCheck.Gen in
+  let open Server.Json in
+  let members = gen_members (List.assoc op Server.Protocol.request_fields) in
+  let head =
+    if op = "calibrate" then
+      return [ ("csv", String "1e3,400,1.0,0.010\n1e5,365,1.1,0.020\n1e7,400,1.0,0.035") ]
+    else
+      map
+        (fun c -> [ ("circuit", c) ])
+        (oneofl
+           [ String "c17"; String "c432"; Assoc [ ("bench", String "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n") ] ])
+  in
+  map2 (fun head m -> ("op", String op) :: head @ Server.Json.to_assoc m) head members
+
+let gen_request =
+  let open QCheck.Gen in
+  let open Server.Json in
+  let jobs = List.filter (( <> ) "calibrate") ops_with_members in
+  let body =
+    oneof
+      [
+        oneofl ops_with_members >>= gen_body;
+        map
+          (fun js -> [ ("op", String "batch"); ("jobs", List (List.map (fun j -> Assoc j) js)) ])
+          (list_size (int_range 1 3) (oneofl jobs >>= gen_body));
+      ]
+  in
+  map3
+    (fun id timeout body ->
+      Assoc
+        ((("v", Int 1) :: Option.to_list (Option.map (fun s -> ("id", String s)) id))
+        @ Option.to_list (Option.map (fun ms -> ("timeout_ms", Int ms)) timeout)
+        @ body))
+    (opt (oneofl [ "a"; "req-7" ]))
+    (opt (int_range 1 100_000))
+    body
+
+let keys (e : Server.Protocol.envelope) =
+  let open Server.Protocol in
+  match e.request with
+  | Single j -> [ job_cache_key j ~circuit_digest:"d" ]
+  | Batch js -> List.map (job_cache_key ~circuit_digest:"d") js
+  | Calibrate s -> [ calibrate_cache_key s ]
+  | _ -> []
+
+let via_text json = Server.Json.of_string (Server.Json.to_string json)
+
+let prop_table_codec_is_parent_codec =
+  QCheck.Test.make ~name:"table codec = parent codec on in-domain requests" ~count:1000
+    (QCheck.make ~print:Server.Json.to_string gen_request)
+    (fun json ->
+      match (Server.Protocol.envelope_of_json json, Oracle.Protocol.envelope_of_json json) with
+      | Ok e, Ok parent ->
+        e = parent
+        && keys e = keys parent
+        && Server.Protocol.envelope_of_json (via_text (Server.Protocol.json_of_envelope e)) = Ok e
+        (* a parent router or backend on either side of the wire *)
+        && Oracle.Protocol.envelope_of_json (via_text (Server.Protocol.json_of_envelope e)) = Ok e
+        && Server.Protocol.envelope_of_json (via_text (Oracle.Protocol.json_of_envelope e)) = Ok e
+      | Error a, Error b -> a.Server.Protocol.code = b.Server.Protocol.code
+      | Ok _, Error b -> QCheck.Test.fail_reportf "only the parent rejects: %s" b.Server.Protocol.message
+      | Error a, Ok _ -> QCheck.Test.fail_reportf "only the table rejects: %s" a.Server.Protocol.message)
+
+let test_table_defaults () =
+  (* The library's default lifetime is a round 3e8 s, while the wire and
+     the CLI have always meant 10 Julian years; every other default
+     agrees. *)
+  let library = Flow.Platform.default_config () in
+  Alcotest.(check (float 0.0)) "library default lifetime" 3.0e8
+    library.Flow.Platform.aging.Aging.Circuit_aging.time;
+  Alcotest.(check string) "default flow = the platform's default config at 10 years"
+    (Flow.Platform.config_fingerprint
+       (Flow.Platform.default_config
+          ~aging:(Aging.Circuit_aging.default_config ~time:(Physics.Units.years 10.0) ())
+          ()))
+    (Flow.Platform.config_fingerprint
+       (Server.Protocol.platform_config Server.Protocol.default_flow_spec));
+  match
+    Server.Protocol.envelope_of_json
+      (Server.Json.of_string {|{"v":1,"op":"calibrate","csv":"1e3,400,1.0,0.01"}|})
+  with
+  | Ok { request = Server.Protocol.Calibrate { config; _ }; _ } ->
+    Alcotest.(check bool) "calibrate defaults = Engine.default_config" true
+      (config = Calibrate.Engine.default_config)
+  | _ -> Alcotest.fail "calibrate with defaults must decode"
+
+(* README's request-field table: one row per member, nested ones under
+   their dotted path, with the ops that take it (a member several ops
+   share is one row), its default, domain and doc string. *)
+let rec doc_json = function
+  | Server.Json.Float x -> Printf.sprintf "%g" x
+  | Server.Json.List xs -> "[" ^ String.concat ", " (List.map doc_json xs) ^ "]"
+  | json -> Server.Json.to_string json
+
+let rec rows : type a. string -> a F.t -> (string * F.any) list =
+ fun path f ->
+  let nested o = List.concat_map (fun (F.Any m) -> rows (path ^ f.F.name ^ ".") m) (F.members o) in
+  (path ^ f.F.name, F.Any f) :: (match f.F.kind with F.Object o | F.Alt (_, o) -> nested o | _ -> [])
+
+let field_table () =
+  let all =
+    List.concat_map
+      (fun (op, fs) -> List.concat_map (fun (F.Any f) -> List.map (fun r -> (op, r)) (rows "" f)) fs)
+      Server.Protocol.request_fields
+  in
+  let same (p, F.Any f) (p', F.Any g) = p = p' && f.F.doc = g.F.doc in
+  let rec render = function
+    | [] -> []
+    | (op, ((path, F.Any f) as r)) :: rest ->
+      let shared, rest = List.partition (fun (_, r') -> same r r') rest in
+      let default =
+        match f.F.kind with
+        | F.Optional _ -> "unset"
+        | _ -> "`" ^ doc_json (F.write f.F.kind f.F.default) ^ "`"
+      in
+      Printf.sprintf "| `%s` | %s | %s | %s | %s |" path
+        (String.concat ", " (op :: List.map fst shared))
+        default (F.domain_string f.F.kind) f.F.doc
+      :: render rest
+  in
+  String.concat "\n"
+    ("| field | ops | default | domain | meaning |" :: "|---|---|---|---|---|" :: render all)
+  ^ "\n"
+
+let test_readme_field_table () =
+  let text = In_channel.with_open_bin "../README.md" In_channel.input_all in
+  let between a b =
+    let i = Str.search_forward (Str.regexp_string a) text 0 + String.length a in
+    String.sub text i (Str.search_forward (Str.regexp_string b) text i - i)
+  in
+  let expected = "\n" ^ field_table () in
+  if between "<!-- request-fields:begin -->" "<!-- request-fields:end -->" <> expected then begin
+    prerr_string ("README's request-field table should read:" ^ expected);
+    Alcotest.fail "README's request-field table differs from Server.Request_fields"
+  end
 
 (* --- Circuits: the memoized resolver --- *)
 
@@ -830,6 +1025,9 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_protocol_roundtrip;
           Alcotest.test_case "versioning and errors" `Quick test_protocol_versioning;
           Alcotest.test_case "cache keys" `Quick test_job_cache_key;
+          Alcotest.test_case "table defaults" `Quick test_table_defaults;
+          Alcotest.test_case "README field table" `Quick test_readme_field_table;
+          QCheck_alcotest.to_alcotest prop_table_codec_is_parent_codec;
         ] );
       ( "circuits",
         [
