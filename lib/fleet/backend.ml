@@ -24,6 +24,15 @@ let routable = function Up | Recovering -> true | Suspect | Down | Draining -> f
    healthy probing without unbounded growth. *)
 let rtt_capacity = 128
 
+(* Idle forwarding connections kept per backend. A forward holds one
+   for its round trip, so the router needs about as many as it has
+   forwards in flight to this backend at once, and its own client
+   connections bound that; the fleet's clients keep a handful each.
+   Past the cap, a burst's extra connections close after their forward
+   instead of each holding a descriptor here and, in the backend, a
+   thread and a 64 KiB read chunk. *)
+let max_idle = 8
+
 type t = {
   name : string;
   endpoint : Server.Netline.endpoint;
@@ -39,6 +48,7 @@ type t = {
   mutable last_rtt_s : float;
   mutable scraped : Obs.Registry.sample list; (* last metrics scrape *)
   mutable scraped_at : float; (* 0 = never scraped *)
+  mutable idle : Server.Client.t list; (* open forwarding connections, most recent first *)
 }
 
 let create endpoint =
@@ -57,6 +67,7 @@ let create endpoint =
     last_rtt_s = 0.0;
     scraped = [];
     scraped_at = 0.0;
+    idle = [];
   }
 
 let name t = t.name
@@ -68,12 +79,43 @@ let with_lock t f =
 
 let state t = with_lock t (fun () -> t.state)
 
+(* Descriptors are closed outside the lock. *)
+let take_idle t =
+  let idle = t.idle in
+  t.idle <- [];
+  idle
+
+let close_idle t = List.iter Server.Client.close (with_lock t (fun () -> take_idle t))
+
 let set_state t s =
+  let dropped =
+    with_lock t (fun () ->
+        if t.state <> s then begin
+          t.state <- s;
+          t.last_change <- Unix.gettimeofday ()
+        end;
+        if routable s then [] else take_idle t)
+  in
+  List.iter Server.Client.close dropped
+
+let checkout t =
   with_lock t (fun () ->
-      if t.state <> s then begin
-        t.state <- s;
-        t.last_change <- Unix.gettimeofday ()
-      end)
+      match t.idle with
+      | c :: rest ->
+        t.idle <- rest;
+        Some c
+      | [] -> None)
+
+let checkin t c =
+  let kept =
+    with_lock t (fun () ->
+        let keep =
+          routable t.state && Server.Client.connected c && List.length t.idle < max_idle
+        in
+        if keep then t.idle <- c :: t.idle;
+        keep)
+  in
+  if not kept then Server.Client.close c
 
 let record_probe ?rtt_s t ~ok =
   with_lock t (fun () ->

@@ -30,6 +30,27 @@ val name : t -> string
 val endpoint : t -> Server.Netline.endpoint
 val state : t -> state
 val set_state : t -> state -> unit
+(** Entering a state that is not {!routable} closes the idle
+    connections. *)
+
+(** {1 Forwarding connections}
+
+    A backend keeps up to a fixed number of open, idle connections for
+    the router's forwards (no knob: the cap only bounds what a burst
+    leaves open). Each serves one forward at a time. *)
+
+val checkout : t -> Server.Client.t option
+(** An idle connection, most recently used first, now owned by the
+    caller; [None] when there is none. *)
+
+val checkin : t -> Server.Client.t -> unit
+(** Returns a connection after a forward that got a complete, parsed
+    answer on it. It is closed instead when it is no longer open, the
+    idle set is full, or the backend is not routable. *)
+
+val close_idle : t -> unit
+(** Closes every idle connection. {!set_state} does so on leaving the
+    routable states. *)
 
 val record_probe : ?rtt_s:float -> t -> ok:bool -> unit
 (** Accounts one probe; failure extends the consecutive-failure streak,

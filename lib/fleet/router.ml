@@ -5,8 +5,10 @@
    The router speaks the same wire protocol on both sides: clients talk
    to it exactly as they would to a single backend, and it forwards
    single jobs over Server.Client (the same retrying connector the CLI
-   uses). Forwarding is safe to retry anywhere because every routed op
-   is idempotent — analyses are pure and content-addressed. *)
+   uses), on connections each backend keeps open, passing the backend's
+   answer bytes through. Forwarding is safe to retry anywhere because
+   every routed op is idempotent — analyses are pure and
+   content-addressed. *)
 
 module Json = Server.Json
 module Protocol = Server.Protocol
@@ -34,9 +36,10 @@ let default_config =
     max_line_bytes = 4 * 1024 * 1024;
   }
 
-(* A forwarded request either yields the backend's result payload or a
-   structured error object; both are plain values so singleflight
-   followers share them without exception plumbing. *)
+(* A forwarded request either yields the backend's result payload (its
+   bytes, when the backend laid its answer out as [ok_response] prints
+   one) or a structured error object; both are plain values so
+   singleflight followers share them without exception plumbing. *)
 type forwarded = Payload of Json.t | Failed of Json.t
 
 (* How a forward was served, for the access log and the coalescing
@@ -191,6 +194,15 @@ type attempt_outcome =
    span with ok = false (with_span marks raising thunks failed). *)
 exception Unavailable_backend of string
 
+(* One in-place retry smooths a single dropped connection; real failover
+   (rehashing to the next owner) is the router loop's job, so the
+   per-backend policy stays tight. *)
+let forward_policy = { Server.Retry.retries = 1; base_ms = 20; cap_ms = 200 }
+
+(* A forward runs on one of the backend's idle connections, or a new
+   one, under its own read timeout. The connection goes back only after
+   an answer that parsed as a response; the client has already closed it
+   on a transport error, a timeout or an unparseable line. *)
 let try_backend t b ~timeout_ms line =
   Server.Metrics.incr_counter t.metrics "forward_attempts";
   if injected_failure t ~site:"connect" then begin
@@ -199,27 +211,31 @@ let try_backend t b ~timeout_ms line =
   end
   else begin
     let client =
-      Server.Client.create ?read_timeout_s:(forward_read_timeout timeout_ms) (Backend.endpoint b)
+      match Backend.checkout b with
+      | Some c -> c
+      | None ->
+        Server.Client.create
+          ~on_connect:(fun () -> Server.Metrics.incr_counter t.metrics "backend_connects")
+          (Backend.endpoint b)
     in
-    Fun.protect
-      ~finally:(fun () -> Server.Client.close client)
-      (fun () ->
-        (* One in-place retry smooths a single dropped connection; real
-           failover (rehashing to the next owner) is the router loop's
-           job, so the per-backend policy stays tight. *)
-        let policy = { Server.Retry.retries = 1; base_ms = 20; cap_ms = 200 } in
-        match Server.Client.call client ~policy line with
-        | Ok response -> begin
-          match Json.of_string response with
-          | json -> begin
-            match (Json.member_opt "ok" json, Json.member_opt "error" json) with
-            | Some (Json.Bool true), _ -> Answered (Json.member "result" json)
-            | _, Some e -> Refused e
-            | _, None -> Unavailable "malformed backend response"
-          end
-          | exception Json.Parse_error _ -> Unavailable "unparseable backend response"
-        end
-        | Error { Server.Client.reason; _ } -> Unavailable reason)
+    Server.Client.set_read_timeout client (forward_read_timeout timeout_ms);
+    let outcome =
+      match Server.Client.call_parsed client ~policy:forward_policy line with
+      | exception e ->
+        Server.Client.close client;
+        raise e
+      | Ok (response, json) -> begin
+        match (Json.member_opt "ok" json, Json.member_opt "error" json) with
+        | Some (Json.Bool true), _ -> Answered (Protocol.forwarded_result ~line:response json)
+        | _, Some e -> Refused e
+        | _, None -> Unavailable "malformed backend response"
+      end
+      | Error { Server.Client.reason; _ } -> Unavailable reason
+    in
+    (match outcome with
+    | Answered _ | Refused _ -> Backend.checkin b client
+    | Unavailable _ -> Server.Client.close client);
+    outcome
   end
 
 let degraded_error t ~tried =
@@ -340,12 +356,9 @@ let with_backend ?policy t b f =
       (Backend.endpoint b)
   in
   let call line =
-    match Server.Client.call client ?policy line with
+    match Server.Client.call_parsed client ?policy line with
     | Error _ -> None
-    | Ok response -> (
-      match Json.of_string response with
-      | json -> Json.member_opt "result" json
-      | exception Json.Parse_error _ -> None)
+    | Ok (_, json) -> Json.member_opt "result" json
   in
   Fun.protect ~finally:(fun () -> Server.Client.close client) (fun () -> f call)
 
@@ -808,8 +821,12 @@ let create ?(config = default_config) ?(faults = Server.Faults.none) ?slo endpoi
   in
   register_collectors t;
   Server.Metrics.observe_cache "circuits" (Server.Circuits.cache t.circuits);
-  Server.Frontend.create role ~metrics:t.metrics ~registry:t.registry ?slo
-    ~max_line_bytes:config.max_line_bytes t
+  let fe =
+    Server.Frontend.create role ~metrics:t.metrics ~registry:t.registry ?slo
+      ~max_line_bytes:config.max_line_bytes t
+  in
+  Server.Frontend.at_stop fe (fun () -> List.iter Backend.close_idle backends);
+  fe
 
 let handle_line = Server.Frontend.handle_line
 let metrics fe = (Server.Frontend.state fe).metrics

@@ -11,6 +11,11 @@
       Up → Suspect → Down → Recovering → Up (plus Draining when the
       backend's own [health] reports a drain), probed with
       capped-jitter backoff while failing.
+    - {e connection reuse}: forwards run on idle connections each
+      {!Backend} keeps open (a fixed cap), and the backend's answer
+      bytes are passed through with the client's id spliced in
+      ({!Server.Protocol.forwarded_result}); [backend_connects] in
+      [stats] and [metrics] counts the connections opened to forward.
     - {e bounded failover}: a request whose owner dies is rehashed to
       the next live owner (safe — every routed op is idempotent), at
       most [failover_attempts] times, then fails with [fleet_degraded]
@@ -76,9 +81,10 @@ val create :
     ["coalesced"] (this request rode another request's flight). A drain
     ({!Server.Frontend.drain}, SIGTERM) reports [state:"draining"] in
     [health], stops accepting, and waits up to
-    {!Server.Frontend.default_drain_timeout_ms} for open connections —
-    and the forwards in flight on them — to finish while probes keep
-    running. *)
+    {!Server.Frontend.default_drain_timeout_ms} for the forwards in
+    flight to finish while probes keep running. When its
+    {!Server.Frontend.serve} returns, the router closes its idle backend
+    connections. *)
 
 val collect_backend_traces : t -> (string * Server.Json.t) list
 (** Drains each reachable backend's span ring via [trace_export]

@@ -13,18 +13,35 @@
     exactly like an overloaded one), lost / truncated / unparseable
     responses, and responses whose error code is retryable per
     {!Protocol.retryable_code_string} (honoring their [retry_after_ms]
-    hint). Everything else — including structured non-retryable errors —
-    is a final answer. A failed connect closes its descriptor, so
-    endless retries against a dead endpoint leak nothing. *)
+    hint), and read timeouts. Everything else — including structured
+    non-retryable errors — is a final answer. A failed connect closes
+    its descriptor, so endless retries against a dead endpoint leak
+    nothing.
+
+    The connection stays open between round trips. One kept from an
+    earlier round trip that fails before any answer byte arrives (the
+    server closed it while it sat idle, or restarted) is replaced by a
+    fresh connection at once, within the same attempt: no backoff, no
+    retry counted. Any other transport failure, a read timeout or an
+    unparseable answer drops the connection. *)
 
 type t
 
-val create : ?read_timeout_s:float -> Netline.endpoint -> t
+val create : ?read_timeout_s:float -> ?on_connect:(unit -> unit) -> Netline.endpoint -> t
 (** [read_timeout_s] arms SO_RCVTIMEO on each established connection so
     a deadline-bounded request cannot hang the caller on a wedged
-    server. No connection is opened until the first attempt. *)
+    server. [on_connect] runs after each connection is established (the
+    router counts them). No connection is opened until the first
+    attempt. *)
 
 val endpoint : t -> Netline.endpoint
+
+val set_read_timeout : t -> float option -> unit
+(** Replaces [read_timeout_s] ([None]: no timeout), on the open
+    connection too. *)
+
+val connected : t -> bool
+(** Whether a connection is open. *)
 
 val close : t -> unit
 (** Drops the current connection, if any. Idempotent; {!attempt} and
@@ -61,3 +78,13 @@ val call :
     is (re)stamped from {!Obs.Trace.propagation_context} before
     sending, so the receiving process parents its spans onto the span
     this call runs under. {!attempt} sends its line verbatim. *)
+
+val call_parsed :
+  t ->
+  ?policy:Retry.policy ->
+  ?rng:Physics.Rng.t ->
+  ?on_retry:(attempt:int -> reason:string -> sleep_ms:int -> unit) ->
+  string ->
+  (string * Json.t, failure) result
+(** {!call} that also returns the parse of the response line, which the
+    classification already made. *)

@@ -10,12 +10,19 @@ type ('state, 'meta) t = {
   seq : int Atomic.t;
   mutable access_log : out_channel option;
   access_lock : Mutex.t;
-  mutable running : bool;
-  mutable draining : bool;
-  (* open connection threads; drain waits for this to reach zero *)
-  mutable connections : int;
+  (* atomics, so stop and drain stay safe from signal handlers *)
+  running : bool Atomic.t;
+  draining : bool Atomic.t;
+  (* connections accepted and not yet closed by their threads *)
+  mutable conns : conn list;
+  mutable at_stop : (unit -> unit) list;
   lock : Mutex.t;
 }
+
+(* An accepted connection. [busy]: it holds a request, read and not yet
+   answered. [shut]: drain or shutdown has shut it down, so it answers
+   nothing more. Both are guarded by the front-end's lock. *)
+and conn = { fd : Unix.file_descr; mutable busy : bool; mutable shut : bool }
 
 and ('state, 'meta) role = {
   cid_prefix : string;
@@ -44,9 +51,10 @@ let create role ~metrics ~registry ?slo ?(drain_timeout_ms = default_drain_timeo
     seq = Atomic.make 0;
     access_log = None;
     access_lock = Mutex.create ();
-    running = false;
-    draining = false;
-    connections = 0;
+    running = Atomic.make false;
+    draining = Atomic.make false;
+    conns = [];
+    at_stop = [];
     lock = Mutex.create ();
   }
 
@@ -58,8 +66,8 @@ let locked fe f =
   Mutex.unlock fe.lock;
   v
 
-let draining fe = locked fe (fun () -> fe.draining)
-let connections fe = locked fe (fun () -> fe.connections)
+let draining fe = Atomic.get fe.draining
+let connections fe = locked fe (fun () -> List.length fe.conns)
 
 (* --- Errors --- *)
 
@@ -196,7 +204,9 @@ let observed fe ~cid ~trace ~endpoint run =
   access_log_write fe ~cid ~endpoint ~ok ~elapsed_s ~error meta;
   response
 
-let handle fe request_json =
+(* The response may hold already-rendered bytes ([Json.Raw]), which
+   [handle_line] prints as they are. *)
+let respond fe request_json =
   match Protocol.envelope_of_json request_json with
   | Error { Protocol.code; message; details } ->
     if code = Protocol.Invalid_request then Metrics.incr_counter fe.metrics "invalid_requests";
@@ -212,11 +222,13 @@ let handle fe request_json =
       if code = Protocol.Invalid_request then Metrics.incr_counter fe.metrics "invalid_requests";
       (Protocol.error_response ~id ~details code message, fe.role.no_meta)
 
+let handle fe request_json = Json.expand_raw (respond fe request_json)
+
 let handle_line fe line =
   let response =
     match Json.of_string line with
     | exception Json.Parse_error m -> Protocol.error_response ~id:None Protocol.Parse_error m
-    | json -> handle fe json
+    | json -> respond fe json
   in
   Json.to_string response
 
@@ -256,23 +268,54 @@ let trace_export fe ~id ~clear =
 
 (* --- Socket serving --- *)
 
-(* Only flips the flag: the accept loop polls it (select with a short
+(* Only flips flags: the accept loop polls them (select with a short
    timeout), because on Linux closing a listening fd from another thread
    does not wake a blocked accept(2). Safe from signal handlers. *)
-let stop fe = locked fe (fun () -> fe.running <- false)
+let stop fe = Atomic.set fe.running false
 
 let drain fe =
-  locked fe (fun () ->
-      fe.draining <- true;
-      fe.running <- false)
+  Atomic.set fe.draining true;
+  Atomic.set fe.running false
+
+let at_stop fe f = locked fe (fun () -> fe.at_stop <- fe.at_stop @ [ f ])
 
 let install_signal_handlers fe =
   Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop fe));
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> drain fe))
 
+(* A connection takes a request it has read unless it was shut down
+   meanwhile; after answering, it reads the next one unless the service
+   is draining. So once draining, each connection answers the request it
+   holds and closes. *)
+let take fe c =
+  locked fe (fun () ->
+      if not c.shut then c.busy <- true;
+      not c.shut)
+
+let release fe c =
+  locked fe (fun () ->
+      c.busy <- false;
+      not (c.shut || Atomic.get fe.draining))
+
+(* Wakes the threads of the connections that [select] picks, blocked in
+   a read or not, by shutting their sockets down; each thread then
+   closes its own descriptor (a descriptor closed here could be reused
+   under a thread still reading it). [SHUTDOWN_RECEIVE] still lets a
+   connection write the answer it holds. *)
+let shut_down fe ~select how =
+  locked fe (fun () ->
+      List.iter
+        (fun c ->
+          if select c then begin
+            c.shut <- true;
+            try Unix.shutdown c.fd how with Unix.Unix_error _ -> ()
+          end)
+        fe.conns)
+
 exception Drop_connection
 
-let connection_loop fe fd =
+let connection_loop fe c =
+  let fd = c.fd in
   let reader = Netline.reader (Unix.in_channel_of_descr fd) in
   let oc = Unix.out_channel_of_descr fd in
   let write_response line =
@@ -294,31 +337,35 @@ let connection_loop fe fd =
     match Netline.read_request_line reader ~max_bytes:fe.max_line_bytes with
     | Netline.Eof -> ()
     | Netline.Oversized ->
-      Metrics.incr_counter fe.metrics "invalid_requests";
-      write_response
-        (Json.to_string
-           (Protocol.error_response ~id:None
-              ~details:[ ("max_line_bytes", Json.Int fe.max_line_bytes) ]
-              Protocol.Invalid_request
-              (Printf.sprintf "request line exceeds %d bytes" fe.max_line_bytes)));
-      loop ()
+      if take fe c then begin
+        Metrics.incr_counter fe.metrics "invalid_requests";
+        write_response
+          (Json.to_string
+             (Protocol.error_response ~id:None
+                ~details:[ ("max_line_bytes", Json.Int fe.max_line_bytes) ]
+                Protocol.Invalid_request
+                (Printf.sprintf "request line exceeds %d bytes" fe.max_line_bytes)));
+        if release fe c then loop ()
+      end
     | Netline.Line line ->
-      let line =
-        (* tolerate CRLF clients *)
-        let n = String.length line in
-        if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
-      in
-      if String.trim line <> "" then write_response (handle_line fe line);
-      loop ()
+      if take fe c then begin
+        let line =
+          (* tolerate CRLF clients *)
+          let n = String.length line in
+          if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
+        in
+        if String.trim line <> "" then write_response (handle_line fe line);
+        if release fe c then loop ()
+      end
   in
   (* A peer that vanishes mid-write (EPIPE / ECONNRESET — surfaced as
      Sys_error through the channel layer) or mid-read costs exactly this
-     connection, never the process. *)
-  locked fe (fun () -> fe.connections <- fe.connections + 1);
+     connection, never the process. The connection leaves the set before
+     its descriptor closes, so [shut_down] never touches a closed one. *)
   Fun.protect
     ~finally:(fun () ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      locked fe (fun () -> fe.connections <- fe.connections - 1))
+      locked fe (fun () -> fe.conns <- List.filter (fun c' -> c' != c) fe.conns);
+      try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       try loop () with
       | Drop_connection -> ()
@@ -356,16 +403,20 @@ let serve fe endpoint ?(on_ready = ignore) () =
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
   Unix.bind fd addr;
   Unix.listen fd 64;
-  locked fe (fun () -> fe.running <- true);
+  Atomic.set fe.running true;
   let stop_ticker = start_ticker fe in
   let rec accept_loop () =
-    if fe.running then begin
+    if Atomic.get fe.running then begin
       match Unix.select [ fd ] [] [] 0.2 with
       | [], _, _ -> accept_loop ()
       | _ :: _, _, _ -> begin
         match Unix.accept fd with
         | client, _ ->
-          ignore (Thread.create (connection_loop fe) client);
+          (* registered here, before its thread runs, so a shutdown
+             sweep sees every accepted connection *)
+          let c = { fd = client; busy = false; shut = false } in
+          locked fe (fun () -> fe.conns <- c :: fe.conns);
+          ignore (Thread.create (connection_loop fe) c);
           accept_loop ()
         | exception
             Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED), _, _)
@@ -379,16 +430,22 @@ let serve fe endpoint ?(on_ready = ignore) () =
     ~finally:(fun () ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Option.iter (fun p -> try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ()) path;
-      (* Drain: the listening socket is closed, so no new work can
-         arrive; wait — bounded — for connection threads to finish their
-         in-flight requests. *)
-      if locked fe (fun () -> fe.running <- false; fe.draining) then begin
+      Atomic.set fe.running false;
+      (* Drain: the listening socket is closed, so no new connection can
+         arrive. Idle connections close at once; the others answer the
+         request they hold and close. Wait, bounded, for those. *)
+      if Atomic.get fe.draining then begin
+        shut_down fe ~select:(fun c -> not c.busy) Unix.SHUTDOWN_RECEIVE;
         let deadline = Unix.gettimeofday () +. (float_of_int fe.drain_timeout_ms /. 1000.0) in
         while connections fe > 0 && Unix.gettimeofday () < deadline do
           Unix.sleepf 0.01
         done
       end;
-      stop_ticker ())
+      (* Whatever is still open is shut down, so no connection outlives
+         [serve]: its peer reads EOF. *)
+      shut_down fe ~select:(fun _ -> true) Unix.SHUTDOWN_ALL;
+      stop_ticker ();
+      List.iter (fun f -> f ()) (locked fe (fun () -> fe.at_stop)))
     (fun () ->
       on_ready ();
       accept_loop ())

@@ -37,7 +37,8 @@ type ('state, 'meta) role = {
       (** the role's current fault plan, read at the [write] site *)
   dispatch : ('state, 'meta) t -> Protocol.envelope -> Json.t * 'meta;
       (** one decoded request to its response envelope; anything it
-          raises is answered through the error table below *)
+          raises is answered through the error table below. The
+          envelope may hold already-rendered results ({!Json.Raw}). *)
   no_meta : 'meta;  (** the access-log report of a request dispatch did not answer *)
   access_fields : 'meta -> (string * Json.t) list;
       (** extra access-log fields, evaluated only when a log is armed *)
@@ -95,15 +96,17 @@ val batch_entry :
 (** {1 Dispatch} *)
 
 val handle : ('state, 'meta) t -> Json.t -> Json.t
-(** One request envelope in, one response envelope out. Never raises.
-    An envelope that does not decode is answered under endpoint
-    ["invalid"] (and counted as [invalid_requests] when its code is
-    [invalid_request]); anything the dispatch raises goes through the
+(** One request envelope in, one response envelope out, as a plain tree
+    (already-rendered results are parsed back, see {!Json.expand_raw}).
+    Never raises. An envelope that does not decode is answered under
+    endpoint ["invalid"] (and counted as [invalid_requests] when its code
+    is [invalid_request]); anything the dispatch raises goes through the
     error table. *)
 
 val handle_line : ('state, 'meta) t -> string -> string
 (** {!handle} composed with the codec: one request line (no newline) to
-    one response line. Malformed JSON yields a [parse_error] response. *)
+    one response line. Malformed JSON yields a [parse_error] response.
+    Already-rendered results are copied into the line, not parsed. *)
 
 val metrics_result : ('state, 'meta) t -> Json.t
 (** The [metrics] op's result: the Prometheus text of the registry. *)
@@ -130,26 +133,37 @@ val serve : ('state, 'meta) t -> Netline.endpoint -> ?on_ready:(unit -> unit) ->
     without being buffered whole. A peer vanishing mid-read or mid-write
     costs that connection only (counted as [disconnects]); SIGPIPE is
     ignored. The [write] fault site can delay a response or truncate it
-    and drop the connection. After a {!drain}, waits up to
-    [drain_timeout_ms] for open connections to finish before returning.
-    [on_ready] runs once the socket is listening. A pre-existing Unix
-    socket file is replaced; the file is unlinked on shutdown. *)
+    and drop the connection. After a {!drain}, idle connections close at
+    once and [serve] waits up to [drain_timeout_ms] for the requests in
+    flight to be answered (each of those connections closes after its
+    answer). When [serve] returns, every connection it accepted has been
+    shut down, so a peer still holding one reads EOF; each connection's
+    thread closes its own descriptor. [on_ready] runs once the socket is
+    listening. A pre-existing Unix socket file is replaced; the file is
+    unlinked on shutdown. *)
 
 val stop : ('state, 'meta) t -> unit
 (** Immediate shutdown: the accept loop exits within its ~200 ms poll
-    interval and {!serve} returns without waiting for open connections.
-    Idempotent; safe from signal handlers and other threads. *)
+    interval and {!serve} returns without waiting for requests in
+    flight; their answers are lost with their connections. Idempotent;
+    safe from signal handlers and other threads. *)
 
 val drain : ('state, 'meta) t -> unit
 (** Graceful shutdown: {!draining} turns true at once (so [health]
     reports [state:"draining"] and a router probe stops routing here),
     the accept loop stops taking connections, and {!serve} waits —
-    bounded — for open connections to finish their in-flight requests.
+    bounded — for the requests in flight, not for idle connections:
+    once draining, a connection answers the request it holds and closes.
     Idempotent; safe from signal handlers. *)
+
+val at_stop : ('state, 'meta) t -> (unit -> unit) -> unit
+(** [at_stop fe f] runs [f] each time {!serve} returns, after every
+    connection was shut down (the router closes its idle backend
+    connections). *)
 
 val install_signal_handlers : ('state, 'meta) t -> unit
 (** SIGINT to {!stop}, SIGTERM to {!drain}. *)
 
 val draining : ('state, 'meta) t -> bool
 val connections : ('state, 'meta) t -> int
-(** Connection threads currently open. *)
+(** Connections accepted and not yet closed. *)

@@ -6,6 +6,7 @@ type t =
   | String of string
   | List of t list
   | Assoc of (string * t) list
+  | Raw of string
 
 exception Parse_error of string
 exception Type_error of string
@@ -303,6 +304,7 @@ let to_string ?(minify = true) v =
     | Int i -> Buffer.add_string buf (string_of_int i)
     | Float f -> Buffer.add_string buf (float_repr f)
     | String s -> escape_string buf s
+    | Raw s -> Buffer.add_string buf s
     | List xs ->
       Buffer.add_char buf '[';
       List.iteri
@@ -325,6 +327,12 @@ let to_string ?(minify = true) v =
   emit v;
   Buffer.contents buf
 
+let rec expand_raw = function
+  | Raw s -> of_string s
+  | List xs -> List (List.map expand_raw xs)
+  | Assoc kvs -> Assoc (List.map (fun (k, v) -> (k, expand_raw v)) kvs)
+  | (Null | Bool _ | Int _ | Float _ | String _) as v -> v
+
 (* --- Accessors --- *)
 
 let type_name = function
@@ -335,6 +343,7 @@ let type_name = function
   | String _ -> "string"
   | List _ -> "array"
   | Assoc _ -> "object"
+  | Raw _ -> "raw"
 
 let type_fail want got = raise (Type_error (Printf.sprintf "expected %s, got %s" want (type_name got)))
 

@@ -17,6 +17,13 @@ type t =
   | String of string
   | List of t list
   | Assoc of (string * t) list
+  | Raw of string
+      (** JSON text already rendered by {!to_string}, or already
+          validated by {!of_string}: the printer copies it verbatim, and
+          only the printer reads it (the accessors below raise
+          {!Type_error} on it, and {!of_string} never returns it). A
+          stored result or a forwarded answer is spliced into a response
+          this way instead of being printed again. *)
 
 exception Parse_error of string
 (** Raised by {!of_string} with a position-annotated message. *)
@@ -29,7 +36,13 @@ val of_string : string -> t
 val to_string : ?minify:bool -> t -> string
 (** One-line JSON (the service protocol is newline-delimited, so the
     printer never emits ['\n']). [minify] (default true) drops the
-    spaces after [':'] and [',']. Non-finite floats print as [null]. *)
+    spaces after [':'] and [',']. Non-finite floats print as [null].
+    {!Raw} text is copied as it is, whatever [minify] says. *)
+
+val expand_raw : t -> t
+(** Replaces every {!Raw} node by its parse, for callers that walk a
+    response as a tree. @raise Parse_error when a [Raw] text is not
+    JSON. *)
 
 (** {1 Accessors}
 

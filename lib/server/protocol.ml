@@ -450,6 +450,37 @@ let response_base id =
 let ok_response ~id result =
   Json.Assoc (response_base id @ [ ("ok", Json.Bool true); ("result", result) ])
 
+(* A result payload as [Json.to_string] printed it, with "cached"
+   appended the way [Assoc (fields @ [ ("cached", Bool hit) ])] would
+   print: the closing brace moves past the new member, and the payload
+   is copied once instead of printed again. A payload that is not an
+   object (only [cache_import] can store one) is answered as it is. *)
+let cached_result payload ~hit =
+  let n = String.length payload in
+  if n < 2 || payload.[0] <> '{' then Json.Raw payload
+  else begin
+    (* "{}" is the only printed object of two bytes *)
+    let sep = if n = 2 then "" else "," in
+    let member = if hit then {|"cached":true}|} else {|"cached":false}|} in
+    Json.Raw (String.sub payload 0 (n - 1) ^ sep ^ member)
+  end
+
+(* What [ok_response ~id:None] prints before its result. *)
+let ok_prefix = Printf.sprintf {|{"v":%d,"ok":true,"result":|} version
+
+(* When the parse has exactly these three members and [line] starts
+   with [ok_prefix] and ends with the object's closing brace, the bytes
+   in between are the result, perhaps padded with whitespace: they are
+   forwarded as they are. Any other layout is answered from the parse. *)
+let forwarded_result ~line json =
+  match json with
+  | Json.Assoc [ ("v", _); ("ok", Json.Bool true); ("result", result) ] ->
+    let p = String.length ok_prefix and n = String.length line in
+    if n > p + 1 && String.starts_with ~prefix:ok_prefix line && line.[n - 1] = '}' then
+      Json.Raw (String.sub line p (n - p - 1))
+    else result
+  | _ -> Json.member "result" json
+
 let error_response ~id ?(details = []) code message =
   Json.Assoc
     (response_base id

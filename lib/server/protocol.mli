@@ -212,6 +212,24 @@ val json_of_envelope : envelope -> Json.t
 
 val ok_response : id:string option -> Json.t -> Json.t
 
+val cached_result : string -> hit:bool -> Json.t
+(** [cached_result payload ~hit] is the result a service answers with
+    for a result payload it stored as {!Json.to_string} printed it:
+    [payload] with ["cached":hit] appended, as {!Json.Raw} bytes equal to
+    the print of the payload's tree with that member appended. A payload
+    that is not an object is answered as it is. *)
+
+val forwarded_result : line:string -> Json.t -> Json.t
+(** [forwarded_result ~line json], where [json] is [line] parsed and is
+    an ok response, is its result. When [line] is an id-less ok response
+    with [ok_response ~id:None]'s members in its order and without
+    whitespace around them, that is the result's bytes in [line], as
+    {!Json.Raw}: a router forwards them without printing them again, so
+    [ok_response ~id (forwarded_result ~line json)] prints as
+    [ok_response ~id] of the parsed result whenever the sender printed
+    [line] with {!Json.to_string}, and parses as it otherwise. Any other
+    layout yields the parsed result. *)
+
 val error_response :
   id:string option -> ?details:(string * Json.t) list -> error_code -> string -> Json.t
 (** [details] are extra fields merged into the error object, e.g.

@@ -20,7 +20,8 @@ let default_limits =
 type state = {
   circuits : Circuits.t;
   prepared : Flow.Platform.prepared Cache.t;
-  results : Json.t Cache.t;
+  (* each result payload as the bytes it was printed to when computed *)
+  results : string Cache.t;
   metrics : Metrics.t;
   registry : Obs.Registry.t;
   pool : Parallel.Pool.t;
@@ -35,10 +36,10 @@ type state = {
 
 type t = (state, unit) Frontend.t
 
-(* Result-cache entries are JSON payloads; weigh them by their serialized
-   size (plus a small per-entry overhead) so [result_max_bytes] tracks
+(* Result-cache entries are printed payloads; weigh them by their size
+   (plus a small per-entry overhead) so [result_max_bytes] tracks
    resident memory approximately. *)
-let json_weight j = String.length (Json.to_string j) + 64
+let payload_weight s = String.length s + 64
 
 let uptime_s t = Unix.gettimeofday () -. t.started_at
 
@@ -232,12 +233,10 @@ let run_job t ~budget job =
       (fun () ->
         compute_faults t;
         Parallel.Budget.check budget;
-        compute_payload ())
+        Json.to_string (compute_payload ()))
   in
   let payload, hit = Cache.find_or_add t.results key compute in
-  match payload with
-  | Json.Assoc fields -> Json.Assoc (fields @ [ ("cached", Json.Bool hit) ])
-  | other -> other
+  Protocol.cached_result payload ~hit
 
 (* Calibration runs mirror run_job's economics: admission guards only
    the cache-miss compute path, the budget is polled inside every
@@ -257,12 +256,10 @@ let run_calibrate t ~budget (spec : Protocol.calibrate_spec) =
           Calibrate.Engine.run ~pool:t.pool ~budget
             spec.Protocol.config spec.Protocol.dataset
         in
-        Protocol.json_of_posterior ~dataset:spec.Protocol.dataset posterior)
+        Json.to_string (Protocol.json_of_posterior ~dataset:spec.Protocol.dataset posterior))
   in
   let payload, hit = Cache.find_or_add t.results key compute in
-  match payload with
-  | Json.Assoc fields -> Json.Assoc (fields @ [ ("cached", Json.Bool hit) ])
-  | other -> other
+  Protocol.cached_result payload ~hit
 
 (* Structured health: [state] is what router probes and drain-aware
    tooling branch on; the bare [status:"ok"] liveness field predates it
@@ -365,12 +362,13 @@ let dispatch fe { Protocol.id; timeout_ms; trace = _; request } =
              ( "entries",
                Json.List
                  (List.map
-                    (fun (k, payload) -> Json.Assoc [ ("key", Json.String k); ("payload", payload) ])
+                    (fun (k, payload) ->
+                      Json.Assoc [ ("key", Json.String k); ("payload", Json.Raw payload) ])
                     entries) );
            ])
     | Protocol.Cache_import { entries } ->
       Metrics.incr_counter t.metrics "cache_imports";
-      List.iter (fun (k, payload) -> Cache.add t.results k payload) entries;
+      List.iter (fun (k, payload) -> Cache.add t.results k (Json.to_string payload)) entries;
       Protocol.ok_response ~id
         (Json.Assoc
            [
@@ -415,7 +413,8 @@ let create ?(result_capacity = 256) ?(result_max_bytes = 64 * 1024 * 1024)
       circuits = Circuits.create ();
       prepared = Cache.create ~capacity:prepared_capacity ();
       results =
-        Cache.create ~capacity:result_capacity ~max_bytes:result_max_bytes ~weight:json_weight ();
+        Cache.create ~capacity:result_capacity ~max_bytes:result_max_bytes ~weight:payload_weight
+          ();
       metrics = Metrics.create ();
       registry = Obs.Registry.create ();
       pool = (match pool with Some p -> p | None -> Parallel.Pool.default ());

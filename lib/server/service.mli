@@ -16,7 +16,9 @@
       lifetime / RAS / temperatures that share the SP and leakage
       settings;
     - a result cache keyed on {!Protocol.job_cache_key}: an identical
-      request is answered without touching the platform at all. It is
+      request is answered without touching the platform at all, from
+      the bytes the result was printed to when it was computed
+      ({!Protocol.cached_result}), not by printing it again. It is
       additionally bounded by an approximate byte budget.
 
     {b Failure model.} Dispatch is thread-safe and the daemon is
@@ -80,7 +82,7 @@ val create :
     [overloaded] (default 64). [faults] arms a fault-injection plan
     (default {!Faults.none}); its [write] site is read at every
     response, so {!set_faults} arms it too. [drain_timeout_ms] bounds
-    how long {!Frontend.drain} waits for in-flight connections (default
+    how long {!Frontend.drain} waits for in-flight requests (default
     {!Frontend.default_drain_timeout_ms}).
     [pool] (default {!Parallel.Pool.default})
     runs every compute path — Monte-Carlo SPs, IVC search, and [batch]

@@ -6,7 +6,9 @@
 # failover recorded, (3) the killed backend comes back, receives a
 # warm-cache handoff, and then answers its keys from cache, and
 # (4) every routed answer is byte-identical to a single-backend run
-# (modulo the cached flag).
+# (modulo the cached flag), and (4b) a backend SIGTERMed under routed
+# traffic exits within 1 s with no request failing, and is routed to
+# again once restarted on the same socket.
 #
 # Observability assertions ride the same fleet: the backends run with
 # span rings and the router with --trace/--access-log/--slo, so the run
@@ -214,6 +216,70 @@ sed 's/,"cached":true//g; s/,"cached":false//g' "$WORK/direct.out" > "$WORK/dire
 cmp -s "$WORK/rerun.norm" "$WORK/direct.norm" \
     || fail "routed answers differ from the single-backend run"
 
+# --- 4b. rolling restart under routed traffic ---
+# With requests flowing through the router, SIGTERM one backend. A
+# drain waits only for requests in flight, not for idle connections
+# such as the ones the router keeps open, so the backend exits well
+# inside its 5 s drain bound; no request may fail (no client retries).
+# Then restart it on the same socket: the router must route to it
+# again.
+analyze_requests() {
+    # the backend's own endpoints.analyze.requests (endpoints are sorted,
+    # so analyze comes first once it has been requested)
+    "$TOOL" request -s "$1" '{"v":1,"op":"stats"}' 2>/dev/null \
+        | sed -n 's/.*"endpoints":{"analyze":{"requests":\([0-9]*\).*/\1/p'
+}
+# An idle connection to the backend, like the ones the router keeps:
+# one answered request, then silence until after the restart.
+IDLE="$WORK/idle"
+mkfifo "$IDLE"
+"$TOOL" request -s "$B1" - < "$IDLE" > "$WORK/idle.out" 2>&1 &
+IDLE_PID=$!
+exec 4> "$IDLE"
+echo '{"v":1,"op":"health"}' >&4
+i=0
+until grep -q '"ok":true' "$WORK/idle.out" 2>/dev/null; do
+    i=$((i + 1))
+    [ "$i" -gt 100 ] && fail "the idle client got no answer"
+    sleep 0.05
+done
+ROLL_N=300
+(
+    i=1
+    while [ "$i" -le "$ROLL_N" ]; do
+        echo "{\"v\":1,\"op\":\"analyze\",\"circuit\":\"c17\",\"config\":{\"years\":$((i % 40 + 40)).5}}"
+        i=$((i + 1))
+        sleep 0.005
+    done
+) | "$TOOL" request -s "$ROUTER" - > "$WORK/roll.out" 2> "$WORK/roll.err" &
+ROLL_PID=$!
+sleep 0.5
+T0=$(date +%s%N)
+kill -TERM "$B1_PID"
+wait "$B1_PID" || fail "the SIGTERMed backend exited non-zero"
+DRAIN_MS=$(( ($(date +%s%N) - T0) / 1000000 ))
+[ "$DRAIN_MS" -lt 1000 ] \
+    || fail "the SIGTERMed backend took $DRAIN_MS ms to exit (its drain waited on idle connections?)"
+wait "$ROLL_PID" || fail "a request failed during the rolling restart: $(grep -m1 '"ok":false' "$WORK/roll.out")"
+exec 4>&-
+wait "$IDLE_PID" || true
+ROLL_OK=$(grep -c '"ok":true' "$WORK/roll.out" || true)
+[ "$ROLL_OK" -eq "$ROLL_N" ] || fail "expected $ROLL_N ok responses across the restart, got $ROLL_OK"
+"$TOOL" serve -s "$B1" --trace-spans 4096 --log-level error &
+B1_PID=$!
+PIDS="$PIDS $B1_PID"
+wait_sock "$B1"
+i=0
+until [ "$(analyze_requests "$B1")" -gt 0 ] 2>/dev/null; do
+    i=$((i + 1))
+    [ "$i" -gt 100 ] && fail "the router never routed to the restarted backend"
+    "$TOOL" request -s "$ROUTER" - < "$REQS" > /dev/null 2>&1 \
+        || fail "routed requests failed after the restart"
+    sleep 0.1
+done
+ROLL_CONNECTS=$(stat_counter backend_connects)
+ROLL_ATTEMPTS=$(stat_counter forward_attempts)
+
 # --- 5. graceful shutdown end to end ---
 # The router stops first: its shutdown drains every backend's span ring
 # (the backends are still serving) and writes the merged fleet trace.
@@ -244,4 +310,4 @@ MERGED="$WORK/request_flame.json"
 grep -q 'client' "$WORK/validate.out" || fail "merged trace lost the client process lane"
 grep -q 'router' "$WORK/validate.out" || fail "merged trace lost the router process lane"
 
-echo "fleet-smoke: OK (coalesced=$COALESCED failovers=$FAILOVERS handoff_keys=$HANDOFF_KEYS; 30/30 ok through a mid-batch kill; byte-identical to single backend; merged trace + federation + SLO asserted)"
+echo "fleet-smoke: OK (coalesced=$COALESCED failovers=$FAILOVERS handoff_keys=$HANDOFF_KEYS; 30/30 ok through a mid-batch kill; byte-identical to single backend; $ROLL_N/$ROLL_N ok through a rolling restart, drain ${DRAIN_MS} ms, backend_connects=$ROLL_CONNECTS of forward_attempts=$ROLL_ATTEMPTS; merged trace + federation + SLO asserted)"

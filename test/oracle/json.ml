@@ -239,6 +239,7 @@ let to_string ?(minify = true) v =
     | Int i -> Buffer.add_string buf (string_of_int i)
     | Float f -> Buffer.add_string buf (float_repr f)
     | String s -> escape_string buf s
+    | Raw s -> Buffer.add_string buf s
     | List xs ->
       Buffer.add_char buf '[';
       List.iteri

@@ -718,6 +718,215 @@ let test_router_drains_in_flight () =
   Alcotest.(check bool) "the socket file is gone" false (Sys.file_exists path);
   stop_backend b
 
+(* A draining service closes its idle connections at once and waits
+   only for the request in flight: with one of each, [serve] returns
+   right after that request is answered, well inside the drain bound. *)
+let test_drain_waits_for_requests_not_idle_connections () =
+  let faults =
+    match Server.Faults.parse "compute=delay:600@1" with
+    | Ok f -> f
+    | Error m -> Alcotest.fail m
+  in
+  let service = Server.Service.create ~faults () in
+  let path = fresh_socket_path () in
+  let serve_returned = ref 0.0 in
+  let serving =
+    let t = start_service_at service path in
+    Thread.create
+      (fun () ->
+        Thread.join t;
+        serve_returned := Unix.gettimeofday ())
+      ()
+  in
+  (* an idle connection: one answered request, then nothing *)
+  let idle = Server.Client.create (Server.Netline.Unix_socket path) in
+  (match Server.Client.call idle {|{"v":1,"op":"health"}|} with
+  | Ok r -> Alcotest.(check bool) "idle connection answered once" true (response_ok r)
+  | Error { Server.Client.reason; _ } -> Alcotest.fail reason);
+  let response = ref "" in
+  let busy =
+    Thread.create
+      (fun () ->
+        let c = Server.Client.create (Server.Netline.Unix_socket path) in
+        (match Server.Client.call c (analyze_line 9.5) with
+        | Ok r -> response := r
+        | Error { Server.Client.reason; _ } -> response := reason);
+        Server.Client.close c)
+      ()
+  in
+  (* let the request reach the delayed compute, then drain *)
+  Unix.sleepf 0.2;
+  Alcotest.(check int) "one idle and one busy connection" 2 (Server.Frontend.connections service);
+  let drained_at = Unix.gettimeofday () in
+  Server.Frontend.drain service;
+  Thread.join busy;
+  Thread.join serving;
+  Alcotest.(check bool) ("in-flight request answered ok: " ^ !response) true (response_ok !response);
+  Alcotest.(check bool)
+    (Printf.sprintf "serve returned %.2f s after the drain, not after the %d ms bound"
+       (!serve_returned -. drained_at) Server.Frontend.default_drain_timeout_ms)
+    true
+    (!serve_returned -. drained_at < 1.5);
+  Alcotest.(check int) "every connection closed" 0 (Server.Frontend.connections service);
+  Server.Client.close idle
+
+(* [serve] returning shuts down every connection it accepted: a peer
+   still holding one reads EOF instead of an answer from a stopped
+   service. *)
+let test_serve_return_closes_connections () =
+  let service = Server.Service.create () in
+  let path = fresh_socket_path () in
+  let serving = start_service_at service path in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let ic = Unix.in_channel_of_descr fd in
+  let oc = Unix.out_channel_of_descr fd in
+  let send () =
+    try
+      output_string oc "{\"v\":1,\"op\":\"health\"}\n";
+      flush oc
+    with Sys_error _ -> ()
+  in
+  send ();
+  Alcotest.(check bool) "answered while serving" true (response_ok (input_line ic));
+  Server.Frontend.stop service;
+  Thread.join serving;
+  send ();
+  (match input_line ic with
+  | line -> Alcotest.fail ("a stopped service answered: " ^ line)
+  | exception End_of_file -> ());
+  Unix.close fd
+
+(* --- router: connection reuse --- *)
+
+let prometheus_has router line =
+  let r =
+    Server.Json.of_string (Fleet.Router.handle_line router {|{"v":1,"op":"metrics"}|})
+  in
+  let text = Server.Json.(to_string_exn (member "prometheus" (member "result" r))) in
+  List.mem line (String.split_on_char '\n' text)
+
+let test_router_reuses_one_connection () =
+  let b = start_backend () in
+  let router = Fleet.Router.create [ endpoint_of b ] in
+  for i = 1 to 50 do
+    Alcotest.(check bool) "forward ok" true
+      (response_ok (Fleet.Router.handle_line router (analyze_line (float_of_int (1 + (i mod 7))))))
+  done;
+  Alcotest.(check int) "50 forward attempts" 50 (counter router "forward_attempts");
+  Alcotest.(check int) "one connection" 1 (counter router "backend_connects");
+  let stats = Fleet.Router.handle_line router {|{"v":1,"op":"stats"}|} in
+  Alcotest.(check bool) "stats counts the connects" true
+    (Server.Json.member "backend_connects" (result_member "counters" stats) = Server.Json.Int 1);
+  Alcotest.(check bool) "metrics count the connects" true
+    (prometheus_has router {|nbti_events_total{event="backend_connects"} 1|});
+  stop_backend b
+
+(* A backend restarted between two forwards closed the connection the
+   router kept; the next forward replaces it at once, with no failover
+   and no backoff sleep. The backoff floor is 10 ms, so the fastest of
+   three restarts must beat it. *)
+let test_router_reconnects_after_restart () =
+  let b = start_backend () in
+  let router = Fleet.Router.create [ endpoint_of b ] in
+  let line = analyze_line 2.0 in
+  Alcotest.(check bool) "first forward ok" true (response_ok (Fleet.Router.handle_line router line));
+  let fastest = ref infinity in
+  for _ = 1 to 3 do
+    stop_backend b;
+    restart_backend b;
+    (* warm the new process directly, so the routed forward is a hit *)
+    Alcotest.(check bool) "warmed" true (response_ok (Server.Service.handle_line b.service line));
+    let t0 = Unix.gettimeofday () in
+    let r = Fleet.Router.handle_line router line in
+    fastest := Float.min !fastest (Unix.gettimeofday () -. t0);
+    Alcotest.(check bool) "forward after restart ok" true (response_ok r);
+    Alcotest.(check bool) "answered by the restarted backend" true
+      (result_member "cached" r = Server.Json.Bool true)
+  done;
+  Alcotest.(check int) "no failover" 0 (counter router "failovers");
+  Alcotest.(check int) "no backend failure" 0 (counter router "backend_failures");
+  Alcotest.(check int) "one attempt per forward" 4 (counter router "forward_attempts");
+  Alcotest.(check int) "one connection per backend process" 4 (counter router "backend_connects");
+  Alcotest.(check bool) "backend still up" true
+    (backend_state router (name_of b) = Fleet.Backend.Up);
+  Alcotest.(check bool)
+    (Printf.sprintf "reconnected without a backoff sleep (fastest %.2f ms)" (!fastest *. 1e3))
+    true (!fastest < 0.010);
+  stop_backend b
+
+let analyze_line_with_timeout ~timeout_ms years =
+  let open Server.Protocol in
+  json_str
+    (json_of_envelope
+       {
+         id = None;
+         timeout_ms = Some timeout_ms;
+         trace = None;
+         request =
+           Single
+             (Analyze
+                { circuit = Named "c17"; flow = { default_flow_spec with years }; standby = Worst });
+       })
+
+(* A forward whose read timeout expires drops its connection: the
+   backend's late answer goes to a closed socket, and the next forward
+   reads its own answer, not that one. A forward with timeout_ms 1000
+   reads for max(5 s, 4 x 1 s) = 5 s, also on a connection a forward
+   without a timeout opened. *)
+let test_router_drops_timed_out_connection () =
+  let b = start_backend () in
+  let router = Fleet.Router.create [ endpoint_of b ] in
+  Alcotest.(check bool) "a forward without a timeout" true
+    (response_ok (Fleet.Router.handle_line router (analyze_line 10.5)));
+  (match Server.Faults.parse "compute=delay:5600@1" with
+  | Ok f -> Server.Service.set_faults b.service f
+  | Error m -> Alcotest.fail m);
+  let t0 = Unix.gettimeofday () in
+  let slow = Fleet.Router.handle_line router (analyze_line_with_timeout ~timeout_ms:1000 11.0) in
+  Alcotest.(check bool) "the in-place retry answered" true (response_ok slow);
+  Alcotest.(check int) "timed out and retried on a new connection" 2
+    (counter router "backend_connects");
+  (* the late answer (deadline_exceeded) is written by now *)
+  Unix.sleepf (Float.max 0.0 (t0 +. 5.9 -. Unix.gettimeofday ()));
+  let line = analyze_line_with_timeout ~timeout_ms:1000 12.0 in
+  let routed = Fleet.Router.handle_line router line in
+  let direct = Server.Service.handle_line (Server.Service.create ()) line in
+  Alcotest.(check string) "the next forward reads its own answer" (strip_cached direct)
+    (strip_cached routed);
+  Alcotest.(check int) "on the connection kept from the retry" 2
+    (counter router "backend_connects");
+  stop_backend b
+
+(* Two forwards in flight to one backend at once hold one connection
+   each; both go back to the idle set afterwards. *)
+let test_router_concurrent_forwards_use_two_connections () =
+  let faults =
+    match Server.Faults.parse "compute=delay:300@2" with
+    | Ok f -> f
+    | Error m -> Alcotest.fail m
+  in
+  let b = start_backend ~faults () in
+  let router = Fleet.Router.create [ endpoint_of b ] in
+  let responses = Array.make 2 "" in
+  let threads =
+    Array.init 2 (fun i ->
+        Thread.create
+          (fun () ->
+            responses.(i) <- Fleet.Router.handle_line router (analyze_line (20.0 +. float_of_int i)))
+          ())
+  in
+  Array.iter Thread.join threads;
+  Alcotest.(check bool) "both ok" true (Array.for_all response_ok responses);
+  Alcotest.(check int) "no coalescing: different keys" 0 (counter router "coalesced");
+  Alcotest.(check int) "two connections" 2 (counter router "backend_connects");
+  for i = 1 to 4 do
+    Alcotest.(check bool) "later forward ok" true
+      (response_ok (Fleet.Router.handle_line router (analyze_line (30.0 +. float_of_int i))))
+  done;
+  Alcotest.(check int) "later forwards reuse them" 2 (counter router "backend_connects");
+  stop_backend b
+
 let test_cache_export_import_roundtrip () =
   let src = Server.Service.create () in
   let line = analyze_line 7.25 in
@@ -866,8 +1075,23 @@ let () =
           Alcotest.test_case "equal structure keeps names" `Quick
             test_router_equal_structure_keeps_names;
           Alcotest.test_case "drains an in-flight forward" `Quick test_router_drains_in_flight;
+          Alcotest.test_case "drains in-flight requests, not idle connections" `Quick
+            test_drain_waits_for_requests_not_idle_connections;
+          Alcotest.test_case "serve returning closes its connections" `Quick
+            test_serve_return_closes_connections;
           Alcotest.test_case "rejects backend-local cache ops" `Quick
             test_router_rejects_cache_ops;
+        ] );
+      ( "connections",
+        [
+          Alcotest.test_case "50 sequential forwards open one connection" `Quick
+            test_router_reuses_one_connection;
+          Alcotest.test_case "a restarted backend costs one immediate reconnect" `Quick
+            test_router_reconnects_after_restart;
+          Alcotest.test_case "a timed-out forward drops its connection" `Quick
+            test_router_drops_timed_out_connection;
+          Alcotest.test_case "concurrent forwards use two connections" `Quick
+            test_router_concurrent_forwards_use_two_connections;
         ] );
       ( "observability",
         [

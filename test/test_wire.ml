@@ -368,6 +368,141 @@ let test_decode_allocation () =
     true
     (String.length text > 16_000 && words < String.length text / 4)
 
+(* --- Responses from rendered bytes --- *)
+
+module Protocol = Server.Protocol
+
+let id_gen = QCheck.Gen.(option string_gen)
+
+(* Payloads as a service stores them: mostly objects, sometimes empty,
+   sometimes not an object at all (a cache_import can store one). *)
+let payload_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun kvs -> Json.Assoc kvs) (list_size (int_range 1 6) (pair string_gen value_gen)));
+        (1, return (Json.Assoc []));
+        (1, value_gen);
+      ])
+
+let show_response (id, v, hit) =
+  Printf.sprintf "id %s, hit %b, payload %s"
+    (match id with Some s -> Printf.sprintf "%S" s | None -> "none")
+    hit (Json.to_string v)
+
+(* The tree a service answered a stored payload with before it stored
+   bytes: "cached" appended to an object, anything else as it is. *)
+let with_cached payload hit =
+  match payload with
+  | Json.Assoc fields -> Json.Assoc (fields @ [ ("cached", Json.Bool hit) ])
+  | other -> other
+
+let prop_cached_result =
+  QCheck.Test.make ~name:"stored-bytes answer = the tree with cached appended" ~count:1000
+    (QCheck.make ~print:show_response QCheck.Gen.(triple id_gen payload_gen bool))
+    (fun (id, payload, hit) ->
+      let spliced =
+        Json.to_string (Protocol.ok_response ~id (Protocol.cached_result (Json.to_string payload) ~hit))
+      in
+      let printed = Json.to_string (Protocol.ok_response ~id (with_cached payload hit)) in
+      spliced = printed || QCheck.Test.fail_reportf "spliced %s\nprinted %s" spliced printed)
+
+(* A backend for the router properties: every request line it reads on
+   any connection is answered with the current [answer]. *)
+let canned_backend () =
+  let path = Filename.temp_file "nbti_wire" ".sock" in
+  Sys.remove path;
+  let answer = ref "" in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 8;
+  let serve fd =
+    let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+    try
+      while true do
+        ignore (input_line ic);
+        output_string oc !answer;
+        output_char oc '\n';
+        flush oc
+      done
+    with End_of_file | Sys_error _ -> Unix.close fd
+  in
+  ignore
+    (Thread.create
+       (fun () ->
+         while true do
+           let fd, _ = Unix.accept listener in
+           ignore (Thread.create serve fd)
+         done)
+       ());
+  (Server.Netline.Unix_socket path, answer)
+
+let router_with_canned_backend =
+  lazy
+    (let endpoint, answer = canned_backend () in
+     (Fleet.Router.create [ endpoint ], answer))
+
+(* The router's answer to an analyze request with [id] when the backend
+   answers [line]. *)
+let routed ~id line =
+  let router, answer = Lazy.force router_with_canned_backend in
+  answer := line;
+  let request =
+    Json.Assoc
+      ((("v", Json.Int 1) :: (match id with Some s -> [ ("id", Json.String s) ] | None -> []))
+      @ [ ("op", Json.String "analyze"); ("circuit", Json.String "c17") ])
+  in
+  Fleet.Router.handle_line router (Json.to_string request)
+
+let show_answer (id, line) =
+  Printf.sprintf "id %s, backend answer %s"
+    (match id with Some s -> Printf.sprintf "%S" s | None -> "none")
+    line
+
+let prop_router_passes_bytes_through =
+  QCheck.Test.make ~name:"routed bytes = ok_response ~id of the parsed backend result" ~count:300
+    (QCheck.make ~print:show_answer
+       QCheck.Gen.(
+         pair id_gen (map (fun v -> Json.to_string (Protocol.ok_response ~id:None v)) value_gen)))
+    (fun (id, line) ->
+      let got = routed ~id line in
+      let want =
+        Json.to_string (Protocol.ok_response ~id (Json.member "result" (Json.of_string line)))
+      in
+      (match Protocol.forwarded_result ~line (Json.of_string line) with
+      | Json.Raw _ -> ()
+      | _ -> QCheck.Test.fail_report "the result was printed again, not passed through");
+      got = want || QCheck.Test.fail_reportf "routed %s\nwant   %s" got want)
+
+(* Valid answers in other layouts: whitespace between tokens, inside
+   the result or around it, and members in another order. *)
+let other_layout_gen =
+  let open QCheck.Gen in
+  let* v = value_gen in
+  let result = Json.to_string v and loose = Json.to_string ~minify:false v in
+  let+ layout =
+    oneofl
+      [
+        Json.to_string ~minify:false (Protocol.ok_response ~id:None v);
+        {|{"v":1,"ok":true,"result":|} ^ loose ^ "}";
+        {|{"v":1,"ok":true,"result": |} ^ result ^ "}";
+        {|{"v":1,"ok":true,"result":|} ^ result ^ "\t}";
+        {| {"v":1,"ok":true,"result":|} ^ result ^ "} ";
+        {|{"ok":true,"v":1,"result":|} ^ result ^ "}";
+      ]
+  in
+  layout
+
+let prop_router_other_layouts =
+  QCheck.Test.make ~name:"a backend answer in another layout still routes correctly" ~count:300
+    (QCheck.make ~print:show_answer QCheck.Gen.(pair id_gen other_layout_gen))
+    (fun (id, line) ->
+      let got = routed ~id line in
+      let want = Protocol.ok_response ~id (Json.member "result" (Json.of_string line)) in
+      (not (String.contains got '\n'))
+      && Json.of_string got = want
+      || QCheck.Test.fail_reportf "routed %s\nwant   %s" got (Json.to_string want))
+
 let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "wire"
@@ -388,4 +523,7 @@ let () =
               prop_spellings_decode;
               prop_mutations_match_reference;
             ] );
+      ( "answers",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_cached_result; prop_router_passes_bytes_through; prop_router_other_layouts ] );
     ]
