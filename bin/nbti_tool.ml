@@ -20,9 +20,20 @@ let netlist_conv =
   in
   Arg.conv (parse, fun fmt t -> Format.fprintf fmt "%s" t.Circuit.Netlist.name)
 
-let netlist_arg =
-  let doc = "Circuit: an ISCAS85 benchmark name (c17, c432, ... c7552) or a .bench file path." in
-  Arg.(required & pos 0 (some netlist_conv) None & info [] ~docv:"CIRCUIT" ~doc)
+let netlist_doc = "Circuit: an ISCAS85 benchmark name (c17, c432, ... c7552) or a .bench file path."
+let netlist_arg = Arg.(required & pos 0 (some netlist_conv) None & info [] ~docv:"CIRCUIT" ~doc:netlist_doc)
+
+(* The CIRCUIT of a subcommand that times it: a netlist with nothing to
+   time is as unusable as an unreadable one (exit 124). *)
+let timed_netlist_arg =
+  let parse s =
+    Result.bind (Arg.conv_parser netlist_conv s) (fun net ->
+        match Circuit.Netlist.timing_problem net with
+        | None -> Ok net
+        | Some reason -> Error (`Msg (Printf.sprintf "%s: %s" s reason)))
+  in
+  let timed = Arg.conv (parse, Arg.conv_printer netlist_conv) in
+  Arg.(required & pos 0 (some timed) None & info [] ~docv:"CIRCUIT" ~doc:netlist_doc)
 
 (* --- request fields as flags: name, default, domain and doc are the
    wire's, from Server.Request_fields --- *)
@@ -223,7 +234,7 @@ let analyze_cmd =
   in
   let term =
     Term.(
-      const run $ netlist_arg $ flow_arg $ field F.standby $ jobs_arg $ trace_arg $ log_level_arg
+      const run $ timed_netlist_arg $ flow_arg $ field F.standby $ jobs_arg $ trace_arg $ log_level_arg
       $ log_json_arg)
   in
   Cmd.v (Cmd.info "analyze" ~doc:"Fresh vs aged timing and leakage for a standby state.") term
@@ -262,7 +273,7 @@ let ivc_cmd =
   in
   let term =
     Term.(
-      const run $ netlist_arg $ flow_arg $ field F.ivc_seed $ field F.pool $ jobs_arg $ trace_arg
+      const run $ timed_netlist_arg $ flow_arg $ field F.ivc_seed $ field F.pool $ jobs_arg $ trace_arg
       $ log_level_arg $ log_json_arg)
   in
   Cmd.v (Cmd.info "ivc" ~doc:"Search minimum-leakage vectors and co-optimize for NBTI.") term
@@ -297,7 +308,7 @@ let st_cmd =
   in
   let term =
     Term.(
-      const run $ netlist_arg $ flow_arg $ field F.style $ field F.beta $ field F.vth_st)
+      const run $ timed_netlist_arg $ flow_arg $ field F.style $ field F.beta $ field F.vth_st)
   in
   Cmd.v (Cmd.info "st" ~doc:"Analyze sleep transistor insertion with NBTI-aware sizing.") term
 
@@ -362,7 +373,7 @@ let lifetime_cmd =
           net.Circuit.Netlist.name (Flow.Report.cell_pct margin))
   in
   let term =
-    Term.(const run $ netlist_arg $ schedule_arg $ field F.standby $ margin_arg)
+    Term.(const run $ timed_netlist_arg $ schedule_arg $ field F.standby $ margin_arg)
   in
   Cmd.v
     (Cmd.info "lifetime" ~doc:"Solve how long a timing guardband lasts under NBTI.")
@@ -562,7 +573,7 @@ let variation_cmd =
   in
   let term =
     Term.(
-      const run $ netlist_arg $ flow_arg $ seed_arg $ samples_arg $ sigma_arg $ jobs_arg $ trace_arg
+      const run $ timed_netlist_arg $ flow_arg $ seed_arg $ samples_arg $ sigma_arg $ jobs_arg $ trace_arg
       $ log_level_arg $ log_json_arg)
   in
   Cmd.v
@@ -661,7 +672,7 @@ let profile_cmd =
   in
   let term =
     Term.(
-      const run $ netlist_arg $ flow_arg $ runs_arg $ jobs_arg)
+      const run $ timed_netlist_arg $ flow_arg $ runs_arg $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "profile"

@@ -23,68 +23,6 @@ let default_config ?(params = Nbti.Rd_model.default_params) ?(tech = Device.Tech
     pbti_scale;
   }
 
-(* Per-gate standby input vectors. For the bounding states the gate-level
-   vector is irrelevant (duties are forced), so any vector works. *)
-let standby_gate_inputs (t : Circuit.Netlist.t) ~standby =
-  match standby with
-  | Standby_vector v ->
-    let values = Logic.Eval.eval t ~inputs:v in
-    fun fanin -> Array.map (fun f -> values.(f)) fanin
-  | Standby_all_stressed | Standby_all_relaxed -> fun fanin -> Array.map (fun _ -> false) fanin
-
-let duty_table ?(polarity = `Pmos) (t : Circuit.Netlist.t) ~node_sp ~standby =
-  let gate_inputs = standby_gate_inputs t ~standby in
-  let worst_stage =
-    match polarity with
-    | `Pmos -> Cell.Cell_nbti.worst_stage_duties
-    | `Nmos -> Cell.Cell_nbti.worst_stage_duties_nmos
-  in
-  (* The bounding states mirror across polarity: all nodes 0 stresses
-     every PMOS and relaxes every NMOS, all nodes 1 the converse. *)
-  let bound_stressed, bound_relaxed =
-    match polarity with `Pmos -> (1.0, 0.0) | `Nmos -> (0.0, 1.0)
-  in
-  Array.map
-    (fun node ->
-      match node with
-      | Circuit.Netlist.Primary_input _ -> [||]
-      | Circuit.Netlist.Gate { cell; fanin; _ } ->
-        let sp = Array.map (fun f -> node_sp.(f)) fanin in
-        let standby_vector = gate_inputs fanin in
-        Array.init (Array.length cell.Cell.Stdcell.stages) (fun stage ->
-            let active, from_vector = worst_stage cell ~sp ~standby_vector ~stage in
-            let standby_duty =
-              match standby with
-              | Standby_vector _ -> from_vector
-              | Standby_all_stressed -> bound_stressed
-              | Standby_all_relaxed -> bound_relaxed
-            in
-            (active, standby_duty)))
-    t.Circuit.Netlist.nodes
-
-(* The per-stage R-D model evaluation (schedule -> c_eq -> dVth for every
-   gate stage) is the aging chain's analytical core; it gets its own span
-   so traces attribute time to it separately from the STA passes. *)
-let stage_dvth_general config ~cond ~scale ~duties =
-  let table =
-    Obs.Trace.with_span ~cat:"aging"
-      ~args:[ ("gates", Obs.Fields.Int (Array.length duties)) ]
-      "aging.dvth_table"
-    @@ fun () ->
-    Array.map
-      (Array.map (fun (active, standby) ->
-           let sched = Nbti.Schedule.with_stress_duties config.schedule ~active ~standby in
-           scale *. Nbti.Vth_shift.dvth config.params config.tech cond ~schedule:sched ~time:config.time))
-      duties
-  in
-  fun ~gate ~stage -> table.(gate).(stage)
-
-let stage_dvth_of_duties config ~duties =
-  stage_dvth_general config ~cond:(Nbti.Vth_shift.nominal_pmos config.tech) ~scale:1.0 ~duties
-
-let stage_dvth_map config t ~node_sp ~standby =
-  stage_dvth_of_duties config ~duties:(duty_table t ~node_sp ~standby)
-
 type analysis = {
   fresh : Sta.Timing.result;
   aged : Sta.Timing.result;
@@ -92,25 +30,24 @@ type analysis = {
   max_dvth : float;
 }
 
-let nmos_cond config =
-  { Nbti.Vth_shift.vgs = config.tech.Device.Tech.vdd; vth0 = config.tech.Device.Tech.vth_n }
+(* --- Compiled tables ---
 
-(* --- Compiled backend ---
-
-   The dvth table + two STA passes over [Compiled]. A standby state only
-   decides, per gate stage, which of two stored threshold shifts applies
-   ([Compiled.Duty]): the tables are memoized on everything they depend
-   on, so analysing a new standby vector is one logic simulation, a
-   per-stage pick and the timing passes on the flat arena. Results are
-   bit-identical to the boxed reference the tests keep ([duty_table],
-   one R-D evaluation per gate stage, boxed STA): each stored shift is
-   the boxed [Vth_shift.dvth] expression on the same duty pair, and the
-   compiled STA preserves the boxed float association. *)
+   The duty pairs, threshold shifts and the two STA passes all come
+   from [Compiled]. With the signal probabilities fixed, a gate stage's
+   duty pair is (active, standby) with [standby] 1.0 or 0.0, so each
+   flat stage takes one of two stored shifts ([Compiled.Duty]), and a
+   standby state only decides which: the tables are memoized on
+   everything they depend on, so analysing a new standby vector is one
+   logic simulation, a per-stage pick and the timing passes on the flat
+   arena. The test-only oracle keeps the boxed walk of every gate's
+   transistor networks these tables replace, and one R-D evaluation per
+   gate stage; [analyze] must match it bit for bit. *)
 
 let fp_config buf config =
-  Compiled.Memo.Fp.params buf config.params;
-  Compiled.Memo.Fp.tech buf config.tech;
-  Compiled.Memo.Fp.schedule buf config.schedule;
+  let k = Compiled.Memo.Fp.sink buf in
+  Compiled.Memo.Fp.params k config.params;
+  Compiled.Memo.Fp.tech k config.tech;
+  Compiled.Memo.Fp.schedule k config.schedule;
   Compiled.Memo.Fp.f buf config.time
 
 let fp_standby buf = function
@@ -119,6 +56,127 @@ let fp_standby buf = function
     Compiled.Memo.Fp.bools buf v
   | Standby_all_stressed -> Compiled.Memo.Fp.s buf "s"
   | Standby_all_relaxed -> Compiled.Memo.Fp.s buf "r"
+
+(* Duty tables are keyed on the arena digest and the signal
+   probabilities' bits (plus the polarity); shift pairs also on the
+   aging config and the polarity's scale. The probability digest is
+   computed once per analysis and shared by both polarities. *)
+let duty_memo : Compiled.Duty.t Compiled.Memo.t = Compiled.Memo.create ~capacity:16 ()
+let shifts_memo : Compiled.Duty.shifts Compiled.Memo.t = Compiled.Memo.create ~capacity:16 ()
+
+let sp_key (a : Compiled.Arena.t) ~node_sp =
+  let buf = Buffer.create 512 in
+  Compiled.Memo.Fp.s buf a.Compiled.Arena.digest;
+  Compiled.Memo.Fp.floats buf node_sp;
+  Compiled.Memo.Fp.digest buf
+
+let polarity_key sp_key = function `Pmos -> sp_key ^ ":pmos" | `Nmos -> sp_key ^ ":nmos"
+
+let duty_of (a : Compiled.Arena.t) ~node_sp ~sp_key polarity =
+  Compiled.Memo.find_or_add duty_memo (polarity_key sp_key polarity) (fun () ->
+      Compiled.Duty.build a ~polarity ~node_sp)
+
+(* The R-D model one polarity is evaluated under. *)
+let model config polarity =
+  let cond, scale =
+    match (polarity, config.pbti_scale) with
+    | `Pmos, _ -> (Nbti.Vth_shift.nominal_pmos config.tech, 1.0)
+    | `Nmos, Some scale ->
+      ({ Nbti.Vth_shift.vgs = config.tech.Device.Tech.vdd; vth0 = config.tech.Device.Tech.vth_n }, scale)
+    | `Nmos, None -> invalid_arg "Circuit_aging: NMOS shifts need a pbti_scale"
+  in
+  {
+    Compiled.Duty.params = config.params;
+    tech = config.tech;
+    schedule = config.schedule;
+    time = config.time;
+    cond;
+    scale;
+  }
+
+let shifts_of config (a : Compiled.Arena.t) ~node_sp ~sp_key polarity =
+  let m = model config polarity in
+  let buf = Buffer.create 512 in
+  Compiled.Memo.Fp.s buf (polarity_key sp_key polarity);
+  Compiled.Memo.Fp.f buf m.Compiled.Duty.scale;
+  fp_config buf config;
+  Compiled.Memo.find_or_add shifts_memo (Compiled.Memo.Fp.digest buf) (fun () ->
+      Obs.Trace.with_span ~cat:"aging" "aging.duty_tables" @@ fun () ->
+      Compiled.Duty.shifts (duty_of a ~node_sp ~sp_key polarity) m)
+
+let shifts config a ~node_sp = shifts_of config a ~node_sp ~sp_key:(sp_key a ~node_sp) `Pmos
+
+(* A standby vector's per-gate fanin indices, from one simulation in
+   [scratch] (or a fresh one). *)
+let standby_idxs (a : Compiled.Arena.t) ?scratch v =
+  if Array.length v <> Array.length a.Compiled.Arena.pis then
+    invalid_arg "Circuit_aging.analyze: standby vector length";
+  let s = match scratch with Some s -> s | None -> Compiled.Logic.leak_scratch a in
+  Compiled.Arena.eval_bool a ~inputs:v ~vals:s.Compiled.Logic.vals ~idxs:s.Compiled.Logic.idxs;
+  s.Compiled.Logic.idxs
+
+(* The pairs the tables encode: each flat stage's active duty, with the
+   standby duty 1.0 or 0.0 by the stage's bit in its gate's
+   stressed-stage mask. A vector's fanin index picks the mask from the
+   stress table; a bounding state sets every bit or none, mirrored
+   across polarity: all nodes 0 stresses every PMOS and relaxes every
+   NMOS, all nodes 1 the converse. *)
+let duty_table ?(polarity = `Pmos) t ~node_sp ~standby =
+  let a = Compiled.Arena.get t in
+  let duty = duty_of a ~node_sp ~sp_key:(sp_key a ~node_sp) polarity in
+  let mask =
+    match standby with
+    | Standby_vector v ->
+      let idxs = standby_idxs a v in
+      fun i -> duty.Compiled.Duty.stress.(a.Compiled.Arena.cell_of.(i)).(idxs.(i))
+    | Standby_all_stressed -> Fun.const (if polarity = `Pmos then -1 else 0)
+    | Standby_all_relaxed -> Fun.const (if polarity = `Nmos then -1 else 0)
+  in
+  Array.init a.Compiled.Arena.n_nodes (fun i ->
+      if a.Compiled.Arena.op.(i) = Compiled.Arena.op_pi then [||]
+      else begin
+        let b = a.Compiled.Arena.stage_off.(i) and m = mask i in
+        Array.init (a.Compiled.Arena.stage_off.(i + 1) - b) (fun s ->
+            (duty.Compiled.Duty.active.(b + s), if (m lsr s) land 1 = 1 then 1.0 else 0.0))
+      end)
+
+(* The per-stage R-D model evaluation (schedule -> c_eq -> dVth for every
+   gate stage) is the aging chain's analytical core; it gets its own span
+   so traces attribute time to it separately from the STA passes. *)
+let stage_dvth_of_duties config ~duties =
+  let m = model config `Pmos in
+  let table =
+    Obs.Trace.with_span ~cat:"aging"
+      ~args:[ ("gates", Obs.Fields.Int (Array.length duties)) ]
+      "aging.dvth_table"
+    @@ fun () ->
+    Array.map (Array.map (fun (active, standby) -> Compiled.Duty.dvth m ~active ~standby)) duties
+  in
+  fun ~gate ~stage -> table.(gate).(stage)
+
+(* Per flat stage, the shifts of one polarity under a standby state,
+   with their max fold: a vector is simulated once and picks per stage;
+   the bounding states are one stored table each, mirrored across
+   polarity as in [duty_table]. *)
+let pick config (a : Compiled.Arena.t) ?scratch ~node_sp ~standby () =
+  let sp_key = sp_key a ~node_sp in
+  let shifts polarity = shifts_of config a ~node_sp ~sp_key polarity in
+  match standby with
+  | Standby_vector v ->
+    let idxs = standby_idxs a ?scratch v in
+    fun polarity ->
+      let dvth = Array.make a.Compiled.Arena.n_stages 0.0 in
+      let max_dvth = Compiled.Duty.pick (shifts polarity) ~idxs ~dvth in
+      (dvth, max_dvth)
+  | Standby_all_stressed ->
+    fun polarity -> Compiled.Duty.bound (shifts polarity) ~stressed:(polarity = `Pmos)
+  | Standby_all_relaxed ->
+    fun polarity -> Compiled.Duty.bound (shifts polarity) ~stressed:(polarity = `Nmos)
+
+let stage_dvth_map config t ~node_sp ~standby =
+  let a = Compiled.Arena.get t in
+  let dvth, _ = pick config a ~node_sp ~standby () `Pmos in
+  fun ~gate ~stage -> dvth.(a.Compiled.Arena.stage_off.(gate) + stage)
 
 let shape_memo : Compiled.Aging.t Compiled.Memo.t = Compiled.Memo.create ~capacity:16 ()
 
@@ -130,10 +188,7 @@ let pmos_shape config t (a : Compiled.Arena.t) ~node_sp ~standby =
   Compiled.Memo.Fp.floats buf node_sp;
   fp_standby buf standby;
   Compiled.Memo.find_or_add shape_memo (Compiled.Memo.Fp.digest buf) (fun () ->
-      Compiled.Aging.build a ~params:config.params ~tech:config.tech
-        ~schedule:config.schedule ~time:config.time
-        ~cond:(Nbti.Vth_shift.nominal_pmos config.tech) ~scale:1.0
-        ~duties:(duty_table t ~node_sp ~standby))
+      Compiled.Aging.build a (model config `Pmos) ~duties:(duty_table t ~node_sp ~standby))
 
 let duties_shape config (a : Compiled.Arena.t) ~duties =
   let buf = Buffer.create 512 in
@@ -150,52 +205,7 @@ let duties_shape config (a : Compiled.Arena.t) ~duties =
         row)
     duties;
   Compiled.Memo.find_or_add shape_memo (Compiled.Memo.Fp.digest buf) (fun () ->
-      Compiled.Aging.build a ~params:config.params ~tech:config.tech
-        ~schedule:config.schedule ~time:config.time
-        ~cond:(Nbti.Vth_shift.nominal_pmos config.tech) ~scale:1.0 ~duties)
-
-(* Duty tables are keyed on the arena digest and the signal
-   probabilities' bits (plus the polarity); shift pairs also on the
-   aging config and the polarity's scale. The probability digest is
-   computed once per analysis and shared by both polarities. *)
-let duty_memo : Compiled.Duty.t Compiled.Memo.t = Compiled.Memo.create ~capacity:16 ()
-let shifts_memo : Compiled.Duty.shifts Compiled.Memo.t = Compiled.Memo.create ~capacity:16 ()
-
-let sp_key (a : Compiled.Arena.t) ~node_sp =
-  let buf = Buffer.create 512 in
-  Compiled.Memo.Fp.s buf a.Compiled.Arena.digest;
-  Compiled.Memo.Fp.floats buf node_sp;
-  Compiled.Memo.Fp.digest buf
-
-let shifts_of config (a : Compiled.Arena.t) ~node_sp ~sp_key polarity =
-  let cond, scale =
-    match (polarity, config.pbti_scale) with
-    | `Pmos, _ -> (Nbti.Vth_shift.nominal_pmos config.tech, 1.0)
-    | `Nmos, Some scale -> (nmos_cond config, scale)
-    | `Nmos, None -> invalid_arg "Circuit_aging: NMOS shifts need a pbti_scale"
-  in
-  let duty_key = sp_key ^ match polarity with `Pmos -> ":pmos" | `Nmos -> ":nmos" in
-  let buf = Buffer.create 512 in
-  Compiled.Memo.Fp.s buf duty_key;
-  Compiled.Memo.Fp.f buf scale;
-  fp_config buf config;
-  Compiled.Memo.find_or_add shifts_memo (Compiled.Memo.Fp.digest buf) (fun () ->
-      Obs.Trace.with_span ~cat:"aging" "aging.duty_tables" @@ fun () ->
-      let duty =
-        Compiled.Memo.find_or_add duty_memo duty_key (fun () ->
-            Compiled.Duty.build a ~polarity ~node_sp)
-      in
-      Compiled.Duty.shifts duty
-        {
-          Compiled.Duty.params = config.params;
-          tech = config.tech;
-          schedule = config.schedule;
-          time = config.time;
-          cond;
-          scale;
-        })
-
-let shifts config a ~node_sp = shifts_of config a ~node_sp ~sp_key:(sp_key a ~node_sp) `Pmos
+      Compiled.Aging.build a (model config `Pmos) ~duties)
 
 let analyze_tables config (a : Compiled.Arena.t) ?po_load ~dvth ?dvth_n ~max_dvth () =
   let temp_k = config.schedule.Nbti.Schedule.t_ref in
@@ -210,27 +220,7 @@ let analyze_tables config (a : Compiled.Arena.t) ?po_load ~dvth ?dvth_n ~max_dvt
   { fresh; aged; degradation = Sta.Timing.degradation ~fresh ~aged; max_dvth }
 
 let analyze_arena config (a : Compiled.Arena.t) ?po_load ?scratch ~node_sp ~standby () =
-  let sp_key = sp_key a ~node_sp in
-  let shifts polarity = shifts_of config a ~node_sp ~sp_key polarity in
-  (* A vector is simulated once and picks per stage; the bounding states
-     are one stored table each, mirrored across polarity as in
-     [duty_table]. *)
-  let pick =
-    match standby with
-    | Standby_vector v ->
-      if Array.length v <> Array.length a.Compiled.Arena.pis then
-        invalid_arg "Circuit_aging.analyze: standby vector length";
-      let s = match scratch with Some s -> s | None -> Compiled.Logic.leak_scratch a in
-      Compiled.Arena.eval_bool a ~inputs:v ~vals:s.Compiled.Logic.vals ~idxs:s.Compiled.Logic.idxs;
-      fun polarity ->
-        let dvth = Array.make a.Compiled.Arena.n_stages 0.0 in
-        let max_dvth = Compiled.Duty.pick (shifts polarity) ~idxs:s.Compiled.Logic.idxs ~dvth in
-        (dvth, max_dvth)
-    | Standby_all_stressed ->
-      fun polarity -> Compiled.Duty.bound (shifts polarity) ~stressed:(polarity = `Pmos)
-    | Standby_all_relaxed ->
-      fun polarity -> Compiled.Duty.bound (shifts polarity) ~stressed:(polarity = `Nmos)
-  in
+  let pick = pick config a ?scratch ~node_sp ~standby () in
   let dvth, max_dvth = pick `Pmos in
   let dvth_n = Option.map (fun _ -> fst (pick `Nmos)) config.pbti_scale in
   analyze_tables config a ?po_load ~dvth ?dvth_n ~max_dvth ()

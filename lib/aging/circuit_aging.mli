@@ -57,12 +57,19 @@ val duty_table :
     and the standby state. Empty rows for primary inputs. This is the
     interface point for techniques that synthesize their own standby
     duties (MLV rotation, control-point insertion) and for the
-    process-variation study, and the boxed reference that
-    {!Compiled.Duty}'s tables are tested against. *)
+    process-variation study. The pairs are read out of the memoized
+    {!Compiled.Duty} tables {!analyze} picks from: each stage's active
+    duty, with a standby duty of 1.0 or 0.0 from its stress bit under
+    the gate's standby inputs (one logic simulation of the vector), or
+    the bounding state's value mirrored across polarity.
+    @raise Invalid_argument when a standby vector's length is not the
+    number of primary inputs. *)
 
 val stage_dvth_of_duties :
   config -> duties:(float * float) array array -> (gate:int -> stage:int -> float)
-(** Threshold shifts for an explicit duty table. *)
+(** Threshold shifts for an explicit duty table: one
+    {!Compiled.Duty.dvth} evaluation per gate stage, computed eagerly
+    (the returned closure is a table lookup). *)
 
 val stage_dvth_map :
   config ->
@@ -70,12 +77,13 @@ val stage_dvth_map :
   node_sp:float array ->
   standby:standby_state ->
   (gate:int -> stage:int -> float)
-(** [stage_dvth_of_duties] over [duty_table]: the per-stage
-    threshold-shift function of one standby state, for the slope-resolved
-    pass ({!Sta.Timing.analyze_slopes}) or, laid out by
-    {!Compiled.Arena.stage_values}, for {!Compiled.Timing.aged_result}.
-    Computed eagerly for every gate stage (the returned closure is a
-    table lookup). *)
+(** The per-stage PMOS threshold shifts of one standby state, as
+    {!analyze} picks them from the memoized {!Compiled.Duty} shift pair
+    (the same values as [stage_dvth_of_duties] over [duty_table]), for
+    the slope-resolved pass ({!Sta.Timing.analyze_slopes}) or, laid out
+    by {!Compiled.Arena.stage_values}, for
+    {!Compiled.Timing.aged_result}. The returned closure is a table
+    lookup. *)
 
 type analysis = {
   fresh : Sta.Timing.result;

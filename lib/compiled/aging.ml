@@ -14,9 +14,9 @@
    [Nbti.Vth_shift.dvth] with the same kv's condition.
 
    The [dvth] array additionally holds the fully evaluated nominal shift
-   (the boxed function called verbatim at the shape's own condition,
-   times [scale]) for the deterministic aging analysis, along with its
-   running maximum in the boxed fold order. *)
+   ([Duty.dvth] at the model's own condition and scale) for the
+   deterministic aging analysis, along with its running maximum in the
+   boxed fold order. *)
 
 type t = {
   a : Arena.t;
@@ -33,8 +33,8 @@ type t = {
 
 (* [duties] is the aging layer's table: per node, per stage,
    (active_duty, standby_duty); [||] rows for primary inputs. *)
-let build (a : Arena.t) ~params ~tech ~(schedule : Nbti.Schedule.t) ~time ~cond ~scale
-    ~(duties : (float * float) array array) =
+let build (a : Arena.t) (m : Duty.model) ~(duties : (float * float) array array) =
+  let params = m.Duty.params and schedule = m.Duty.schedule and time = m.Duty.time in
   let ns = a.Arena.n_stages in
   let dvth = Array.make ns 0.0 in
   let ok = Array.make ns false in
@@ -50,10 +50,11 @@ let build (a : Arena.t) ~params ~tech ~(schedule : Nbti.Schedule.t) ~time ~cond 
       for s = 0 to Array.length row - 1 do
         let flat = a.Arena.stage_off.(i) + s in
         let active, standby = row.(s) in
-        let sched = Nbti.Schedule.with_stress_duties schedule ~active ~standby in
-        dvth.(flat) <- scale *. Nbti.Vth_shift.dvth params tech cond ~schedule:sched ~time;
+        dvth.(flat) <- Duty.dvth m ~active ~standby;
         max_dvth := Float.max !max_dvth dvth.(flat);
-        let eq = Nbti.Schedule.equivalent params sched in
+        let eq =
+          Nbti.Schedule.equivalent params (Nbti.Schedule.with_stress_duties schedule ~active ~standby)
+        in
         if time > 0.0 && eq.Nbti.Schedule.c_eq > 0.0 then begin
           ok.(flat) <- true;
           let n = Float.max 1.0 (time *. eq.Nbti.Schedule.n_scale) in

@@ -57,6 +57,7 @@ type t = {
   fanin : int array;
   fanout_off : int array;  (* length n_nodes + 1 *)
   fanout : int array;
+  fanout_pin : int array;  (* parallel to [fanout]: the consumer's pin *)
   stage_off : int array;  (* length n_nodes + 1; flat stage ids per gate *)
   n_stages : int;
   dep_off : int array;  (* length n_stages + 1 *)
@@ -136,22 +137,25 @@ let build (net : Circuit.Netlist.t) =
       | Circuit.Netlist.Gate { fanin = fi; _ } ->
         Array.iteri (fun j f -> fanin.(fanin_off.(i) + j) <- f) fi)
     nodes;
-  (* CSR fanout from the fanin lists, pin order preserved per driver. *)
+  (* CSR fanout from the fanin lists: per driver, (consumer, pin) in
+     consumer then pin order, the order of [Netlist.fanout_pins]. *)
   let fanout_off = Array.make (n + 1) 0 in
   Array.iter (fun f -> fanout_off.(f + 1) <- fanout_off.(f + 1) + 1) fanin;
   for i = 0 to n - 1 do
     fanout_off.(i + 1) <- fanout_off.(i) + fanout_off.(i + 1)
   done;
   let fanout = Array.make fanout_off.(n) 0 in
+  let fanout_pin = Array.make fanout_off.(n) 0 in
   let cursor = Array.copy fanout_off in
   Array.iteri
     (fun i node ->
       match node with
       | Circuit.Netlist.Primary_input _ -> ()
       | Circuit.Netlist.Gate { fanin = fi; _ } ->
-        Array.iter
-          (fun f ->
+        Array.iteri
+          (fun pin f ->
             fanout.(cursor.(f)) <- i;
+            fanout_pin.(cursor.(f)) <- pin;
             cursor.(f) <- cursor.(f) + 1)
           fi)
     nodes;
@@ -195,6 +199,7 @@ let build (net : Circuit.Netlist.t) =
     fanin;
     fanout_off;
     fanout;
+    fanout_pin;
     stage_off;
     n_stages;
     dep_off;

@@ -2,12 +2,12 @@
    analysis, reduced to lookups.
 
    With signal probabilities and the operating schedule fixed, the duty
-   pair [Circuit_aging.duty_table] gives a gate stage is (active,
-   standby): [active] depends only on the gate's fanin probabilities,
-   and [standby] is 1.0 or 0.0, i.e. whether some device of the stage is
-   stressed under the gate's standby input vector. So each flat stage
-   can take exactly two threshold shifts, and a new standby vector costs
-   one logic simulation plus a per-stage pick.
+   pair of a gate stage is (active, standby): [active] depends only on
+   the gate's fanin probabilities, and [standby] is 1.0 or 0.0, i.e.
+   whether some device of the stage is stressed under the gate's standby
+   input vector. So each flat stage can take exactly two threshold
+   shifts, and a new standby vector costs one logic simulation plus a
+   per-stage pick.
 
    Three tables, split by what they depend on:
    - [stress] (cells only): per arena cell and fanin index, the bitmask
@@ -19,12 +19,15 @@
    - [shifts] (plus the aging config): per flat stage,
      [scale *. Vth_shift.dvth] at standby duty 0.0 and at 1.0.
 
-   Picking a stored value is bit-identical to the boxed chain: each entry
-   is the boxed expression evaluated on the inputs the boxed chain would
-   pass it (the stage's [active] and exactly 0.0 or 1.0), and a pure float
-   function returns the same bits for the same arguments. The max-dvth
-   fold runs over the picked values in node/stage order, as the boxed
-   reference analysis folds them.
+   [Circuit_aging.duty_table] reads the pairs back out of [active] and
+   [stress]. Picking a stored value is bit-identical to the boxed chain
+   the test oracle keeps (a walk of every gate's transistor networks,
+   one R-D evaluation per stage): each entry is the boxed expression
+   evaluated on the inputs the boxed chain would pass it (the stage's
+   [active] and exactly 0.0 or 1.0), and a pure float function returns
+   the same bits for the same arguments. The max-dvth fold runs over the
+   picked values in node/stage order, as the boxed reference analysis
+   folds them.
 
    The tables hold both shifts of every stage, including pairs no
    standby state the boxed chain meets would evaluate. Evaluating those
@@ -89,7 +92,9 @@ type model = {
   scale : float;
 }
 
-(* The boxed per-stage shift ([Circuit_aging.stage_dvth_general]). *)
+(* The per-stage R-D shift of a duty pair, the one copy of it: every
+   table here, [Aging.build] and [Circuit_aging.stage_dvth_of_duties]
+   evaluate it. *)
 let dvth m ~active ~standby =
   let sched = Nbti.Schedule.with_stress_duties m.schedule ~active ~standby in
   m.scale *. Nbti.Vth_shift.dvth m.params m.tech m.cond ~schedule:sched ~time:m.time

@@ -207,13 +207,7 @@ module Analysis = struct
     done;
     s.leakage <- !acc
 
-  (* The boxed critical-output scan (strict [>], first output wins ties)
-     over the resident arrivals. *)
-  let fold_aged s =
-    let outputs = s.c.a.Arena.outputs in
-    let best = ref outputs.(0) in
-    Array.iter (fun o -> if s.arr.(o) > s.arr.(!best) then best := o) outputs;
-    s.aged_max <- s.arr.(!best)
+  let fold_aged s = s.aged_max <- s.arr.(Timing.critical_output s.c.a s.arr)
 
   (* The shape builder's fold: Float.max over flat stages of gates in
      node order, from 0.0 — see [Aging.build]. *)
@@ -442,35 +436,19 @@ end
 (* ================================================================== *)
 (* Sizing sessions: frozen duties, editable per-gate drives/cells.     *)
 (* The gate-sizing loop upsizes a handful of critical-path gates per   *)
-(* iteration; only those gates' timing constants (and their fanin      *)
-(* drivers' loads) change, then the arrival cone re-propagates.        *)
+(* iteration; only those gates' rows (and their fanin drivers', whose  *)
+(* loads moved) of a private [Timing.build] are rewritten, then the    *)
+(* arrival cone re-propagates.                                         *)
 (* ================================================================== *)
 
 module Sizing = struct
   type session = {
-    a : Arena.t;
-    tech : Device.Tech.t;
-    po_load : float;
-    vdd : float;
-    alpha : float;
-    vt_p : float;
-    vt_n : float;
-    od_up0 : float;
-    od_down0 : float;
-    pow_up0 : float;
-    pow_down0 : float;
+    tm : Timing.t;  (* a private build: its rows track [cells] *)
     dvth : float array;  (* per flat stage, frozen (duties survive scaling) *)
-    doff : float array;  (* per node: extra dvth probe offset (variation) *)
     base_cells : Cell.Stdcell.t array;  (* per node; the unscaled cell *)
-    cells_now : Cell.Stdcell.t array;
+    cells : Cell.Stdcell.t array;  (* per node; the current cell *)
+    wls : (float * float) array array;  (* per node: [cells]' stage strengths *)
     drives : float array;
-    node_load : float array;
-    fanout_pin : int array;  (* pin index parallel to [Arena.fanout] *)
-    is_out : bool array;
-    lv : float array;  (* per flat stage, tracking [cells_now] *)
-    kw_up : float array;
-    kw_down : float array;
-    fall0 : float array;
     gd : float array;
     arr : float array;
     stage_scratch : float array;
@@ -479,171 +457,37 @@ module Sizing = struct
     st : stats;
   }
 
-  (* [Sta.Timing.loads] for one node, over the arena CSR fanout (same
-     (consumer, pin) order as [Netlist.fanout_pins]) and the session's
-     current cells. PIs never need their load (no stages). *)
-  let node_load_of s i =
-    let a = s.a in
-    let cap = ref 0.0 in
-    for j = a.Arena.fanout_off.(i) to a.Arena.fanout_off.(i + 1) - 1 do
-      let g = a.Arena.fanout.(j) in
-      cap := !cap +. Cell.Cell_delay.input_capacitance s.tech s.cells_now.(g) ~pin_index:s.fanout_pin.(j)
-    done;
-    let cap =
-      if a.Arena.op.(i) = Arena.op_pi then !cap
-      else begin
-        let cell = s.cells_now.(i) in
-        let stages = cell.Cell.Stdcell.stages in
-        let out = stages.(Array.length stages - 1) in
-        let width net =
-          List.fold_left
-            (fun acc (_, m) -> acc +. m.Device.Mosfet.wl)
-            0.0
-            (Cell.Network.devices net)
-        in
-        !cap
-        +. 0.5 *. s.tech.Device.Tech.cg_per_wl
-           *. (width out.Cell.Stdcell.pull_up +. width out.Cell.Stdcell.pull_down)
-      end
-    in
-    cap +. if s.is_out.(i) then s.po_load else 0.0
-
-  (* [Timing.build]'s per-stage constants for one gate, against the
-     session's current cell and load. *)
-  let recompute_constants s i =
-    let a = s.a in
-    let cell = s.cells_now.(i) in
-    let n_st = a.Arena.stage_off.(i + 1) - a.Arena.stage_off.(i) in
-    for st = 0 to n_st - 1 do
-      let flat = a.Arena.stage_off.(i) + st in
-      let sl = Cell.Cell_delay.stage_load s.tech cell ~stage:st ~external_load:s.node_load.(i) in
-      let stg = cell.Cell.Stdcell.stages.(st) in
-      let wl_up = Cell.Cell_delay.worst_strength stg.Cell.Stdcell.pull_up ~on_polarity:Device.Mosfet.P in
-      let wl_down =
-        Cell.Cell_delay.worst_strength stg.Cell.Stdcell.pull_down ~on_polarity:Device.Mosfet.N
-      in
-      s.lv.(flat) <- sl *. s.vdd;
-      s.kw_up.(flat) <- s.tech.Device.Tech.k_sat_p *. wl_up;
-      s.kw_down.(flat) <- s.tech.Device.Tech.k_sat_n *. wl_down;
-      s.fall0.(flat) <-
-        s.lv.(flat) /. (if s.od_down0 <= 0.0 then 0.0 else s.kw_down.(flat) *. s.pow_down0)
-    done
-
-  (* [Timing.aged_delay_into] over the session's constant arrays, with
-     the per-gate probe offset folded into the PMOS shift. *)
-  let aged_delay s i =
-    let a = s.a in
-    let b = a.Arena.stage_off.(i) in
-    let n_st = a.Arena.stage_off.(i + 1) - b in
-    let off = s.doff.(i) in
-    for st = b to b + n_st - 1 do
-      let dv = if off = 0.0 then s.dvth.(st) else s.dvth.(st) +. off in
-      let rise = s.lv.(st) /. Timing.drive s.kw_up.(st) (s.vdd -. (s.vt_p +. dv)) s.alpha in
-      let fall = s.fall0.(st) in
-      let input =
-        let acc = ref 0.0 in
-        for d = a.Arena.dep_off.(st) to a.Arena.dep_off.(st + 1) - 1 do
-          acc := Float.max !acc s.stage_scratch.(a.Arena.deps.(d))
-        done;
-        !acc
-      in
-      s.stage_scratch.(st) <- input +. Float.max rise fall
-    done;
-    s.stage_scratch.(b + n_st - 1)
-
-  let fold_aged s =
-    let outputs = s.a.Arena.outputs in
-    let best = ref outputs.(0) in
-    Array.iter (fun o -> if s.arr.(o) > s.arr.(!best) then best := o) outputs;
-    s.aged_max <- s.arr.(!best)
-
-  let full_timing_pass s =
-    let a = s.a in
-    for i = 0 to a.Arena.n_nodes - 1 do
-      if a.Arena.op.(i) <> Arena.op_pi then begin
-        let d = aged_delay s i in
-        s.gd.(i) <- d;
-        s.arr.(i) <- Timing.fanin_arrival a s.arr i +. d
-      end
-    done;
-    fold_aged s
-
   (* [dvth] is the frozen per-flat-stage PMOS shift (duty pairs survive
      scaling: the pin structure is unchanged — see Gate_sizing). *)
   let session (a : Arena.t) ~tech ~temp_k ?po_load ~dvth () =
-    let po_load =
-      match po_load with
-      | Some l -> l
-      | None -> 4.0 *. Cell.Cell_delay.input_capacitance tech Cell.Stdcell.inv ~pin_index:0
-    in
+    let tm = Timing.build a ~tech ~temp_k ?po_load () in
+    let aged = Timing.aged_result tm ~dvth () in
     let n = a.Arena.n_nodes in
-    let ns = a.Arena.n_stages in
-    let vdd = tech.Device.Tech.vdd in
-    let vt_p = Device.Tech.vth_at tech `P ~temp_k in
-    let vt_n = Device.Tech.vth_at tech `N ~temp_k in
-    let od_up0 = vdd -. vt_p and od_down0 = vdd -. vt_n in
-    let dummy = Cell.Stdcell.inv in
     let base_cells =
       Array.init n (fun i ->
-          if a.Arena.op.(i) = Arena.op_pi then dummy else a.Arena.cells.(a.Arena.cell_of.(i)).Arena.cell)
+          if a.Arena.op.(i) = Arena.op_pi then Cell.Stdcell.inv
+          else a.Arena.cells.(a.Arena.cell_of.(i)).Arena.cell)
     in
-    let fanout_pin = Array.make (Array.length a.Arena.fanout) 0 in
-    (let cursor = Array.copy a.Arena.fanout_off in
-     for i = 0 to n - 1 do
-       if a.Arena.op.(i) <> Arena.op_pi then
-         for j = a.Arena.fanin_off.(i) to a.Arena.fanin_off.(i + 1) - 1 do
-           let f = a.Arena.fanin.(j) in
-           fanout_pin.(cursor.(f)) <- j - a.Arena.fanin_off.(i);
-           cursor.(f) <- cursor.(f) + 1
-         done
-     done);
-    let is_out = Array.make n false in
-    Array.iter (fun o -> is_out.(o) <- true) a.Arena.outputs;
-    let s =
-      {
-        a;
-        tech;
-        po_load;
-        vdd;
-        alpha = tech.Device.Tech.alpha;
-        vt_p;
-        vt_n;
-        od_up0;
-        od_down0;
-        pow_up0 = Float.pow od_up0 tech.Device.Tech.alpha;
-        pow_down0 = Float.pow od_down0 tech.Device.Tech.alpha;
-        dvth = Array.copy dvth;
-        doff = Array.make n 0.0;
-        base_cells;
-        cells_now = Array.copy base_cells;
-        drives = Array.make n 1.0;
-        node_load = Array.make n 0.0;
-        fanout_pin;
-        is_out;
-        lv = Array.make ns 0.0;
-        kw_up = Array.make ns 0.0;
-        kw_down = Array.make ns 0.0;
-        fall0 = Array.make ns 0.0;
-        gd = Array.make n 0.0;
-        arr = Array.make n 0.0;
-        stage_scratch = Array.make ns 0.0;
-        cone = make_cone n;
-        aged_max = 0.0;
-        st = fresh_stats ();
-      }
-    in
-    for i = 0 to n - 1 do
-      s.node_load.(i) <- node_load_of s i
-    done;
-    for i = 0 to n - 1 do
-      if a.Arena.op.(i) <> Arena.op_pi then recompute_constants s i
-    done;
-    full_timing_pass s;
-    s
+    {
+      tm;
+      dvth = Array.copy dvth;
+      base_cells;
+      cells = Array.copy base_cells;
+      wls =
+        Array.init n (fun i ->
+            if a.Arena.op.(i) = Arena.op_pi then [||] else tm.Timing.wls.(a.Arena.cell_of.(i)));
+      drives = Array.make n 1.0;
+      gd = aged.Sta.Timing.gate_delay;
+      arr = aged.Sta.Timing.arrival;
+      stage_scratch = Array.make a.Arena.n_stages 0.0;
+      cone = make_cone n;
+      aged_max = aged.Sta.Timing.max_delay;
+      st = fresh_stats ();
+    }
 
   (* Arrival-only cone propagation from the given seed gates. *)
   let propagate_arrivals s seeds =
-    let a = s.a in
+    let a = s.tm.Timing.a in
     let co = s.cone in
     co.epoch <- co.epoch + 1;
     let e = co.epoch in
@@ -669,51 +513,54 @@ module Sizing = struct
         done
       end
     done;
-    fold_aged s
+    s.aged_max <- s.arr.(Timing.critical_output a s.arr)
 
-  (* After gate [i]'s widths changed: its own load (drain cap) and its
-     fanin drivers' loads (input caps) move, so the stage constants of
-     [i] and of its gate fanins are rebuilt, then delays re-derived.
-     Returns the seed list for arrival propagation. *)
-  let refresh_after_cell_change s i =
-    let a = s.a in
+  (* Gate [i] now has [cell]: its own load (drain cap) and its gate
+     fanins' loads (input caps) move, so those gates' rows are
+     rewritten and their aged delays re-timed; each gate whose delay
+     bits changed seeds the arrival cone. *)
+  let recell s i cell =
+    let a = s.tm.Timing.a in
+    s.cells.(i) <- cell;
+    s.wls.(i) <- Timing.strengths cell;
     let affected = ref [ i ] in
     for j = a.Arena.fanin_off.(i) to a.Arena.fanin_off.(i + 1) - 1 do
       let f = a.Arena.fanin.(j) in
       if a.Arena.op.(f) <> Arena.op_pi && not (List.mem f !affected) then affected := f :: !affected
     done;
-    List.iter (fun g -> s.node_load.(g) <- node_load_of s g) !affected;
-    let seeds = ref [] in
-    List.iter
-      (fun g ->
-        recompute_constants s g;
-        let d = aged_delay s g in
-        if not (bits_eq d s.gd.(g)) then begin
+    let cell_of g = s.cells.(g) in
+    let seeds =
+      List.filter
+        (fun g ->
+          Timing.write_gate s.tm ~scratch:s.stage_scratch g ~cell:s.cells.(g) ~wls:s.wls.(g)
+            ~load:(Timing.node_load s.tm ~cell:cell_of g);
+          let d =
+            Timing.aged_delay_into s.tm ~dvth:s.dvth ~dvth_n:None ~scratch:s.stage_scratch g
+          in
+          let moved = not (bits_eq d s.gd.(g)) in
           s.gd.(g) <- d;
-          seeds := g :: !seeds
-        end)
-      !affected;
-    !seeds
+          moved)
+        !affected
+    in
+    propagate_arrivals s seeds
 
   let set_drive s i drive =
-    let a = s.a in
-    if a.Arena.op.(i) = Arena.op_pi then invalid_arg "Incremental.Sizing.set_drive: not a gate";
+    if s.tm.Timing.a.Arena.op.(i) = Arena.op_pi then
+      invalid_arg "Incremental.Sizing.set_drive: not a gate";
     if drive <= 0.0 then invalid_arg "Incremental.Sizing.set_drive: drive must be positive";
     s.st.edits <- s.st.edits + 1;
     s.drives.(i) <- drive;
     (* [Gate_sizing.materialize] keeps the original cell at drive 1.0
        and scales the *base* cell once otherwise — mirror it exactly. *)
-    s.cells_now.(i) <-
-      (if drive = 1.0 then s.base_cells.(i) else Cell.Stdcell.scaled s.base_cells.(i) ~drive);
-    propagate_arrivals s (refresh_after_cell_change s i)
+    recell s i (if drive = 1.0 then s.base_cells.(i) else Cell.Stdcell.scaled s.base_cells.(i) ~drive)
 
   (* Swap gate [i]'s cell. The arena's stage/dep structure is fixed, so
      the replacement must match the old cell's pin count and stage DAG;
      this is a timing-only session, so the caller is responsible for
      the swap being function-compatible if it also tracks logic. *)
   let set_cell s i cell =
-    let a = s.a in
-    if a.Arena.op.(i) = Arena.op_pi then invalid_arg "Incremental.Sizing.set_cell: not a gate";
+    if s.tm.Timing.a.Arena.op.(i) = Arena.op_pi then
+      invalid_arg "Incremental.Sizing.set_cell: not a gate";
     let old = s.base_cells.(i) in
     if cell.Cell.Stdcell.n_inputs <> old.Cell.Stdcell.n_inputs then
       invalid_arg "Incremental.Sizing.set_cell: pin count mismatch";
@@ -726,29 +573,18 @@ module Sizing = struct
       cell.Cell.Stdcell.stages;
     s.st.edits <- s.st.edits + 1;
     s.base_cells.(i) <- cell;
-    s.cells_now.(i) <- cell;
     s.drives.(i) <- 1.0;
-    propagate_arrivals s (refresh_after_cell_change s i)
-
-  (* Per-gate threshold probe (the variation-style perturbation): adds
-     [off] to every stage's PMOS shift of gate [i]. [off = 0.0] restores
-     the unperturbed delay bit-exactly. *)
-  let set_gate_dvth s i off =
-    let a = s.a in
-    if a.Arena.op.(i) = Arena.op_pi then invalid_arg "Incremental.Sizing.set_gate_dvth: not a gate";
-    s.st.edits <- s.st.edits + 1;
-    s.doff.(i) <- off;
-    let d = aged_delay s i in
-    if not (bits_eq d s.gd.(i)) then begin
-      s.gd.(i) <- d;
-      propagate_arrivals s [ i ]
-    end
+    recell s i cell
 
   let aged_max s = s.aged_max
   let drives s = s.drives
 
-  let aged_result s = Timing.result_of s.a ~arrival:(Array.copy s.arr) ~gate_delay:(Array.copy s.gd)
+  (* The fresh timing of the session's current cells. *)
+  let fresh_result s = Timing.fresh_result s.tm
+
+  let aged_result s =
+    Timing.result_of s.tm.Timing.a ~arrival:(Array.copy s.arr) ~gate_delay:(Array.copy s.gd)
 
   let stats s = s.st
-  let n_nodes s = s.a.Arena.n_nodes
+  let n_nodes s = s.tm.Timing.a.Arena.n_nodes
 end

@@ -87,33 +87,52 @@ module Fp = struct
     i buf (Array.length a);
     Array.iter (fun b -> Buffer.add_char buf (if b then '1' else '0')) a
 
-  let tech buf (t : Device.Tech.t) =
-    s buf t.Device.Tech.name;
-    List.iter (f buf)
-      [
-        t.Device.Tech.vdd; t.Device.Tech.vth_p; t.Device.Tech.vth_n; t.Device.Tech.tox;
-        t.Device.Tech.lmin; t.Device.Tech.alpha; t.Device.Tech.k_sat_n; t.Device.Tech.k_sat_p;
-        t.Device.Tech.i0_sub; t.Device.Tech.n_swing; t.Device.Tech.dvth_dt; t.Device.Tech.jg0;
-        t.Device.Tech.vg0; t.Device.Tech.cg_per_wl; t.Device.Tech.ea_sub_ev;
-      ]
+  (* The config walks below write their fields, in one fixed order, as
+     tokens into a sink: [num] takes a float, [label] a string. [sink buf]
+     writes them as key bytes; [Flow.Platform]'s fingerprints render the
+     same walks, so a field added to a walk moves every key and
+     fingerprint that covers it. *)
+  type sink = { num : float -> unit; label : string -> unit }
 
-  let params buf (p : Nbti.Rd_model.params) =
-    List.iter (f buf)
-      [
-        p.Nbti.Rd_model.kv_ref; p.Nbti.Rd_model.ref_temp_k; p.Nbti.Rd_model.ref_overdrive;
-        p.Nbti.Rd_model.ref_vth0; p.Nbti.Rd_model.ea_ev; p.Nbti.Rd_model.e0_field;
-        p.Nbti.Rd_model.time_exponent; p.Nbti.Rd_model.permanent_fraction;
-      ]
+  let sink buf = { num = f buf; label = s buf }
 
-  let schedule buf (sc : Nbti.Schedule.t) =
-    f buf sc.Nbti.Schedule.period;
-    f buf sc.Nbti.Schedule.t_ref;
+  let tech k (t : Device.Tech.t) =
+    k.label t.Device.Tech.name;
+    k.num t.Device.Tech.vdd;
+    k.num t.Device.Tech.vth_p;
+    k.num t.Device.Tech.vth_n;
+    k.num t.Device.Tech.tox;
+    k.num t.Device.Tech.lmin;
+    k.num t.Device.Tech.alpha;
+    k.num t.Device.Tech.k_sat_n;
+    k.num t.Device.Tech.k_sat_p;
+    k.num t.Device.Tech.i0_sub;
+    k.num t.Device.Tech.n_swing;
+    k.num t.Device.Tech.dvth_dt;
+    k.num t.Device.Tech.jg0;
+    k.num t.Device.Tech.vg0;
+    k.num t.Device.Tech.cg_per_wl;
+    k.num t.Device.Tech.ea_sub_ev
+
+  let params k (p : Nbti.Rd_model.params) =
+    k.num p.Nbti.Rd_model.kv_ref;
+    k.num p.Nbti.Rd_model.ref_temp_k;
+    k.num p.Nbti.Rd_model.ref_overdrive;
+    k.num p.Nbti.Rd_model.ref_vth0;
+    k.num p.Nbti.Rd_model.ea_ev;
+    k.num p.Nbti.Rd_model.e0_field;
+    k.num p.Nbti.Rd_model.time_exponent;
+    k.num p.Nbti.Rd_model.permanent_fraction
+
+  let schedule k (sc : Nbti.Schedule.t) =
+    k.num sc.Nbti.Schedule.period;
+    k.num sc.Nbti.Schedule.t_ref;
     List.iter
       (fun (ph : Nbti.Schedule.phase) ->
-        f buf ph.Nbti.Schedule.duration;
-        f buf ph.Nbti.Schedule.temp_k;
-        f buf ph.Nbti.Schedule.stress_duty;
-        s buf
+        k.num ph.Nbti.Schedule.duration;
+        k.num ph.Nbti.Schedule.temp_k;
+        k.num ph.Nbti.Schedule.stress_duty;
+        k.label
           (match ph.Nbti.Schedule.mode with
           | Nbti.Schedule.Active -> "A"
           | Nbti.Schedule.Standby -> "S"))

@@ -7,7 +7,7 @@
    exactly:
    - [lv]    = stage_load *. vdd            (boxed: (load *. vdd) /. drive)
    - [kw_*]  = k_sat *. wl                  (boxed: (k_sat *. wl) *. pow od alpha)
-   - [rise0]/[fall0]: the dvth = 0 stage delays
+   - [fall0]: the dvth_n = 0 stage fall delays
    - [d0]: the whole fresh cell delay per gate (intra-stage max-plus
      over the stage dependency DAG with dvth = 0)
    The aged stage delay recomputes only [lv /. (kw *. pow od alpha)]
@@ -18,6 +18,12 @@
    gate's delay as [scale.(i) *. delay], the boxed [gate_scale] product
    (dual-V_th assignment slows its high-threshold gates this way).
 
+   [build] is two per-gate steps: [node_load], the gate's load over the
+   arena's CSR fanout, and [write_gate], its rows of the constant arrays.
+   A gate-sizing session ([Incremental.Sizing]) owns a private [build]
+   and re-runs both steps for the gates an edit touches; the table [get]
+   memoizes is shared across threads and never edited.
+
    Results are assembled into [Sta.Timing.result] with the boxed
    critical-output fold (strict [>], first-wins on ties) and the same
    backtrack, so critical paths match node for node. *)
@@ -26,79 +32,114 @@ type t = {
   a : Arena.t;
   tech : Device.Tech.t;
   temp_k : float;
-  po_load : float option;
   vdd : float;
   alpha : float;
   vt_p : float;  (* Tech.vth_at `P at temp_k *)
   vt_n : float;
+  (* (vdd - vt)^alpha, or 0 when that overdrive is not positive, so
+     [kw *. pow_up0] is [drive] at dvth = 0 *)
+  pow_up0 : float;
+  pow_down0 : float;
+  po_load : float;
+  is_out : bool array;  (* per node *)
+  wls : (float * float) array array;  (* per arena cell, per stage: worst-case strengths *)
   lv : float array;  (* per flat stage *)
   kw_up : float array;
   kw_down : float array;
-  rise0 : float array;
   fall0 : float array;
   d0 : float array;  (* per node; 0 for primary inputs *)
 }
 
 let[@inline] drive kw od alpha = if od <= 0.0 then 0.0 else kw *. Float.pow od alpha
 
+(* Worst-case pull-up and pull-down conduction strength of each stage. *)
+let strengths (cell : Cell.Stdcell.t) =
+  Array.map
+    (fun (st : Cell.Stdcell.stage) ->
+      ( Cell.Cell_delay.worst_strength st.Cell.Stdcell.pull_up ~on_polarity:Device.Mosfet.P,
+        Cell.Cell_delay.worst_strength st.Cell.Stdcell.pull_down ~on_polarity:Device.Mosfet.N ))
+    cell.Cell.Stdcell.stages
+
+(* [Sta.Timing.loads] of gate [i], over the arena's CSR fanout: its
+   (consumer, pin) order is [Netlist.fanout_pins]'s, so the sum rounds
+   the same. [cell g] is gate [g]'s current cell. *)
+let node_load tm ~cell i =
+  let a = tm.a in
+  let cap = ref 0.0 in
+  for j = a.Arena.fanout_off.(i) to a.Arena.fanout_off.(i + 1) - 1 do
+    cap :=
+      !cap
+      +. Cell.Cell_delay.input_capacitance tm.tech (cell a.Arena.fanout.(j))
+           ~pin_index:a.Arena.fanout_pin.(j)
+  done;
+  !cap +. Sta.Timing.drain_cap tm.tech (cell i) +. if tm.is_out.(i) then tm.po_load else 0.0
+
+(* The latest arrival among flat stage [s]'s dependencies. *)
+let[@inline] stage_input (a : Arena.t) scratch s =
+  let acc = ref 0.0 in
+  for d = a.Arena.dep_off.(s) to a.Arena.dep_off.(s + 1) - 1 do
+    acc := Float.max !acc scratch.(a.Arena.deps.(d))
+  done;
+  !acc
+
+(* Gate [i]'s rows for [cell] (stage strengths [wls]) driving [load]:
+   the per-stage constants and the fresh delay [d0], whose stage
+   arrivals go through the per-flat-stage [scratch]. *)
+let write_gate tm ~scratch i ~cell ~wls ~load =
+  let a = tm.a in
+  let b = a.Arena.stage_off.(i) in
+  let n_st = a.Arena.stage_off.(i + 1) - b in
+  for s = 0 to n_st - 1 do
+    let flat = b + s in
+    let wl_up, wl_down = wls.(s) in
+    let lv = Cell.Cell_delay.stage_load tm.tech cell ~stage:s ~external_load:load *. tm.vdd in
+    tm.lv.(flat) <- lv;
+    tm.kw_up.(flat) <- tm.tech.Device.Tech.k_sat_p *. wl_up;
+    tm.kw_down.(flat) <- tm.tech.Device.Tech.k_sat_n *. wl_down;
+    tm.fall0.(flat) <- lv /. (tm.kw_down.(flat) *. tm.pow_down0);
+    let rise0 = lv /. (tm.kw_up.(flat) *. tm.pow_up0) in
+    scratch.(flat) <- stage_input a scratch flat +. Float.max rise0 tm.fall0.(flat)
+  done;
+  tm.d0.(i) <- scratch.(b + n_st - 1)
+
 let build (a : Arena.t) ~tech ~temp_k ?po_load () =
-  let node_load = Sta.Timing.loads tech a.Arena.net ?po_load () in
   let vdd = tech.Device.Tech.vdd in
   let alpha = tech.Device.Tech.alpha in
   let vt_p = Device.Tech.vth_at tech `P ~temp_k in
   let vt_n = Device.Tech.vth_at tech `N ~temp_k in
-  let od_up0 = vdd -. vt_p and od_down0 = vdd -. vt_n in
-  let pow_up0 = Float.pow od_up0 alpha and pow_down0 = Float.pow od_down0 alpha in
-  (* Worst-case conduction strengths per unique cell stage. *)
-  let wls =
-    Array.map
-      (fun (ci : Arena.cellinfo) ->
-        Array.map
-          (fun (st : Cell.Stdcell.stage) ->
-            ( Cell.Cell_delay.worst_strength st.Cell.Stdcell.pull_up
-                ~on_polarity:Device.Mosfet.P,
-              Cell.Cell_delay.worst_strength st.Cell.Stdcell.pull_down
-                ~on_polarity:Device.Mosfet.N ))
-          ci.Arena.cell.Cell.Stdcell.stages)
-      a.Arena.cells
-  in
+  let pow0 od = if od <= 0.0 then 0.0 else Float.pow od alpha in
+  let is_out = Array.make a.Arena.n_nodes false in
+  Array.iter (fun o -> is_out.(o) <- true) a.Arena.outputs;
   let ns = a.Arena.n_stages in
-  let lv = Array.make ns 0.0 in
-  let kw_up = Array.make ns 0.0 in
-  let kw_down = Array.make ns 0.0 in
-  let rise0 = Array.make ns 0.0 in
-  let fall0 = Array.make ns 0.0 in
-  let d0 = Array.make a.Arena.n_nodes 0.0 in
-  let st_arr = Array.make ns 0.0 in
+  let tm =
+    {
+      a;
+      tech;
+      temp_k;
+      vdd;
+      alpha;
+      vt_p;
+      vt_n;
+      pow_up0 = pow0 (vdd -. vt_p);
+      pow_down0 = pow0 (vdd -. vt_n);
+      po_load = (match po_load with Some l -> l | None -> Sta.Timing.default_po_load tech);
+      is_out;
+      wls = Array.map (fun (ci : Arena.cellinfo) -> strengths ci.Arena.cell) a.Arena.cells;
+      lv = Array.make ns 0.0;
+      kw_up = Array.make ns 0.0;
+      kw_down = Array.make ns 0.0;
+      fall0 = Array.make ns 0.0;
+      d0 = Array.make a.Arena.n_nodes 0.0;
+    }
+  in
+  let cell g = a.Arena.cells.(a.Arena.cell_of.(g)).Arena.cell in
+  let scratch = Array.make ns 0.0 in
   for i = 0 to a.Arena.n_nodes - 1 do
-    if a.Arena.op.(i) <> Arena.op_pi then begin
-      let ci = a.Arena.cells.(a.Arena.cell_of.(i)) in
-      let cell = ci.Arena.cell in
-      let n_st = Array.length cell.Cell.Stdcell.stages in
-      for s = 0 to n_st - 1 do
-        let flat = a.Arena.stage_off.(i) + s in
-        let sl = Cell.Cell_delay.stage_load tech cell ~stage:s ~external_load:node_load.(i) in
-        let wl_up, wl_down = wls.(a.Arena.cell_of.(i)).(s) in
-        lv.(flat) <- sl *. vdd;
-        kw_up.(flat) <- tech.Device.Tech.k_sat_p *. wl_up;
-        kw_down.(flat) <- tech.Device.Tech.k_sat_n *. wl_down;
-        rise0.(flat) <-
-          lv.(flat) /. (if od_up0 <= 0.0 then 0.0 else kw_up.(flat) *. pow_up0);
-        fall0.(flat) <-
-          lv.(flat) /. (if od_down0 <= 0.0 then 0.0 else kw_down.(flat) *. pow_down0);
-        let input =
-          let acc = ref 0.0 in
-          for d = a.Arena.dep_off.(flat) to a.Arena.dep_off.(flat + 1) - 1 do
-            acc := Float.max !acc st_arr.(a.Arena.deps.(d))
-          done;
-          !acc
-        in
-        st_arr.(flat) <- input +. Float.max rise0.(flat) fall0.(flat)
-      done;
-      d0.(i) <- st_arr.(a.Arena.stage_off.(i) + n_st - 1)
-    end
+    if a.Arena.op.(i) <> Arena.op_pi then
+      write_gate tm ~scratch i ~cell:(cell i) ~wls:tm.wls.(a.Arena.cell_of.(i))
+        ~load:(node_load tm ~cell i)
   done;
-  { a; tech; temp_k; po_load; vdd; alpha; vt_p; vt_n; lv; kw_up; kw_down; rise0; fall0; d0 }
+  tm
 
 (* --- Result assembly (the boxed analyzer's folds, verbatim) --- *)
 
@@ -109,12 +150,19 @@ let[@inline] fanin_arrival (a : Arena.t) arrival i =
   done;
   !acc
 
-let result_of (a : Arena.t) ~arrival ~gate_delay =
+(* The critical-output scan: the latest primary output, strict [>] so
+   the first of equal outputs wins. [arrival] is annotated: left
+   polymorphic, [>] would be the generic compare on boxed reads. *)
+let critical_output (a : Arena.t) (arrival : float array) =
   let outputs = a.Arena.outputs in
-  let critical_output = ref outputs.(0) in
-  Array.iter
-    (fun o -> if arrival.(o) > arrival.(!critical_output) then critical_output := o)
-    outputs;
+  let best = ref outputs.(0) in
+  for k = 1 to Array.length outputs - 1 do
+    if arrival.(outputs.(k)) > arrival.(!best) then best := outputs.(k)
+  done;
+  !best
+
+let result_of (a : Arena.t) ~arrival ~gate_delay =
+  let critical_output = critical_output a arrival in
   let rec backtrack i acc =
     let b = a.Arena.fanin_off.(i) in
     let k = a.Arena.fanin_off.(i + 1) - b in
@@ -131,9 +179,9 @@ let result_of (a : Arena.t) ~arrival ~gate_delay =
   {
     Sta.Timing.arrival;
     gate_delay;
-    max_delay = arrival.(!critical_output);
-    critical_path = backtrack !critical_output [];
-    critical_output = !critical_output;
+    max_delay = arrival.(critical_output);
+    critical_path = backtrack critical_output [];
+    critical_output;
   }
 
 let[@inline] scaled scale i d = match scale with None -> d | Some s -> s.(i) *. d
@@ -157,24 +205,16 @@ let fresh_result ?scale tm =
    across calls by one thread. *)
 let[@inline] aged_delay_into tm ~dvth ~dvth_n ~scratch i =
   let a = tm.a in
-  let alpha = tm.alpha in
   let b = a.Arena.stage_off.(i) in
   let n_st = a.Arena.stage_off.(i + 1) - b in
   for s = b to b + n_st - 1 do
-    let rise = tm.lv.(s) /. drive tm.kw_up.(s) (tm.vdd -. (tm.vt_p +. dvth.(s))) alpha in
+    let rise = tm.lv.(s) /. drive tm.kw_up.(s) (tm.vdd -. (tm.vt_p +. dvth.(s))) tm.alpha in
     let fall =
       match dvth_n with
       | None -> tm.fall0.(s)
-      | Some dn -> tm.lv.(s) /. drive tm.kw_down.(s) (tm.vdd -. (tm.vt_n +. dn.(s))) alpha
+      | Some dn -> tm.lv.(s) /. drive tm.kw_down.(s) (tm.vdd -. (tm.vt_n +. dn.(s))) tm.alpha
     in
-    let input =
-      let acc = ref 0.0 in
-      for d = a.Arena.dep_off.(s) to a.Arena.dep_off.(s + 1) - 1 do
-        acc := Float.max !acc scratch.(a.Arena.deps.(d))
-      done;
-      !acc
-    in
-    scratch.(s) <- input +. Float.max rise fall
+    scratch.(s) <- stage_input a scratch s +. Float.max rise fall
   done;
   scratch.(b + n_st - 1)
 
@@ -200,7 +240,7 @@ let memo : t Memo.t = Memo.create ~capacity:16 ()
 let get (a : Arena.t) ~tech ~temp_k ?po_load () =
   let buf = Buffer.create 256 in
   Memo.Fp.s buf a.Arena.digest;
-  Memo.Fp.tech buf tech;
+  Memo.Fp.tech (Memo.Fp.sink buf) tech;
   Memo.Fp.f buf temp_k;
   (match po_load with None -> Memo.Fp.s buf "d" | Some l -> Memo.Fp.f buf l);
   Memo.find_or_add memo (Memo.Fp.digest buf) (fun () -> build a ~tech ~temp_k ?po_load ())

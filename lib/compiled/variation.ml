@@ -14,12 +14,7 @@
      sample instead of once per stage, sound because the equivalent
      schedule's T_ref does not depend on the stage's duty pair. *)
 
-let max_at_outputs (a : Arena.t) arrival =
-  let best = ref a.Arena.outputs.(0) in
-  Array.iter
-    (fun o -> if arrival.(o) > arrival.(!best) then best := o)
-    a.Arena.outputs;
-  arrival.(!best)
+let max_at_outputs (a : Arena.t) arrival = arrival.(Timing.critical_output a arrival)
 
 type scratch = {
   offsets : float array;  (* per node: sampled V_th0 offset *)
@@ -61,7 +56,11 @@ let one_sample (tm : Timing.t) (sh : Aging.t) ~params ~sigma_vth sc rng =
   done;
   let fresh_delay = max_at_outputs a sc.arr in
   (* Aged pass: per-gate kv at the sample's vth0, shape-expanded dvth
-     per stage, stage delays from the compiled constants. *)
+     per stage, stage delays from the compiled constants. The stage
+     loop is [Timing.aged_delay_into]'s with the sample's shift computed
+     in place; it is written out here because a call into another
+     module returns its float boxed (the dev profile compiles with
+     -opaque), one allocation per stage per sample. *)
   for i = 0 to n - 1 do
     if a.Arena.op.(i) = Arena.op_pi then sc.arr.(i) <- 0.0
     else begin

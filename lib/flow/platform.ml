@@ -30,23 +30,16 @@ let default_config ?aging ?pool ?(budget = Parallel.Budget.unlimited) () =
    differing only in those must share cache entries.
 
    The fields are walked once per use by [prepare_fields] /
-   [config_fields] into a [sink]: [num] takes a float, [label] a
-   string. One sink renders the fingerprint text; the other builds the
-   memo key below from the same walk, so the key covers exactly what
-   the rendering reads. *)
+   [config_fields] into a [Compiled.Memo.Fp.sink]: [num] takes a float,
+   [label] a string. The technology, R-D parameter and schedule walks are
+   [Compiled.Memo.Fp]'s, the ones the compiled memo keys use. One sink
+   renders the fingerprint text; the other builds the memo key below from
+   the same walk, so the key covers exactly what the rendering reads. *)
 
-type sink = { num : float -> unit; label : string -> unit }
+type sink = Compiled.Memo.Fp.sink = { num : float -> unit; label : string -> unit }
 
 let prepare_fields k cfg =
-  let t = cfg.aging.Aging.Circuit_aging.tech in
-  k.label t.Device.Tech.name;
-  List.iter k.num
-    [
-      t.Device.Tech.vdd; t.Device.Tech.vth_p; t.Device.Tech.vth_n; t.Device.Tech.tox;
-      t.Device.Tech.lmin; t.Device.Tech.alpha; t.Device.Tech.k_sat_n; t.Device.Tech.k_sat_p;
-      t.Device.Tech.i0_sub; t.Device.Tech.n_swing; t.Device.Tech.dvth_dt; t.Device.Tech.jg0;
-      t.Device.Tech.vg0; t.Device.Tech.cg_per_wl; t.Device.Tech.ea_sub_ev;
-    ];
+  Compiled.Memo.Fp.tech k cfg.aging.Aging.Circuit_aging.tech;
   k.num cfg.input_sp;
   (match cfg.sp_method with
   | Sp_analytic -> k.label "analytic"
@@ -56,24 +49,8 @@ let prepare_fields k cfg =
 let config_fields k cfg =
   prepare_fields k cfg;
   let a = cfg.aging in
-  let p = a.Aging.Circuit_aging.params in
-  List.iter k.num
-    [
-      p.Nbti.Rd_model.kv_ref; p.Nbti.Rd_model.ref_temp_k; p.Nbti.Rd_model.ref_overdrive;
-      p.Nbti.Rd_model.ref_vth0; p.Nbti.Rd_model.ea_ev; p.Nbti.Rd_model.e0_field;
-      p.Nbti.Rd_model.time_exponent; p.Nbti.Rd_model.permanent_fraction;
-    ];
-  let sch = a.Aging.Circuit_aging.schedule in
-  k.num sch.Nbti.Schedule.period;
-  k.num sch.Nbti.Schedule.t_ref;
-  List.iter
-    (fun (ph : Nbti.Schedule.phase) ->
-      k.num ph.Nbti.Schedule.duration;
-      k.num ph.Nbti.Schedule.temp_k;
-      k.num ph.Nbti.Schedule.stress_duty;
-      k.label
-        (match ph.Nbti.Schedule.mode with Nbti.Schedule.Active -> "A" | Nbti.Schedule.Standby -> "S"))
-    sch.Nbti.Schedule.phases;
+  Compiled.Memo.Fp.params k a.Aging.Circuit_aging.params;
+  Compiled.Memo.Fp.schedule k a.Aging.Circuit_aging.schedule;
   k.num a.Aging.Circuit_aging.time;
   match a.Aging.Circuit_aging.pbti_scale with None -> k.label "nopbti" | Some x -> k.num x
 

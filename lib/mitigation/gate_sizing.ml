@@ -50,14 +50,15 @@ let grow_path (t : Circuit.Netlist.t) ~drives ~critical_path ~step ~max_drive =
   List.rev !grown
 
 (* Each iteration upsizes a handful of critical-path gates; a
-   [Compiled.Incremental.Sizing] session keeps the per-stage timing
-   constants and aged arrivals resident, and a drive edit recomputes
-   only the touched gates' constants (plus their fanin drivers' loads)
-   and the downstream arrival cone. The final netlist is materialized
-   once. Delays are bit-identical to a full STA of every materialized
-   netlist (the reference test_incremental compares against), so the
-   sizing trajectory — critical paths, drive vector, iteration count —
-   is the full-pass one. *)
+   [Compiled.Incremental.Sizing] session keeps a private timing table and
+   the aged arrivals resident, and a drive edit rewrites only the touched
+   gates' rows (plus their fanin drivers', whose loads moved) and
+   re-times the downstream arrival cone. The final netlist is
+   materialized once; its fresh delay is the session's own fresh pass.
+   Delays are bit-identical to a full STA of every materialized netlist
+   (the reference test_incremental compares against), so the sizing
+   trajectory — critical paths, drive vector, iteration count — is the
+   full-pass one. *)
 let optimize ?(budget = Parallel.Budget.unlimited) config (t : Circuit.Netlist.t) ~node_sp
     ~standby ?(margin = 0.01) ?(step = 1.2) ?(max_drive = 4.0) ?(max_iterations = 40) () =
   if margin < 0.0 then invalid_arg "Gate_sizing.optimize: negative margin";
@@ -65,15 +66,14 @@ let optimize ?(budget = Parallel.Budget.unlimited) config (t : Circuit.Netlist.t
   let tech = config.Aging.Circuit_aging.tech in
   let temp_k = config.Aging.Circuit_aging.schedule.Nbti.Schedule.t_ref in
   (* Duty pairs survive scaling (pin structure is unchanged), so the
-     shifts are extracted once and stay frozen in the session. *)
-  let duties = Aging.Circuit_aging.duty_table t ~node_sp ~standby in
-  let stage_dvth = Aging.Circuit_aging.stage_dvth_of_duties config ~duties in
+     shifts are picked once and stay frozen in the session. *)
+  let stage_dvth = Aging.Circuit_aging.stage_dvth_map config t ~node_sp ~standby in
   let a = Compiled.Arena.get t in
   let session =
     Compiled.Incremental.Sizing.session a ~tech ~temp_k
       ~dvth:(Compiled.Arena.stage_values a stage_dvth) ()
   in
-  let fresh0 = Compiled.Timing.fresh_result (Compiled.Timing.get a ~tech ~temp_k ()) in
+  let fresh0 = Compiled.Incremental.Sizing.fresh_result session in
   let target = fresh0.Sta.Timing.max_delay *. (1.0 +. margin) in
   let aged_before = Compiled.Incremental.Sizing.aged_max session in
   let n = Circuit.Netlist.n_nodes t in
@@ -100,18 +100,12 @@ let optimize ?(budget = Parallel.Budget.unlimited) config (t : Circuit.Netlist.t
     (Compiled.Incremental.Sizing.stats session)
     ~n_nodes:(Compiled.Incremental.Sizing.n_nodes session);
   let sized = materialize t ~drives in
-  (* A one-off netlist: compiled outside the arena and timing memos,
-     which hold the circuits callers come back to. *)
-  let fresh_final =
-    Compiled.Timing.fresh_result
-      (Compiled.Timing.build (Compiled.Arena.build sized) ~tech ~temp_k ())
-  in
   {
     drives;
     sized;
     fresh_before = fresh0.Sta.Timing.max_delay;
     aged_before;
-    fresh_after = fresh_final.Sta.Timing.max_delay;
+    fresh_after = (Compiled.Incremental.Sizing.fresh_result session).Sta.Timing.max_delay;
     aged_after;
     target;
     met = aged_after <= target;

@@ -125,6 +125,14 @@ let fanout t = Array.map (Array.map fst) (fanout_pins t)
 
 let is_output t i = Array.exists (fun o -> o = i) t.outputs
 
+(* The fresh critical delay is the latest primary-output arrival, and a
+   primary input arrives at 0, so it is 0 exactly when no output is a
+   gate. *)
+let timing_problem t =
+  if Array.exists (fun o -> match t.nodes.(o) with Gate _ -> true | Primary_input _ -> false) t.outputs
+  then None
+  else Some "no primary output is driven by a gate, so the circuit has no path to time"
+
 let levels t =
   let lev = Array.make (n_nodes t) 0 in
   Array.iteri

@@ -39,6 +39,12 @@ val fanout_pins : t -> (int * int) array array
 
 val is_output : t -> int -> bool
 
+val timing_problem : t -> string option
+(** [Some reason] when no primary output is driven by a gate: every
+    output is a primary input, so the fresh critical delay is 0 and a
+    relative slowdown is undefined. Timing analyses refuse such a
+    netlist up front. *)
+
 val levels : t -> int array
 (** Logic depth of each node: 0 for primary inputs,
     [1 + max (levels fanin)] for gates. *)

@@ -52,7 +52,11 @@ let resolve t ~max_bench_bytes spec =
       | Some { resolved; text = Some stored } when String.equal stored text -> Ok resolved
       | _ -> begin
         match Circuit.Bench_io.parse_result ~name:(Protocol.circuit_name spec) text with
-        | Ok net -> Ok (remember t key ~text net)
+        | Ok net -> begin
+          match Circuit.Netlist.timing_problem net with
+          | None -> Ok (remember t key ~text net)
+          | Some reason -> error Protocol.Invalid_request ("bench netlist: " ^ reason)
+        end
         | Error { Circuit.Bench_io.line; message } ->
           error Protocol.Invalid_request
             ~details:(match line with Some l -> [ ("line", Json.Int l) ] | None -> [])

@@ -6,8 +6,9 @@
     - Inline [.bench] text is keyed by an MD5 of its content, and the
       stored text is compared on every hit, so a different text never
       receives a cached netlist.
-    - Unknown names and parse errors are never cached; oversized text is
-      refused before it is hashed.
+    - Unknown names, parse errors and netlists with nothing to time
+      ({!Circuit.Netlist.timing_problem}) are never cached; oversized
+      text is refused before it is hashed.
 
     A repeat therefore returns the {e same} netlist value, which lets
     {!Compiled.Arena.get} hit its physical-equality ring instead of
@@ -35,8 +36,9 @@ val resolve :
 (** The netlist a request names, whose name is
     {!Protocol.circuit_name} of the spec. Errors are the wire errors the request
     gets: [bad_request] for an unknown name, [invalid_request] for text
-    longer than [max_bench_bytes] or a malformed netlist (the latter
-    with the offending 1-based ["line"] in [details] when known). *)
+    longer than [max_bench_bytes], a malformed netlist (with the
+    offending 1-based ["line"] in [details] when known) or one where no
+    primary output is a gate. *)
 
 type entry
 

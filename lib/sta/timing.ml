@@ -10,17 +10,14 @@ let default_po_load tech = 4.0 *. Cell.Cell_delay.input_capacitance tech Cell.St
 
 (* Drain diffusion capacitance of a gate's output stage: roughly half a
    gate capacitance per unit device width hanging off the output node. *)
-let drain_cap tech (node : Circuit.Netlist.node) =
-  match node with
-  | Circuit.Netlist.Primary_input _ -> 0.0
-  | Circuit.Netlist.Gate { cell; _ } ->
-    let stages = cell.Cell.Stdcell.stages in
-    let out = stages.(Array.length stages - 1) in
-    let width net =
-      List.fold_left (fun acc (_, m) -> acc +. m.Device.Mosfet.wl) 0.0 (Cell.Network.devices net)
-    in
-    0.5 *. tech.Device.Tech.cg_per_wl
-    *. (width out.Cell.Stdcell.pull_up +. width out.Cell.Stdcell.pull_down)
+let drain_cap tech (cell : Cell.Stdcell.t) =
+  let stages = cell.Cell.Stdcell.stages in
+  let out = stages.(Array.length stages - 1) in
+  let width net =
+    List.fold_left (fun acc (_, m) -> acc +. m.Device.Mosfet.wl) 0.0 (Cell.Network.devices net)
+  in
+  0.5 *. tech.Device.Tech.cg_per_wl
+  *. (width out.Cell.Stdcell.pull_up +. width out.Cell.Stdcell.pull_down)
 
 let loads tech (t : Circuit.Netlist.t) ?po_load () =
   let po_load = match po_load with Some l -> l | None -> default_po_load tech in
@@ -37,7 +34,11 @@ let loads tech (t : Circuit.Netlist.t) ?po_load () =
             | Circuit.Netlist.Primary_input _ -> acc)
           0.0 pins
       in
-      let cap = cap +. drain_cap tech t.Circuit.Netlist.nodes.(i) in
+      let cap =
+        match t.Circuit.Netlist.nodes.(i) with
+        | Circuit.Netlist.Primary_input _ -> cap
+        | Circuit.Netlist.Gate { cell; _ } -> cap +. drain_cap tech cell
+      in
       result.(i) <- (cap +. if Circuit.Netlist.is_output t i then po_load else 0.0))
     fanout;
   result

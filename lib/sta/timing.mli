@@ -25,6 +25,12 @@ val loads : Device.Tech.t -> Circuit.Netlist.t -> ?po_load:float -> unit -> floa
     output-stage device width in gate-capacitance units) — so even a
     dangling gate has a positive delay. *)
 
+val default_po_load : Device.Tech.t -> float
+(** The [po_load] {!loads} assumes when none is given. *)
+
+val drain_cap : Device.Tech.t -> Cell.Stdcell.t -> float
+(** The drain term {!loads} adds to a gate's own output node. *)
+
 val no_aging : gate:int -> stage:int -> float
 (** The zero threshold shift: fresh timing. *)
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Smoke test for the aging-analysis daemon: serve + request over a Unix
 # socket, assert a well-formed analyze response and working stats; and
-# that out-of-domain field values are refused on the wire and the CLI.
+# that out-of-domain field values and a netlist with nothing to time are
+# refused on the wire and the CLI.
 set -eu
 
 TOOL=${TOOL:-./_build/default/bin/nbti_tool.exe}
@@ -13,6 +14,21 @@ fail() {
 }
 
 [ -x "$TOOL" ] || fail "$TOOL not built (run dune build first)"
+
+# A netlist where no primary output is a gate has nothing to time: a
+# timing subcommand refuses it like an unreadable CIRCUIT (exit 124), and
+# the wire answers invalid_request (checked once the server is up).
+GATELESS=$(mktemp /tmp/nbti_smoke.XXXXXX.bench)
+trap 'rm -f "$GATELESS"' EXIT
+printf 'INPUT(a)\nOUTPUT(a)\n' >"$GATELESS"
+set +e
+ERR=$("$TOOL" analyze "$GATELESS" 2>&1 >/dev/null)
+CODE=$?
+set -e
+[ "$CODE" -eq 124 ] || fail "nbti_tool analyze on a gateless netlist exited $CODE, want 124"
+case "$ERR" in
+*"no primary output"*) ;; *) fail "gateless netlist refused without naming why: $ERR" ;;
+esac
 
 # A flag value outside its field's domain is a usage error (exit 124)
 # naming the flag.
@@ -35,7 +51,7 @@ usage_error --beta st c17 --beta 1.5
 
 "$TOOL" serve -s "$SOCK" &
 SERVER_PID=$!
-trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -f "$SOCK"' EXIT
+trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -f "$SOCK" "$GATELESS"' EXIT
 
 # wait for the socket to appear (up to ~5 s)
 i=0
@@ -73,6 +89,11 @@ case "$BAD" in
 *'"code":"invalid_request"'*'"field":"config.years"'*) ;; *) fail "years 0 not refused: $BAD" ;;
 esac
 
+GATELESS_REQ=$("$TOOL" request -s "$SOCK" '{"v":1,"op":"analyze","circuit":{"bench":"INPUT(a)\nOUTPUT(a)\n"}}' || true)
+case "$GATELESS_REQ" in
+*'"code":"invalid_request"'*'no primary output'*) ;; *) fail "gateless bench not refused: $GATELESS_REQ" ;;
+esac
+
 STATS=$("$TOOL" request -s "$SOCK" '{"v":1,"op":"stats"}')
 case "$STATS" in
 *'"endpoints"'*'"analyze"'*) ;; *) fail "stats missing analyze endpoint" ;;
@@ -85,4 +106,4 @@ kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || fail "server exited non-zero"
 [ ! -S "$SOCK" ] || fail "socket file not cleaned up"
 
-echo "smoke: OK (CLI domains + serve + analyze + cache hit + wire domains + stats + graceful shutdown)"
+echo "smoke: OK (CLI domains + serve + analyze + cache hit + wire domains + gateless netlist + stats + graceful shutdown)"

@@ -9,8 +9,7 @@ let optimize config (t : Circuit.Netlist.t) ~node_sp ~standby ?(margin = 0.01) ?
     ?(max_drive = 4.0) ?(max_iterations = 40) () =
   let tech = config.Aging.Circuit_aging.tech in
   let temp_k = config.Aging.Circuit_aging.schedule.Nbti.Schedule.t_ref in
-  let duties = Aging.Circuit_aging.duty_table t ~node_sp ~standby in
-  let stage_dvth = Aging.Circuit_aging.stage_dvth_of_duties config ~duties in
+  let stage_dvth = Circuit_aging.stage_dvth_map config t ~node_sp ~standby in
   let aged_sta net = Timing.analyze tech net ~temp_k ~stage_dvth () in
   let fresh0 = Timing.fresh tech t ~temp_k () in
   let aged0 = aged_sta t in

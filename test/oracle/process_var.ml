@@ -9,7 +9,7 @@ let run ?pool config t ~node_sp ~standby ~rng =
   let aging = config.aging in
   let tech = aging.Aging.Circuit_aging.tech in
   let temp_k = aging.Aging.Circuit_aging.schedule.Nbti.Schedule.t_ref in
-  let duties = Aging.Circuit_aging.duty_table t ~node_sp ~standby in
+  let duties = Circuit_aging.duty_table t ~node_sp ~standby in
   let n_nodes = Circuit.Netlist.n_nodes t in
   let vth_nom = Device.Tech.vth_at tech `P ~temp_k in
   let overdrive_nom = tech.Device.Tech.vdd -. vth_nom in

@@ -255,7 +255,9 @@ let test_aging_analysis () =
 
 (* The per-stage duty pairs the tables encode, (active, 1.0 or 0.0 by
    the stage's stress bit, mirrored across polarity for the bounding
-   states), must be the rows of the boxed [duty_table]. *)
+   states), must be the rows of the boxed duty walk, and
+   [Circuit_aging.duty_table], which reads them back out of the tables,
+   must return those rows. *)
 let test_duty_tables () =
   List.iter
     (fun net ->
@@ -270,7 +272,8 @@ let test_duty_tables () =
           let duty = Compiled.Duty.build a ~polarity ~node_sp in
           List.iter
             (fun (sname, standby) ->
-              let rows = Aging.Circuit_aging.duty_table ~polarity net ~node_sp ~standby in
+              let rows = Oracle.Circuit_aging.duty_table ~polarity net ~node_sp ~standby in
+              let read_back = Aging.Circuit_aging.duty_table ~polarity net ~node_sp ~standby in
               let stressed_bound =
                 match (standby, polarity) with
                 | Aging.Circuit_aging.Standby_vector inputs, _ ->
@@ -301,8 +304,14 @@ let test_duty_tables () =
                       in
                       Alcotest.(check bool) (name ^ " active") true
                         (bits_equal active duty.Compiled.Duty.active.(flat));
-                      Alcotest.(check bool) (name ^ " standby") true (bits_equal standby_duty stb))
-                    row)
+                      Alcotest.(check bool) (name ^ " standby") true (bits_equal standby_duty stb);
+                      let active', standby' = read_back.(i).(s) in
+                      Alcotest.(check bool) (name ^ " read back") true
+                        (bits_equal active active' && bits_equal standby_duty standby'))
+                    row;
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s node %d read-back stages" (net_name net) i)
+                    (Array.length row) (Array.length read_back.(i)))
                 rows)
             (standby_states net))
         [ `Pmos; `Nmos ])

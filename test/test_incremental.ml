@@ -273,14 +273,15 @@ let test_random_search_budget () =
   let plain = Ivc.Mlv.random_search tables net ~rng:(Physics.Rng.create ~seed:8) ~n:64 in
   check_bits "unlimited budget = no budget" plain.Ivc.Mlv.leakage unbounded.Ivc.Mlv.leakage
 
-(* --- Sizing sessions: drive edits, cell swaps, dvth probes --- *)
+(* --- Sizing sessions: drive edits and cell swaps --- *)
 
-let sizing_oracle config net ~node_sp ~standby ~drives =
-  let duties = Aging.Circuit_aging.duty_table net ~node_sp ~standby in
-  let stage_dvth = Aging.Circuit_aging.stage_dvth_of_duties config ~duties in
+(* A full boxed STA of [sized], a resized [net], under [net]'s frozen
+   shifts (duty pairs survive scaling). *)
+let sizing_oracle config net ~node_sp ~standby sized =
+  let duties = Oracle.Circuit_aging.duty_table net ~node_sp ~standby in
+  let stage_dvth = Oracle.Circuit_aging.stage_dvth_of_duties config ~duties in
   let tech = config.Aging.Circuit_aging.tech in
   let temp_k = config.Aging.Circuit_aging.schedule.Nbti.Schedule.t_ref in
-  let sized = Mitigation.Gate_sizing.materialize net ~drives in
   Oracle.Timing.analyze tech sized ~temp_k ~stage_dvth ()
 
 let sizing_session config net ~node_sp ~standby =
@@ -301,6 +302,29 @@ let gate_ids net =
     net.Circuit.Netlist.nodes;
   Array.of_list (List.rev !ids)
 
+(* Per node, its gate's cell ([inv] for primary inputs, never read). *)
+let cells_of (net : Circuit.Netlist.t) =
+  Array.map
+    (function
+      | Circuit.Netlist.Gate { cell; _ } -> cell
+      | Circuit.Netlist.Primary_input _ -> Cell.Stdcell.inv)
+    net.Circuit.Netlist.nodes
+
+(* [net] with gate [i]'s cell replaced by [cells.(i)]. *)
+let with_cells (net : Circuit.Netlist.t) cells =
+  Circuit.Netlist.create ~name:net.Circuit.Netlist.name
+    (Array.mapi
+       (fun i node ->
+         match node with
+         | Circuit.Netlist.Gate g -> Circuit.Netlist.Gate { g with cell = cells.(i) }
+         | Circuit.Netlist.Primary_input _ -> node)
+       net.Circuit.Netlist.nodes)
+    ~outputs:net.Circuit.Netlist.outputs
+
+(* Drive edits interleaved with cell swaps (a scaled variant of the
+   gate's original cell), checked against a full STA of the resized
+   netlist after every edit. A drive scales the gate's base cell, which
+   a swap replaces: [cells] tracks what the session should hold. *)
 let test_sizing_drive_edits () =
   let rng = Physics.Rng.create ~seed:303 in
   let config = Aging.Circuit_aging.default_config () in
@@ -311,39 +335,47 @@ let test_sizing_drive_edits () =
       let standby = Aging.Circuit_aging.Standby_all_stressed in
       let s = sizing_session config net ~node_sp ~standby in
       let gates = gate_ids net in
-      let drives = Array.make (Circuit.Netlist.n_nodes net) 1.0 in
-      for edit = 1 to 8 do
-        let g = gates.(Physics.Rng.int rng (Array.length gates)) in
-        let d = [| 1.2; 1.44; 2.0; 4.0 |].(Physics.Rng.int rng 4) in
-        drives.(g) <- d;
-        Compiled.Incremental.Sizing.set_drive s g d;
-        let oracle = sizing_oracle config net ~node_sp ~standby ~drives in
-        check_bits
-          (Printf.sprintf "%s edit %d aged max" name edit)
-          oracle.Sta.Timing.max_delay
-          (Compiled.Incremental.Sizing.aged_max s);
-        if edit = 8 then begin
-          let aged = Compiled.Incremental.Sizing.aged_result s in
-          check_floats_exact (name ^ " arrivals") oracle.Sta.Timing.arrival
-            aged.Sta.Timing.arrival;
-          Alcotest.(check (list int))
-            (name ^ " critical path")
-            oracle.Sta.Timing.critical_path aged.Sta.Timing.critical_path
+      (* A few gates take every edit, so drives land on swapped cells. *)
+      let edited = Array.init 4 (fun _ -> gates.(Physics.Rng.int rng (Array.length gates))) in
+      let orig = cells_of net in
+      let base = Array.copy orig in
+      let cells = Array.copy orig in
+      for edit = 1 to 12 do
+        let g = edited.(Physics.Rng.int rng (Array.length edited)) in
+        if edit mod 3 = 0 then begin
+          let c = Cell.Stdcell.scaled orig.(g) ~drive:[| 0.8; 1.5; 3.0 |].(Physics.Rng.int rng 3) in
+          base.(g) <- c;
+          cells.(g) <- c;
+          Compiled.Incremental.Sizing.set_cell s g c
         end
+        else begin
+          let d = [| 1.2; 1.44; 2.0; 4.0 |].(Physics.Rng.int rng 4) in
+          cells.(g) <- Cell.Stdcell.scaled base.(g) ~drive:d;
+          Compiled.Incremental.Sizing.set_drive s g d
+        end;
+        let oracle = sizing_oracle config net ~node_sp ~standby (with_cells net cells) in
+        let edit_name = Printf.sprintf "%s edit %d" name edit in
+        check_bits (edit_name ^ " aged max") oracle.Sta.Timing.max_delay
+          (Compiled.Incremental.Sizing.aged_max s);
+        let aged = Compiled.Incremental.Sizing.aged_result s in
+        check_floats_exact (edit_name ^ " arrivals") oracle.Sta.Timing.arrival
+          aged.Sta.Timing.arrival;
+        Alcotest.(check (list int))
+          (edit_name ^ " critical path")
+          oracle.Sta.Timing.critical_path aged.Sta.Timing.critical_path
       done;
       (* Revert every edit: back to the unsized delays. *)
-      let oracle0 =
-        sizing_oracle config net ~node_sp ~standby
-          ~drives:(Array.make (Circuit.Netlist.n_nodes net) 1.0)
-      in
+      let oracle0 = sizing_oracle config net ~node_sp ~standby net in
       Array.iter
-        (fun g -> if drives.(g) <> 1.0 then Compiled.Incremental.Sizing.set_drive s g 1.0)
+        (fun g ->
+          if base.(g) != orig.(g) then Compiled.Incremental.Sizing.set_cell s g orig.(g)
+          else if cells.(g) != orig.(g) then Compiled.Incremental.Sizing.set_drive s g 1.0)
         gates;
       check_bits (name ^ " reverted aged max") oracle0.Sta.Timing.max_delay
         (Compiled.Incremental.Sizing.aged_max s))
     [ Circuit.Generators.by_name "c432"; dag 12 800 ]
 
-let test_sizing_cell_swap_and_probe () =
+let test_sizing_cell_swap () =
   let config = Aging.Circuit_aging.default_config () in
   let net = Circuit.Generators.by_name "c432" in
   let node_sp = node_sp_of net in
@@ -361,30 +393,11 @@ let test_sizing_cell_swap_and_probe () =
   Compiled.Incremental.Sizing.set_cell s g (Cell.Stdcell.scaled cell ~drive:2.0);
   let drives = Array.make (Circuit.Netlist.n_nodes net) 1.0 in
   drives.(g) <- 2.0;
-  let oracle = sizing_oracle config net ~node_sp ~standby ~drives in
-  check_bits "cell swap aged max" oracle.Sta.Timing.max_delay
-    (Compiled.Incremental.Sizing.aged_max s);
-  (* Vth probe: adding an offset to one gate's PMOS shift must equal a
-     full pass with the perturbed closure; clearing it restores the
-     original bits. *)
-  let s = sizing_session config net ~node_sp ~standby in
-  let before = Compiled.Incremental.Sizing.aged_max s in
-  let off = 0.015 in
-  Compiled.Incremental.Sizing.set_gate_dvth s g off;
-  let duties = Aging.Circuit_aging.duty_table net ~node_sp ~standby in
-  let stage_dvth = Aging.Circuit_aging.stage_dvth_of_duties config ~duties in
-  let perturbed ~gate ~stage =
-    let d = stage_dvth ~gate ~stage in
-    if gate = g then d +. off else d
-  in
   let oracle =
-    Oracle.Timing.analyze config.Aging.Circuit_aging.tech net
-      ~temp_k:config.Aging.Circuit_aging.schedule.Nbti.Schedule.t_ref ~stage_dvth:perturbed ()
+    sizing_oracle config net ~node_sp ~standby (Mitigation.Gate_sizing.materialize net ~drives)
   in
-  check_bits "dvth probe aged max" oracle.Sta.Timing.max_delay
-    (Compiled.Incremental.Sizing.aged_max s);
-  Compiled.Incremental.Sizing.set_gate_dvth s g 0.0;
-  check_bits "dvth probe cleared" before (Compiled.Incremental.Sizing.aged_max s)
+  check_bits "cell swap aged max" oracle.Sta.Timing.max_delay
+    (Compiled.Incremental.Sizing.aged_max s)
 
 let test_optimize_matches_boxed () =
   let config = Aging.Circuit_aging.default_config () in
@@ -436,8 +449,7 @@ let () =
         [
           Alcotest.test_case "drive edits = materialized full STA" `Quick
             test_sizing_drive_edits;
-          Alcotest.test_case "cell swap and dvth probe = perturbed STA" `Quick
-            test_sizing_cell_swap_and_probe;
+          Alcotest.test_case "cell swap = materialized drive" `Quick test_sizing_cell_swap;
           Alcotest.test_case "optimize = optimize_boxed" `Quick test_optimize_matches_boxed;
         ] );
     ]

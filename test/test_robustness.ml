@@ -669,6 +669,64 @@ let test_batch_isolates_raising_jobs () =
       Alcotest.(check string) "routed batch = direct batch" direct
         (Fleet.Router.handle_line router line))
 
+(* --- Netlists with nothing to time ---
+
+   The fresh critical delay is 0 exactly when no primary output is a
+   gate, and every timing op then failed an assertion: internal_error.
+   Both uploads (outputs that are inputs; a dangling gate beside them)
+   must be refused as invalid_request naming the problem, alone and as a
+   batch entry beside a job that answers. *)
+
+let untimeable_benches =
+  [ "INPUT(a)\nOUTPUT(a)\n"; "INPUT(a)\nINPUT(b)\nOUTPUT(a)\nc = NAND(a, b)\n" ]
+
+let check_untimeable name handle =
+  let open Server.Json in
+  let job op text = [ ("op", String op); ("circuit", Assoc [ ("bench", String text) ]) ] in
+  let check_error what error =
+    Alcotest.(check string) (what ^ " code") "invalid_request" (to_string_exn (member "code" error));
+    let message = to_string_exn (member "message" error) in
+    Alcotest.(check bool) (what ^ " names the problem: " ^ message) true
+      (String.length message >= 18 && String.sub message 0 14 = "bench netlist:")
+  in
+  List.iter
+    (fun text ->
+      List.iter
+        (fun op ->
+          let what = Printf.sprintf "%s %s on %S" name op text in
+          let response = of_string (handle (to_string (Assoc (("v", Int 1) :: job op text)))) in
+          Alcotest.(check bool) (what ^ " refused") false (to_bool (member "ok" response));
+          check_error what (member "error" response))
+        [ "analyze"; "ivc_search"; "sleep_sizing" ];
+      let what = Printf.sprintf "%s batch entry on %S" name text in
+      let batch =
+        Assoc
+          [
+            ("v", Int 1);
+            ("op", String "batch");
+            ("jobs", List [ Assoc (job "analyze" text); Assoc [ ("op", String "analyze"); ("circuit", String "c17") ] ]);
+          ]
+      in
+      match Server.Protocol.response_result (of_string (handle (to_string batch))) with
+      | Ok result -> (
+        match member "results" result with
+        | List [ refused; answered ] ->
+          check_error what refused;
+          Alcotest.(check string) (what ^ ": sibling answered") "analysis"
+            (to_string_exn (member "kind" answered))
+        | _ -> Alcotest.fail (what ^ ": expected two batch results"))
+      | Error (code, m) -> Alcotest.fail (what ^ ": the batch itself failed: " ^ code ^ ": " ^ m))
+    untimeable_benches
+
+let test_untimeable_direct () =
+  let t = Server.Service.create () in
+  check_untimeable "direct" (Server.Service.handle_line t)
+
+let test_untimeable_routed () =
+  with_server (fun _t path ->
+      let router = Fleet.Router.create [ Server.Netline.Unix_socket path ] in
+      check_untimeable "routed" (Fleet.Router.handle_line router))
+
 let connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX path);
@@ -882,6 +940,8 @@ let () =
         [
           Alcotest.test_case "positioned errors" `Quick test_bench_positioned_errors;
           Alcotest.test_case "maps to invalid_request" `Quick test_bench_error_maps_to_invalid_request;
+          Alcotest.test_case "no gate on any output, direct" `Quick test_untimeable_direct;
+          Alcotest.test_case "no gate on any output, routed" `Quick test_untimeable_routed;
         ] );
       ( "admission",
         [
