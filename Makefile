@@ -78,14 +78,15 @@ incremental-gate: build
 obs-gate: build
 	dune exec bench/main.exe -- --obs-gate
 
-# Machine-readable benchmark record: Bechamel ns/run for every kernel,
-# 1/2/4-domain scaling of the parallel hot paths, compiled-core speedups
-# vs the PR3 boxed baselines, the incremental single-PI-flip re-analysis
-# gate, GC pressure of the variation hot path, recommended_domains for
-# this host, and the tracing overhead of the analyze hot path (must stay
-# under 3%).
+# Machine-readable benchmark record: appends one entry to the history in
+# BENCH.json with Bechamel ns/run for every kernel, 1/2/4-domain scaling
+# of the parallel hot paths, compiled-core speedups vs the PR3 boxed
+# baselines (read from the record's BENCH_PR3.json entry), the
+# incremental single-PI-flip re-analysis gate, GC pressure of the
+# variation hot path, recommended_domains for this host, and the
+# tracing overhead of the analyze hot path (must stay under 3%).
 bench-json: build
-	dune exec bench/main.exe -- --perf-json BENCH_PR8.json
+	dune exec bench/main.exe -- --perf-json BENCH.json
 
 # Human-readable benchmark transcripts (untracked; see .gitignore).
 bench-txt: build

@@ -11,8 +11,9 @@
                                                compiled-core speedups +
                                                incremental re-analysis +
                                                GC pressure + tracing
-                                               overhead as JSON
-                                               (default BENCH_PR8.json)
+                                               overhead, appended as one
+                                               history entry to the bench
+                                               record (default BENCH.json)
    dune exec bench/main.exe -- --scaling-gate
                                             -> just the parallel-scaling and
                                                compiled-speedup gates (fast;
@@ -55,7 +56,7 @@ let () =
   | [ "--perf" ] ->
     print_header ();
     Perf.run ()
-  | [ "--perf-json" ] -> Perf.run_json ~path:"BENCH_PR8.json"
+  | [ "--perf-json" ] -> Perf.run_json ~path:Perf.bench_record
   | [ "--perf-json"; path ] -> Perf.run_json ~path
   | [ "--scaling-gate" ] -> Perf.run_scaling_gate ()
   | [ "--incremental-gate" ] -> Perf.run_incremental_gate ()

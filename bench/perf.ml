@@ -225,7 +225,29 @@ let run () =
     results;
   Format.printf "@."
 
-(* --- machine-readable output (BENCH_PR8.json) --- *)
+(* --- machine-readable output (the bench record) --- *)
+
+module Json = Obs.Json
+
+(* One file, BENCH.json: a schema tag and a [history] array with one
+   entry per --perf-json run, oldest first. Its first four entries are
+   the per-PR records BENCH_PR{3,6,7,8}.json, each tagged with that file
+   name under ["source"]; later entries only add sections. *)
+let bench_record = "BENCH.json"
+let record_schema = "nbti-bench/history"
+
+let read_history path =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Json.to_list (Json.member "history" (Json.of_string text))
+
+(* One entry per line, each printed by the codec, so a run appends a
+   line. *)
+let write_history path entries =
+  let oc = open_out path in
+  Printf.fprintf oc "{\"schema\":%s,\"history\":[\n%s\n]}\n"
+    (Json.to_string (Json.String record_schema))
+    (String.concat ",\n" (List.map Json.to_string entries));
+  close_out oc
 
 let ns_estimates () =
   let results = benchmark () in
@@ -247,10 +269,8 @@ let time_it f =
   let v = f () in
   (v, Unix.gettimeofday () -. t0)
 
-let bench_samples () =
-  match Option.bind (Sys.getenv_opt "NBTI_BENCH_SAMPLES") int_of_string_opt with
-  | Some n when n >= 2 -> n
-  | _ -> 500
+(* The gates' fixed workload: a 500-sample c432 variation study. *)
+let variation_samples = 500
 
 type parallel_case = {
   case_domains : int;
@@ -277,14 +297,13 @@ let best_of n f =
    two other parallel hot paths, each timed at 1, 2 and 4 domains against
    a dedicated pool, with the results compared structurally across the
    domain counts — the speedup claim is only meaningful if the outputs
-   are bit-identical. NBTI_BENCH_SAMPLES overrides the sample count for
-   quick runs. *)
+   are bit-identical. *)
 let parallel_cases () =
   let net = Lazy.force c432 in
   let sp = Lazy.force c432_sp in
   let tables = Lazy.force c432_tables in
   let input_sp = Logic.Signal_prob.uniform_inputs net 0.5 in
-  let n_samples = bench_samples () in
+  let n_samples = variation_samples in
   let aging = Aging.Circuit_aging.default_config () in
   let var_config = Variation.Process_var.default_config ~n_samples aging in
   let one pool =
@@ -384,10 +403,43 @@ let scaling_verdict cases =
 
 (* --- PR6: compiled single-thread speedups vs the PR3 boxed baselines --- *)
 
-(* ns/run estimates frozen from BENCH_PR3.json for the two kernels the
-   compiled core must beat by >= 3x single-threaded. *)
-let pr3_variation_sample_ns = 1_740_786.0
-let pr3_fresh_sta_ns = 343_619.2
+(* The ns/run of the two PR 3 kernels the compiled core must beat by
+   >= 3x single-threaded, read from the bench record's entry migrated
+   from BENCH_PR3.json (1,740,786.0 and 343,619.2 ns). [Error] names
+   what is missing. *)
+let pr3_source = "BENCH_PR3.json"
+
+let pr3_baseline () =
+  let missing what = failwith (Printf.sprintf "%s: %s" bench_record what) in
+  try
+    let entry =
+      match
+        List.find_opt
+          (fun e -> Json.member "source" e = Json.String pr3_source)
+          (read_history bench_record)
+      with
+      | Some e -> e
+      | None -> missing ("no history entry from " ^ pr3_source)
+    in
+    let ns kernel =
+      match Json.member ("nbti-repro/" ^ kernel) (Json.member "ns_per_run" entry) with
+      | Json.Null ->
+        missing (Printf.sprintf "the entry from %s has no ns_per_run for %S" pr3_source kernel)
+      | v -> Json.to_float v
+    in
+    Ok
+      ( ns "fig12: one Monte-Carlo variation sample on c432",
+        ns "table4: fresh STA pass on c432" )
+  with
+  | Failure m | Sys_error m -> Error m
+  | Json.Parse_error m | Json.Type_error m -> Error (bench_record ^ ": " ^ m)
+
+let pr3_baseline_or_exit () =
+  match pr3_baseline () with
+  | Ok b -> b
+  | Error m ->
+    Format.eprintf "BENCH FAILURE: no PR 3 baseline: %s@." m;
+    exit 1
 
 let min_time_ns ~repeats ~batch f =
   for _ = 1 to 3 do
@@ -406,7 +458,7 @@ let min_time_ns ~repeats ~batch f =
 
 type speedup_case = { kernel : string; pr3_ns : float; pr6_ns : float; speedup : float }
 
-let speedups_vs_pr3 () =
+let speedups_vs_pr3 (pr3_variation_sample_ns, pr3_fresh_sta_ns) =
   Parallel.Pool.with_pool ~domains:1 @@ fun pool ->
   let net = Lazy.force c432 in
   let sp = Lazy.force c432_sp in
@@ -594,7 +646,7 @@ let variation_gc_pressure () =
   Parallel.Pool.with_pool ~domains:1 @@ fun pool ->
   let net = Lazy.force c432 in
   let sp = Lazy.force c432_sp in
-  let n_samples = bench_samples () in
+  let n_samples = variation_samples in
   let aging = Aging.Circuit_aging.default_config () in
   let var_config = Variation.Process_var.default_config ~n_samples aging in
   let run () =
@@ -777,19 +829,6 @@ let check_incremental_gates cases =
     cases;
   !ok
 
-let add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' ->
-        Buffer.add_char b '\\';
-        Buffer.add_char b c
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 let print_cases cases base =
   List.iter
     (fun c ->
@@ -831,6 +870,10 @@ let check_gates ~bit_identical ~(verdict : scaling_verdict) ~speedups =
   !ok
 
 let run_json ~path =
+  (* Read both records first, so a missing baseline or a malformed
+     record fails before minutes of measurement. *)
+  let baseline = pr3_baseline_or_exit () in
+  let history = if Sys.file_exists path then read_history path else [] in
   Format.printf "Bechamel estimates (this takes a few seconds per kernel)...@.";
   let estimates = ns_estimates () in
   (* Settle the heap after bechamel's allocation churn so the scaling
@@ -840,7 +883,7 @@ let run_json ~path =
   let n_samples, cases, bit_identical = parallel_cases () in
   let verdict = scaling_verdict cases in
   Format.printf "Compiled-core section: single-thread kernels vs PR3 baselines...@.";
-  let speedups = speedups_vs_pr3 () in
+  let speedups = speedups_vs_pr3 baseline in
   Format.printf "Calibration section: 4-chain posterior at 1/2/4 domains...@.";
   let cal_cases, cal_bit_identical = calibration_cases () in
   Format.printf "Incremental section: single-PI-flip re-analysis on c7552 and dag10k...@.";
@@ -854,97 +897,112 @@ let run_json ~path =
     | c :: _ -> c
     | [] -> assert false
   in
-  let b = Buffer.create 8192 in
-  Buffer.add_string b "{\n  \"schema\": \"nbti-bench/pr8\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"host_cores\": %d,\n" verdict.host_cores);
-  Buffer.add_string b
-    (Printf.sprintf "  \"recommended_domains\": %d,\n" verdict.measured_recommended_domains);
-  Buffer.add_string b (Printf.sprintf "  \"variation_samples\": %d,\n" n_samples);
-  Buffer.add_string b "  \"ns_per_run\": {\n";
-  List.iteri
-    (fun i (name, est) ->
-      Buffer.add_string b "    ";
-      add_json_string b name;
-      Buffer.add_string b (Printf.sprintf ": %.1f%s\n" est (if i = List.length estimates - 1 then "" else ",")))
-    estimates;
-  Buffer.add_string b "  },\n";
-  Buffer.add_string b "  \"speedup_vs_pr3\": [\n";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string b "    { \"kernel\": ";
-      add_json_string b s.kernel;
-      Buffer.add_string b
-        (Printf.sprintf ", \"pr3_ns\": %.1f, \"pr6_ns\": %.1f, \"speedup\": %.2f }%s\n" s.pr3_ns
-           s.pr6_ns s.speedup
-           (if i = List.length speedups - 1 then "" else ",")))
-    speedups;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"parallel\": {\n";
-  Buffer.add_string b
-    (Printf.sprintf "    \"bit_identical_across_domain_counts\": %b,\n" bit_identical);
-  Buffer.add_string b
-    (Printf.sprintf "    \"scaling_gate\": { \"enforced\": %b, \"passed\": %b, \"detail\": "
-       verdict.gate_enforced verdict.gate_passed);
-  add_json_string b verdict.gate_detail;
-  Buffer.add_string b " },\n";
-  Buffer.add_string b "    \"cases\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "      { \"domains\": %d, \"variation_s\": %.6f, \"signal_prob_s\": %.6f, \
-            \"mlv_s\": %.6f, \"variation_speedup_vs_1\": %.3f }%s\n"
-           c.case_domains c.variation_s c.signal_prob_s c.mlv_s
-           (base.variation_s /. Float.max 1e-12 c.variation_s)
-           (if i = List.length cases - 1 then "" else ",")))
-    cases;
-  Buffer.add_string b "    ]\n  },\n";
-  Buffer.add_string b "  \"calibration\": {\n";
-  Buffer.add_string b
-    (Printf.sprintf "    \"bit_identical_across_domain_counts\": %b,\n" cal_bit_identical);
-  Buffer.add_string b "    \"cases\": [\n";
-  (let cal_base = List.hd cal_cases in
-   List.iteri
-     (fun i c ->
-       Buffer.add_string b
-         (Printf.sprintf
-            "      { \"domains\": %d, \"wall_s\": %.6f, \"posterior_samples_per_s\": %.1f, \
-             \"speedup_vs_1\": %.3f }%s\n"
-            c.cal_domains c.cal_wall_s c.cal_samples_per_s
-            (cal_base.cal_wall_s /. Float.max 1e-12 c.cal_wall_s)
-            (if i = List.length cal_cases - 1 then "" else ",")))
-     cal_cases);
-  Buffer.add_string b "    ]\n  },\n";
-  Buffer.add_string b "  \"incremental\": {\n";
-  Buffer.add_string b "    \"cases\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b "      { \"circuit\": ";
-      add_json_string b c.inc_circuit;
-      Buffer.add_string b
-        (Printf.sprintf
-           ", \"gates\": %d, \"full_pass_s\": %.9f, \"flip_s\": %.9f, \"speedup\": %.1f, \
-            \"cone_frac\": %.5f, \"bit_identical_at_1_2_4_domains\": %b }%s\n"
-           c.inc_gates c.full_pass_s c.flip_s c.inc_speedup c.inc_cone_frac c.inc_bit_identical
-           (if i = List.length inc_cases - 1 then "" else ",")))
-    inc_cases;
-  Buffer.add_string b "    ]\n  },\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"variation_gc\": { \"samples\": %d, \"minor_words_per_sample\": %.1f },\n"
-       gc.gc_samples gc.minor_words_per_sample);
-  Buffer.add_string b "  \"tracing\": {\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "    \"analyze_off_s\": %.9f,\n    \"analyze_on_s\": %.9f,\n    \"overhead_pct\": %.3f,\n\
-       \    \"overhead_s\": %.9f,\n    \"analyze_propagation_s\": %.9f,\n\
-       \    \"propagation_pct\": %.3f,\n    \"propagation_s\": %.9f\n"
-       tr.off_s tr.on_s tr.overhead_pct tr.overhead_s tr.prop_s tr.prop_pct tr.prop_overhead_s);
-  Buffer.add_string b "  }\n}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc b;
-  close_out oc;
-  Format.printf "@.%s written:@." path;
+  let cal_base = List.hd cal_cases in
+  let f x = Json.Float x and int n = Json.Int n and bool v = Json.Bool v in
+  let entry =
+    Json.Assoc
+      [
+        ("source", Json.String "bench --perf-json");
+        ("host_cores", int verdict.host_cores);
+        ("recommended_domains", int verdict.measured_recommended_domains);
+        ("variation_samples", int n_samples);
+        ("ns_per_run", Json.Assoc (List.map (fun (name, est) -> (name, f est)) estimates));
+        ( "speedup_vs_pr3",
+          Json.List
+            (List.map
+               (fun s ->
+                 Json.Assoc
+                   [
+                     ("kernel", Json.String s.kernel);
+                     ("pr3_ns", f s.pr3_ns);
+                     ("pr6_ns", f s.pr6_ns);
+                     ("speedup", f s.speedup);
+                   ])
+               speedups) );
+        ( "parallel",
+          Json.Assoc
+            [
+              ("bit_identical_across_domain_counts", bool bit_identical);
+              ( "scaling_gate",
+                Json.Assoc
+                  [
+                    ("enforced", bool verdict.gate_enforced);
+                    ("passed", bool verdict.gate_passed);
+                    ("detail", Json.String verdict.gate_detail);
+                  ] );
+              ( "cases",
+                Json.List
+                  (List.map
+                     (fun c ->
+                       Json.Assoc
+                         [
+                           ("domains", int c.case_domains);
+                           ("variation_s", f c.variation_s);
+                           ("signal_prob_s", f c.signal_prob_s);
+                           ("mlv_s", f c.mlv_s);
+                           ( "variation_speedup_vs_1",
+                             f (base.variation_s /. Float.max 1e-12 c.variation_s) );
+                         ])
+                     cases) );
+            ] );
+        ( "calibration",
+          Json.Assoc
+            [
+              ("bit_identical_across_domain_counts", bool cal_bit_identical);
+              ( "cases",
+                Json.List
+                  (List.map
+                     (fun c ->
+                       Json.Assoc
+                         [
+                           ("domains", int c.cal_domains);
+                           ("wall_s", f c.cal_wall_s);
+                           ("posterior_samples_per_s", f c.cal_samples_per_s);
+                           ( "speedup_vs_1",
+                             f (cal_base.cal_wall_s /. Float.max 1e-12 c.cal_wall_s) );
+                         ])
+                     cal_cases) );
+            ] );
+        ( "incremental",
+          Json.Assoc
+            [
+              ( "cases",
+                Json.List
+                  (List.map
+                     (fun c ->
+                       Json.Assoc
+                         [
+                           ("circuit", Json.String c.inc_circuit);
+                           ("gates", int c.inc_gates);
+                           ("full_pass_s", f c.full_pass_s);
+                           ("flip_s", f c.flip_s);
+                           ("speedup", f c.inc_speedup);
+                           ("cone_frac", f c.inc_cone_frac);
+                           ("bit_identical_at_1_2_4_domains", bool c.inc_bit_identical);
+                         ])
+                     inc_cases) );
+            ] );
+        ( "variation_gc",
+          Json.Assoc
+            [
+              ("samples", int gc.gc_samples);
+              ("minor_words_per_sample", f gc.minor_words_per_sample);
+            ] );
+        ( "tracing",
+          Json.Assoc
+            [
+              ("analyze_off_s", f tr.off_s);
+              ("analyze_on_s", f tr.on_s);
+              ("overhead_pct", f tr.overhead_pct);
+              ("overhead_s", f tr.overhead_s);
+              ("analyze_propagation_s", f tr.prop_s);
+              ("propagation_pct", f tr.prop_pct);
+              ("propagation_s", f tr.prop_overhead_s);
+            ] );
+      ]
+  in
+  write_history path (history @ [ entry ]);
+  Format.printf "@.%s: entry %d of the history written:@." path (List.length history + 1);
   print_cases cases base;
   Format.printf "  results bit-identical across domain counts: %b@." bit_identical;
   List.iter
@@ -970,10 +1028,11 @@ let run_json ~path =
 (* The fast subset for `make scaling-gate`: parallel cases + the compiled
    speedup kernels, no bechamel estimates, no tracing section. *)
 let run_scaling_gate () =
+  let baseline = pr3_baseline_or_exit () in
   Format.printf "Scaling gate: c432 hot paths at 1/2/4 domains...@.";
   let _, cases, bit_identical = parallel_cases () in
   let verdict = scaling_verdict cases in
-  let speedups = speedups_vs_pr3 () in
+  let speedups = speedups_vs_pr3 baseline in
   let base = match cases with c :: _ -> c | [] -> assert false in
   print_cases cases base;
   Format.printf "  results bit-identical across domain counts: %b@." bit_identical;

@@ -1386,7 +1386,7 @@ let route_cmd =
     (match (trace, collector) with
     | Some path, Some c ->
       Obs.Trace.uninstall ();
-      let own = Server.Json.of_string (Obs.Trace.to_chrome_json ~process_name:"router" c) in
+      let own = Obs.Trace.to_chrome ~process_name:"router" c in
       let backend_traces = Fleet.Router.collect_backend_traces t in
       let inputs =
         (None, own) :: List.map (fun (name, tr) -> (Some name, tr)) backend_traces

@@ -61,8 +61,8 @@ let fp_standby buf = function
    probabilities' bits (plus the polarity); shift pairs also on the
    aging config and the polarity's scale. The probability digest is
    computed once per analysis and shared by both polarities. *)
-let duty_memo : Compiled.Duty.t Compiled.Memo.t = Compiled.Memo.create ~capacity:16 ()
-let shifts_memo : Compiled.Duty.shifts Compiled.Memo.t = Compiled.Memo.create ~capacity:16 ()
+let duty_memo : Compiled.Duty.t Parallel.Cache.t = Parallel.Cache.create ~capacity:16 ()
+let shifts_memo : Compiled.Duty.shifts Parallel.Cache.t = Parallel.Cache.create ~capacity:16 ()
 
 let sp_key (a : Compiled.Arena.t) ~node_sp =
   let buf = Buffer.create 512 in
@@ -73,8 +73,9 @@ let sp_key (a : Compiled.Arena.t) ~node_sp =
 let polarity_key sp_key = function `Pmos -> sp_key ^ ":pmos" | `Nmos -> sp_key ^ ":nmos"
 
 let duty_of (a : Compiled.Arena.t) ~node_sp ~sp_key polarity =
-  Compiled.Memo.find_or_add duty_memo (polarity_key sp_key polarity) (fun () ->
-      Compiled.Duty.build a ~polarity ~node_sp)
+  fst
+    (Parallel.Cache.find_or_add duty_memo (polarity_key sp_key polarity) (fun () ->
+         Compiled.Duty.build a ~polarity ~node_sp))
 
 (* The R-D model one polarity is evaluated under. *)
 let model config polarity =
@@ -100,9 +101,10 @@ let shifts_of config (a : Compiled.Arena.t) ~node_sp ~sp_key polarity =
   Compiled.Memo.Fp.s buf (polarity_key sp_key polarity);
   Compiled.Memo.Fp.f buf m.Compiled.Duty.scale;
   fp_config buf config;
-  Compiled.Memo.find_or_add shifts_memo (Compiled.Memo.Fp.digest buf) (fun () ->
-      Obs.Trace.with_span ~cat:"aging" "aging.duty_tables" @@ fun () ->
-      Compiled.Duty.shifts (duty_of a ~node_sp ~sp_key polarity) m)
+  fst
+    (Parallel.Cache.find_or_add shifts_memo (Compiled.Memo.Fp.digest buf) (fun () ->
+         Obs.Trace.with_span ~cat:"aging" "aging.duty_tables" @@ fun () ->
+         Compiled.Duty.shifts (duty_of a ~node_sp ~sp_key polarity) m))
 
 let shifts config a ~node_sp = shifts_of config a ~node_sp ~sp_key:(sp_key a ~node_sp) `Pmos
 
@@ -178,7 +180,7 @@ let stage_dvth_map config t ~node_sp ~standby =
   let dvth, _ = pick config a ~node_sp ~standby () `Pmos in
   fun ~gate ~stage -> dvth.(a.Compiled.Arena.stage_off.(gate) + stage)
 
-let shape_memo : Compiled.Aging.t Compiled.Memo.t = Compiled.Memo.create ~capacity:16 ()
+let shape_memo : Compiled.Aging.t Parallel.Cache.t = Parallel.Cache.create ~capacity:16 ()
 
 let pmos_shape config t (a : Compiled.Arena.t) ~node_sp ~standby =
   let buf = Buffer.create 512 in
@@ -187,8 +189,9 @@ let pmos_shape config t (a : Compiled.Arena.t) ~node_sp ~standby =
   fp_config buf config;
   Compiled.Memo.Fp.floats buf node_sp;
   fp_standby buf standby;
-  Compiled.Memo.find_or_add shape_memo (Compiled.Memo.Fp.digest buf) (fun () ->
-      Compiled.Aging.build a (model config `Pmos) ~duties:(duty_table t ~node_sp ~standby))
+  fst
+    (Parallel.Cache.find_or_add shape_memo (Compiled.Memo.Fp.digest buf) (fun () ->
+         Compiled.Aging.build a (model config `Pmos) ~duties:(duty_table t ~node_sp ~standby)))
 
 let duties_shape config (a : Compiled.Arena.t) ~duties =
   let buf = Buffer.create 512 in
@@ -204,8 +207,9 @@ let duties_shape config (a : Compiled.Arena.t) ~duties =
           Compiled.Memo.Fp.f buf stb)
         row)
     duties;
-  Compiled.Memo.find_or_add shape_memo (Compiled.Memo.Fp.digest buf) (fun () ->
-      Compiled.Aging.build a (model config `Pmos) ~duties)
+  fst
+    (Parallel.Cache.find_or_add shape_memo (Compiled.Memo.Fp.digest buf) (fun () ->
+         Compiled.Aging.build a (model config `Pmos) ~duties))
 
 let analyze_tables config (a : Compiled.Arena.t) ?po_load ~dvth ?dvth_n ~max_dvth () =
   let temp_k = config.schedule.Nbti.Schedule.t_ref in

@@ -218,7 +218,7 @@ let ring_size = 8
 let ring : (Circuit.Netlist.t * t) option array = Array.make ring_size None
 let ring_m = Mutex.create ()
 let ring_pos = ref 0
-let by_digest : t Memo.t = Memo.create ~capacity:16 ()
+let by_digest : t Parallel.Cache.t = Parallel.Cache.create ~capacity:16 ()
 
 let get net =
   Mutex.lock ring_m;
@@ -230,7 +230,9 @@ let get net =
   match !hit with
   | Some a -> a
   | None ->
-    let a = Memo.find_or_add by_digest (Circuit.Netlist.digest net) (fun () -> build net) in
+    let a, _ =
+      Parallel.Cache.find_or_add by_digest (Circuit.Netlist.digest net) (fun () -> build net)
+    in
     Mutex.lock ring_m;
     ring.(!ring_pos) <- Some (net, a);
     ring_pos := (!ring_pos + 1) mod ring_size;

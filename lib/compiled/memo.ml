@@ -1,65 +1,12 @@
-(* Bounded, thread-safe memo tables for compiled artifacts, plus the
-   fingerprint helpers that build their keys.
+(* The key encoders of the compiled memo tables (each a
+   [Parallel.Cache]: the [capacity] most recently used values are kept,
+   which bounds memory for long-lived processes while steady workloads
+   stay warm).
 
    Keys are canonical byte encodings, or digests of them: floats are
    written as their IEEE bit patterns (exact, no formatting round-trip),
    so two configurations hash equal exactly when every field the keyed
-   computation reads is bit-for-bit equal. The [capacity] most recently
-   used values are retained, which bounds memory for long-lived
-   processes (the server) while keeping steady workloads (benches,
-   repeated requests on one netlist) always warm. *)
-
-type 'v entry = { v : 'v; mutable used : int }
-
-type 'v t = {
-  m : Mutex.t;
-  capacity : int;
-  entries : (string, 'v entry) Hashtbl.t;
-  mutable clock : int;  (* [used] of the latest lookup *)
-}
-
-let create ?(capacity = 16) () =
-  { m = Mutex.create (); capacity; entries = Hashtbl.create 16; clock = 0 }
-
-let touch t e =
-  t.clock <- t.clock + 1;
-  e.used <- t.clock
-
-(* Hits are one hash lookup; only an insert into a full table pays a
-   scan, for the least recently used entry. *)
-let evict_lru t =
-  let oldest =
-    Hashtbl.fold
-      (fun k e acc ->
-        match acc with Some (_, used) when used <= e.used -> acc | _ -> Some (k, e.used))
-      t.entries None
-  in
-  Option.iter (fun (k, _) -> Hashtbl.remove t.entries k) oldest
-
-let find_or_add t key build =
-  Mutex.lock t.m;
-  let hit = Hashtbl.find_opt t.entries key in
-  Option.iter (touch t) hit;
-  Mutex.unlock t.m;
-  match hit with
-  | Some e -> e.v
-  | None ->
-    (* Build outside the lock: concurrent misses may build twice, but
-       the value is a pure function of the key, so either copy serves. *)
-    let v = build () in
-    Mutex.lock t.m;
-    let e =
-      match Hashtbl.find_opt t.entries key with
-      | Some e -> e
-      | None ->
-        if Hashtbl.length t.entries >= t.capacity then evict_lru t;
-        let e = { v; used = 0 } in
-        Hashtbl.replace t.entries key e;
-        e
-    in
-    touch t e;
-    Mutex.unlock t.m;
-    e.v
+   computation reads is bit-for-bit equal. *)
 
 module Fp = struct
   let f buf x = Buffer.add_int64_ne buf (Int64.bits_of_float x)

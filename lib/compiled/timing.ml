@@ -235,7 +235,7 @@ let aged_result tm ?scale ~dvth ?dvth_n () =
 
 (* --- Cache --- *)
 
-let memo : t Memo.t = Memo.create ~capacity:16 ()
+let memo : t Parallel.Cache.t = Parallel.Cache.create ~capacity:16 ()
 
 let get (a : Arena.t) ~tech ~temp_k ?po_load () =
   let buf = Buffer.create 256 in
@@ -243,4 +243,6 @@ let get (a : Arena.t) ~tech ~temp_k ?po_load () =
   Memo.Fp.tech (Memo.Fp.sink buf) tech;
   Memo.Fp.f buf temp_k;
   (match po_load with None -> Memo.Fp.s buf "d" | Some l -> Memo.Fp.f buf l);
-  Memo.find_or_add memo (Memo.Fp.digest buf) (fun () -> build a ~tech ~temp_k ?po_load ())
+  fst
+    (Parallel.Cache.find_or_add memo (Memo.Fp.digest buf) (fun () ->
+         build a ~tech ~temp_k ?po_load ()))

@@ -617,7 +617,7 @@ let stats_result t =
               (Server.Cache.stats (Server.Circuits.cache t.circuits));
           ] );
     ]
-    @ match t.slo with None -> [] | Some slo -> [ ("slo", Server.Metrics.slo_json slo) ])
+    @ match t.slo with None -> [] | Some slo -> [ ("slo", Obs.Slo.to_json slo) ])
 
 (* --- metrics federation --- *)
 

@@ -76,7 +76,7 @@ let render fields cfg =
    cache holds entries. *)
 
 let fingerprint_memo_capacity = 256
-let memo : string Compiled.Memo.t = Compiled.Memo.create ~capacity:fingerprint_memo_capacity ()
+let memo : string Parallel.Cache.t = Parallel.Cache.create ~capacity:fingerprint_memo_capacity ()
 
 let memo_key tag fields cfg =
   let buf = Buffer.create 512 in
@@ -95,7 +95,7 @@ let memo_key tag fields cfg =
   Buffer.contents buf
 
 let memoized tag fields cfg =
-  Compiled.Memo.find_or_add memo (memo_key tag fields cfg) (fun () -> render fields cfg)
+  fst (Parallel.Cache.find_or_add memo (memo_key tag fields cfg) (fun () -> render fields cfg))
 
 let prepare_fingerprint cfg = memoized 'p' prepare_fields cfg
 let config_fingerprint cfg = memoized 'c' config_fields cfg

@@ -1,47 +1,17 @@
-(* Structured attribute values shared by spans and log records, plus the
-   tiny JSON rendering they need. obs sits below the server's Json codec
-   in the library graph, so it carries its own escaper. *)
+(* Structured attribute values shared by spans and log records. *)
 
 type t = Str of string | Int of int | Float of float | Bool of bool
 
-let add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+let to_json = function
+  | Str s -> Json.String s
+  | Int i -> Json.Int i
+  | Float x -> Json.Float x
+  | Bool v -> Json.Bool v
 
-let add_float b x =
-  if Float.is_finite x then Buffer.add_string b (Printf.sprintf "%.17g" x)
-  else Buffer.add_string b "null"
-
-let add_value b = function
-  | Str s -> add_json_string b s
-  | Int i -> Buffer.add_string b (string_of_int i)
-  | Float x -> add_float b x
-  | Bool v -> Buffer.add_string b (if v then "true" else "false")
+let assoc kvs = Json.Assoc (List.map (fun (k, v) -> (k, to_json v)) kvs)
 
 let to_string = function
   | Str s -> s
   | Int i -> string_of_int i
   | Float x -> Printf.sprintf "%g" x
   | Bool v -> string_of_bool v
-
-let add_assoc b kvs =
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      add_json_string b k;
-      Buffer.add_char b ':';
-      add_value b v)
-    kvs;
-  Buffer.add_char b '}'

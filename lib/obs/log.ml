@@ -47,10 +47,12 @@ let iso8601 t =
     (int_of_float (frac *. 1000.0))
 
 let render_json b ~ts ~lvl ~cid ~msg fields =
-  Fields.add_assoc b
-    ([ ("ts", Fields.Str (iso8601 ts)); ("level", Fields.Str (level_string lvl)) ]
-    @ (match cid with Some id -> [ ("cid", Fields.Str id) ] | None -> [])
-    @ (("msg", Fields.Str msg) :: fields))
+  Buffer.add_string b
+    (Json.to_string
+       (Fields.assoc
+          ([ ("ts", Fields.Str (iso8601 ts)); ("level", Fields.Str (level_string lvl)) ]
+          @ (match cid with Some id -> [ ("cid", Fields.Str id) ] | None -> [])
+          @ (("msg", Fields.Str msg) :: fields))))
 
 let render_text b ~ts ~lvl ~cid ~msg fields =
   Buffer.add_string b (iso8601 ts);

@@ -160,6 +160,30 @@ let status ?(now = Unix.gettimeofday ()) t =
   Mutex.unlock t.lock;
   out
 
+let to_json ?now t =
+  Json.List
+    (List.map
+       (fun st ->
+         Json.Assoc
+           [
+             ("op", Json.String st.objective.op);
+             ("threshold_ms", Json.Float (st.objective.threshold_s *. 1e3));
+             ("target_pct", Json.Float (st.objective.target *. 100.0));
+             ( "windows",
+               Json.List
+                 (List.map
+                    (fun w ->
+                      Json.Assoc
+                        [
+                          ("window", Json.String w.label);
+                          ("total", Json.Int w.total);
+                          ("bad", Json.Int w.bad);
+                          ("burn_rate", Json.Float w.burn_rate);
+                        ])
+                    st.windows) );
+           ])
+       (status ?now t))
+
 let registry_samples ?now t =
   let now = match now with Some n -> n | None -> Unix.gettimeofday () in
   List.concat_map

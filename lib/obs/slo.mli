@@ -40,6 +40,10 @@ type status = { objective : objective; windows : window list }
 
 val status : ?now:float -> t -> status list
 
+val to_json : ?now:float -> t -> Json.t
+(** The [stats] endpoint's ["slo"] section: one object per objective with
+    its threshold, target and the 5m/1h window totals and burn rates. *)
+
 val registry_samples : ?now:float -> t -> Registry.sample list
 (** [nbti_slo_burn_rate{op,window}], window request/bad gauges and the
     configured target ratio, for the [metrics] endpoint. *)

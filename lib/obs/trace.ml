@@ -195,65 +195,69 @@ let instant ?(cat = "event") ?(args = []) name =
 
 (* --- export --- *)
 
-let to_chrome_json ?process_name t =
+let to_chrome ?process_name t =
   let pid = Unix.getpid () in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  let first = ref true in
-  let comma () = if !first then first := false else Buffer.add_char b ',' in
-  (match process_name with
-  | None -> ()
-  | Some pname ->
-    comma ();
-    Buffer.add_string b
-      (Printf.sprintf "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":" pid);
-    Fields.add_assoc b [ ("name", Fields.Str pname) ];
-    Buffer.add_char b '}');
-  List.iter
-    (fun (s : span) ->
-      comma ();
-      Buffer.add_string b "{\"name\":";
-      Fields.add_json_string b s.name;
-      Buffer.add_string b ",\"cat\":";
-      Fields.add_json_string b s.cat;
-      Buffer.add_string b ",\"ph\":\"X\",\"ts\":";
-      Fields.add_float b s.ts_us;
-      Buffer.add_string b ",\"dur\":";
-      Fields.add_float b s.dur_us;
-      Buffer.add_string b (Printf.sprintf ",\"pid\":%d,\"tid\":%d,\"args\":" pid s.tid);
-      let link =
-        (* trace linkage: only rendered for spans recorded under a trace
-           context, so single-process traces stay as small as before. *)
-        match s.trace_id with
-        | None -> []
-        | Some tr ->
-          ("trace_id", Fields.Str tr)
-          :: ("span_id", Fields.Str (span_hex s.seq))
-          ::
-          (match s.parent with
-          | Root -> []
-          | Span p -> [ ("parent_span", Fields.Str (span_hex p)) ]
-          | Remote p -> [ ("parent_span", Fields.Str p); ("remote_parent", Fields.Bool true) ])
-      in
-      let args =
-        (("path", Fields.Str s.path)
-        :: (match s.cid with Some id -> [ ("cid", Fields.Str id) ] | None -> []))
-        @ link
-        @ (if s.ok then [] else [ ("error", Fields.Bool true) ])
-        @ s.args
-      in
-      Fields.add_assoc b args;
-      Buffer.add_char b '}')
-    (spans t);
-  Buffer.add_string b "],\"displayTimeUnit\":\"ms\"";
-  (* absolute origin of the relative ts values, for multi-process merge *)
-  Buffer.add_string b (Printf.sprintf ",\"t0_us\":%.3f" t.t0_us);
-  Buffer.add_string b (Printf.sprintf ",\"droppedSpans\":%d}" (dropped t));
-  Buffer.contents b
+  let metadata =
+    match process_name with
+    | None -> []
+    | Some pname ->
+      [
+        Json.Assoc
+          [
+            ("name", Json.String "process_name");
+            ("ph", Json.String "M");
+            ("pid", Json.Int pid);
+            ("tid", Json.Int 0);
+            ("args", Json.Assoc [ ("name", Json.String pname) ]);
+          ];
+      ]
+  in
+  let event (s : span) =
+    let link =
+      (* trace linkage: only rendered for spans recorded under a trace
+         context, so single-process traces stay as small as before. *)
+      match s.trace_id with
+      | None -> []
+      | Some tr ->
+        ("trace_id", Fields.Str tr)
+        :: ("span_id", Fields.Str (span_hex s.seq))
+        ::
+        (match s.parent with
+        | Root -> []
+        | Span p -> [ ("parent_span", Fields.Str (span_hex p)) ]
+        | Remote p -> [ ("parent_span", Fields.Str p); ("remote_parent", Fields.Bool true) ])
+    in
+    let args =
+      (("path", Fields.Str s.path)
+      :: (match s.cid with Some id -> [ ("cid", Fields.Str id) ] | None -> []))
+      @ link
+      @ (if s.ok then [] else [ ("error", Fields.Bool true) ])
+      @ s.args
+    in
+    Json.Assoc
+      [
+        ("name", Json.String s.name);
+        ("cat", Json.String s.cat);
+        ("ph", Json.String "X");
+        ("ts", Json.Float s.ts_us);
+        ("dur", Json.Float s.dur_us);
+        ("pid", Json.Int pid);
+        ("tid", Json.Int s.tid);
+        ("args", Fields.assoc args);
+      ]
+  in
+  Json.Assoc
+    [
+      ("traceEvents", Json.List (metadata @ List.map event (spans t)));
+      ("displayTimeUnit", Json.String "ms");
+      (* absolute origin of the relative ts values, for multi-process merge *)
+      ("t0_us", Json.Float t.t0_us);
+      ("droppedSpans", Json.Int (dropped t));
+    ]
 
 let write_chrome_json ?process_name t ~path =
   let oc = open_out path in
-  output_string oc (to_chrome_json ?process_name t);
+  output_string oc (Json.to_string (to_chrome ?process_name t));
   output_char oc '\n';
   close_out oc
 

@@ -100,18 +100,19 @@ val registry_samples : unit -> Registry.sample list
 
 (** {1 Export} *)
 
-val to_chrome_json : ?process_name:string -> t -> string
+val to_chrome : ?process_name:string -> t -> Json.t
 (** The Chrome [trace_event] JSON object: [{"traceEvents":[...]}] with
     one phase-["X"] (complete) event per span — [ts]/[dur] in
     microseconds, [pid]/[tid], and the span's path, correlation id,
     trace linkage ([trace_id]/[span_id]/[parent_span], when recorded
     under a trace context) and attributes under [args]. A top-level
     [t0_us] records the absolute origin of the relative timestamps so a
-    multi-process merge can align timelines; [process_name] adds a
-    phase-["M"] metadata event naming this process. Loadable in
-    [chrome://tracing] and Perfetto. *)
+    multi-process merge can align timelines, and [droppedSpans] counts
+    {!dropped}; [process_name] adds a phase-["M"] metadata event naming
+    this process. Loadable in [chrome://tracing] and Perfetto. *)
 
 val write_chrome_json : ?process_name:string -> t -> path:string -> unit
+(** {!to_chrome} printed by {!Json.to_string}, one line plus a newline. *)
 
 val flame_summary : t -> string
 (** Plain-text flame view: one line per distinct span path with call

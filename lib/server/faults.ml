@@ -86,11 +86,6 @@ let parse spec =
   in
   go [] parts
 
-let of_env () =
-  match Sys.getenv_opt "NBTI_FAULTS" with
-  | None | Some "" -> Ok none
-  | Some spec -> parse spec
-
 let fire t ~site =
   if t.rules = [] then []
   else begin

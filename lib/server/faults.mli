@@ -41,9 +41,6 @@ val is_empty : t -> bool
 val parse : string -> (t, string) result
 (** Parse a plan spec; [Error] explains the first offending rule. *)
 
-val of_env : unit -> (t, string) result
-(** Plan from [NBTI_FAULTS] ({!none} when unset or empty). *)
-
 val fire : t -> site:string -> action list
 (** Actions armed at [site], in plan order; decrements each fired rule's
     remaining budget. Thread-safe. *)

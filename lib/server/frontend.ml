@@ -253,9 +253,7 @@ let trace_export fe ~id ~clear =
     Metrics.incr_counter fe.metrics "trace_exports";
     let span_count = List.length (Obs.Trace.spans c) in
     let dropped = Obs.Trace.dropped c in
-    let trace_json =
-      Json.of_string (Obs.Trace.to_chrome_json ?process_name:fe.role.process_name c)
-    in
+    let trace_json = Obs.Trace.to_chrome ?process_name:fe.role.process_name c in
     if clear then Obs.Trace.clear c;
     Protocol.ok_response ~id
       (Json.Assoc

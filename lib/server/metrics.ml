@@ -222,32 +222,6 @@ let registry_samples t =
   in
   List.concat_map endpoint_samples (snapshot t) @ event_samples
 
-(* SLO status as stats-endpoint JSON; lives here (not in obs) because
-   obs sits below the Json codec in the library graph. *)
-let slo_json slo =
-  Json.List
-    (List.map
-       (fun (st : Obs.Slo.status) ->
-         Json.Assoc
-           [
-             ("op", Json.String st.objective.Obs.Slo.op);
-             ("threshold_ms", Json.Float (st.objective.Obs.Slo.threshold_s *. 1e3));
-             ("target_pct", Json.Float (st.objective.Obs.Slo.target *. 100.0));
-             ( "windows",
-               Json.List
-                 (List.map
-                    (fun (w : Obs.Slo.window) ->
-                      Json.Assoc
-                        [
-                          ("window", Json.String w.Obs.Slo.label);
-                          ("total", Json.Int w.Obs.Slo.total);
-                          ("bad", Json.Int w.Obs.Slo.bad);
-                          ("burn_rate", Json.Float w.Obs.Slo.burn_rate);
-                        ])
-                    st.windows) );
-           ])
-       (Obs.Slo.status slo))
-
 let pool_json (s : Parallel.Pool.stats) =
   let last_job =
     match s.Parallel.Pool.last_job with

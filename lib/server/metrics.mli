@@ -59,10 +59,6 @@ val to_json : t -> Json.t
 (** The [stats] wire shape: per-endpoint counts, mean/min/max,
     p50/p90/p95/p99 and the raw histogram buckets. *)
 
-val slo_json : Obs.Slo.t -> Json.t
-(** The [stats] endpoint's ["slo"] section: one object per objective with
-    its threshold, target and the 5m/1h window totals and burn rates. *)
-
 val registry_samples : t -> Obs.Registry.sample list
 (** The same data as Prometheus families, for an {!Obs.Registry}
     collector: [nbti_requests_total{endpoint}],

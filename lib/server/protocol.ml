@@ -215,16 +215,8 @@ let error_code_string = function
    safe; this classifies only whether it is *useful*. [Fleet_degraded]
    is the router's "no live owner for this hash range right now" — a
    probe cycle later the range usually has one again. *)
-let error_code_retryable = function
-  | Overloaded | Fleet_degraded -> true
-  | Parse_error | Unsupported_version | Bad_request | Invalid_request | Deadline_exceeded
-  | Internal_error ->
-    false
-
 let retryable_code_string s =
-  match s with
-  | "overloaded" | "fleet_degraded" -> true
-  | _ -> false
+  s = error_code_string Overloaded || s = error_code_string Fleet_degraded
 
 (* --- Decoding --- *)
 

@@ -185,14 +185,12 @@ type error_code =
 val error_code_string : error_code -> string
 (** The wire spelling: ["parse_error"], ["bad_request"], ... *)
 
-val error_code_retryable : error_code -> bool
-(** Whether an identical retry may succeed (the failure reflects server
-    state, not the request): true only for [Overloaded] and
-    [Fleet_degraded]. Every operation is idempotent, so retrying is
-    always {e safe}; this classifies usefulness. *)
-
 val retryable_code_string : string -> bool
-(** {!error_code_retryable} on the wire spelling (client side). *)
+(** Whether an identical retry may succeed, by the error code's wire
+    spelling (the failure reflects server state, not the request): true
+    only for [Overloaded] and [Fleet_degraded]. Every operation is
+    idempotent, so retrying is always {e safe}; this classifies
+    usefulness. *)
 
 type decode_error = {
   code : error_code;

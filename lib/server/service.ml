@@ -327,7 +327,7 @@ let stats_result t =
       ("faults", Faults.to_json t.faults);
       ("pool", Metrics.pool_json (Parallel.Pool.stats t.pool));
     ]
-    @ match t.slo with None -> [] | Some slo -> [ ("slo", Metrics.slo_json slo) ])
+    @ match t.slo with None -> [] | Some slo -> [ ("slo", Obs.Slo.to_json slo) ])
 
 let dispatch fe { Protocol.id; timeout_ms; trace = _; request } =
   let t = Frontend.state fe in

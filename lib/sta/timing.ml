@@ -22,6 +22,8 @@ let drain_cap tech (cell : Cell.Stdcell.t) =
 let loads tech (t : Circuit.Netlist.t) ?po_load () =
   let po_load = match po_load with Some l -> l | None -> default_po_load tech in
   let result = Array.make (Circuit.Netlist.n_nodes t) 0.0 in
+  let is_out = Array.make (Circuit.Netlist.n_nodes t) false in
+  Array.iter (fun o -> is_out.(o) <- true) t.Circuit.Netlist.outputs;
   let fanout = Circuit.Netlist.fanout_pins t in
   Array.iteri
     (fun i pins ->
@@ -39,7 +41,7 @@ let loads tech (t : Circuit.Netlist.t) ?po_load () =
         | Circuit.Netlist.Primary_input _ -> cap
         | Circuit.Netlist.Gate { cell; _ } -> cap +. drain_cap tech cell
       in
-      result.(i) <- (cap +. if Circuit.Netlist.is_output t i then po_load else 0.0))
+      result.(i) <- (cap +. if is_out.(i) then po_load else 0.0))
     fanout;
   result
 

@@ -15,9 +15,11 @@
 # Prints, for every end-to-end metric BENCHMARK.json names, a markdown
 # row: median [quartiles] of each side, change / parent of the medians,
 # and the pairs the change won (strictly better, in the metric's
-# direction), then whether every run reported "correct": true and
-# "failed": 0. Run logs and JSON results stay in the printed directory
-# when a run fails; it is removed otherwise.
+# direction), then one line per run with its end-to-end metrics, then
+# whether every run reported "correct": true and "failed": 0. The
+# per-run JSON results (parent.N.json, change.N.json) and run logs stay
+# in the printed directory; the two checkouts are removed once every
+# run was correct, and kept with everything else when one was not.
 set -eu
 
 if [ $# -ne 5 ]; then
@@ -79,10 +81,17 @@ for m in metrics:
     won = sum((c > p) if higher else (c < p) for p, c in zip(value["parent"], value["change"]))
     (pm, ptext), (cm, ctext) = spread(value["parent"]), spread(value["change"])
     print(f"| {workload} | {name} | {ptext} | {ctext} | {cm / pm:.3g} | {won}/{pairs} |")
+print()
+for i in range(pairs):
+    for side in ("parent", "change"):
+        r = runs[side][i]
+        values = " ".join(f"{m['name']}={num(r['metrics'][m['name']]['value'])}" for m in metrics)
+        print(f"{side} run {i + 1}: {values} correct={r.get('correct')} failed={r.get('failed')}")
 bad = [f"{side} {i + 1}" for side in runs for i, r in enumerate(runs[side])
        if not (r.get("correct") is True and r.get("failed") == 0)]
 print(f"\nall {2 * pairs} runs correct with 0 failed" if not bad
       else f"\nruns not correct or with failures: {', '.join(bad)}")
 sys.exit(1 if bad else 0)
 EOF
-rm -rf "$WORK"
+rm -rf "$WORK/parent" "$WORK/change"
+echo "bench_compare: per-run results in $WORK" >&2

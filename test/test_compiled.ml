@@ -471,16 +471,41 @@ let test_mlv_candidates_match_boxed_evaluate () =
         set)
     (Lazy.force small)
 
+(* [Sta.Timing.loads] and the compiled tables' [node_load] fold each
+   gate's fanout in the same (consumer, pin) order, so every gate's load
+   is the same float — with the default primary-output load and with an
+   explicit one. *)
+let test_loads () =
+  let tech = Device.Tech.ptm_90nm in
+  List.iter
+    (fun net ->
+      let a = Compiled.Arena.get net in
+      let cell g = a.Compiled.Arena.cells.(a.Compiled.Arena.cell_of.(g)).Compiled.Arena.cell in
+      List.iter
+        (fun po_load ->
+          let loads = Sta.Timing.loads tech net ?po_load () in
+          let tm = Compiled.Timing.get a ~tech ~temp_k:400.0 ?po_load () in
+          for i = 0 to a.Compiled.Arena.n_nodes - 1 do
+            if a.Compiled.Arena.op.(i) <> Compiled.Arena.op_pi then
+              Alcotest.(check bool)
+                (Printf.sprintf "%s gate %d load bits" (net_name net) i)
+                true
+                (bits_equal loads.(i) (Compiled.Timing.node_load tm ~cell i))
+          done)
+        [ None; Some 3.0e-15 ])
+    (Circuit.Generators.benchmark_suite () @ [ Lazy.force big ])
+
 (* The memo keeps the [capacity] most recently used values: a hit
    refreshes an entry, and an insert into a full memo evicts the entry
    looked up longest ago. *)
 let test_memo_lru () =
-  let memo = Compiled.Memo.create ~capacity:2 () in
+  let memo = Parallel.Cache.create ~capacity:2 () in
   let builds = ref [] in
   let get k =
-    Compiled.Memo.find_or_add memo k (fun () ->
-        builds := k :: !builds;
-        String.uppercase_ascii k)
+    fst
+      (Parallel.Cache.find_or_add memo k (fun () ->
+           builds := k :: !builds;
+           String.uppercase_ascii k))
   in
   List.iter
     (fun k -> Alcotest.(check string) k (String.uppercase_ascii k) (get k))
@@ -506,6 +531,7 @@ let () =
           Alcotest.test_case "duty tables = boxed duty_table" `Quick test_duty_tables;
           Alcotest.test_case "pbti + po_load analysis = boxed" `Quick
             test_aging_analysis_pbti_and_load;
+          Alcotest.test_case "Sta.Timing.loads = node_load, every gate" `Quick test_loads;
         ] );
       ( "variation",
         [ Alcotest.test_case "process-var study = boxed, 1/2/4 domains" `Quick test_process_var ] );

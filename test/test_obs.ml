@@ -236,7 +236,7 @@ let test_trace_chrome_json () =
     Obs.Ctx.with_id "cid-1" (fun () ->
         Obs.Trace.with_span ~args:[ ("gates", Obs.Fields.Int 160) ] "analyze" (fun () ->
             Obs.Trace.instant ~cat:"cache" "cache.hit"));
-    Obs.Trace.to_chrome_json c
+    Obs.Json.to_string (Obs.Trace.to_chrome c)
   in
   match Server.Json.of_string json with
   | Server.Json.Assoc fields ->
@@ -260,6 +260,51 @@ let test_trace_chrome_json () =
     Alcotest.(check bool) "droppedSpans present" true
       (List.mem_assoc "droppedSpans" fields)
   | _ -> Alcotest.fail "chrome export is not a JSON object"
+
+(* Every control byte, the two JSON metacharacters, DEL and multi-byte
+   UTF-8 (2, 3 and 4 bytes): a log record or a span that carries them
+   must parse back to the bytes written. *)
+let awkward = String.init 32 Char.chr ^ "\"\\\x7f" ^ "\xc3\xa9\xe2\x82\xac\xf0\x9d\x84\x9e"
+
+let test_trace_escaping () =
+  let path = Filename.temp_file "obs_trace" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  (with_collector @@ fun c ->
+   Obs.Trace.with_span ~cat:awkward ~args:[ (awkward, Obs.Fields.Str awkward) ] awkward
+     (fun () -> ());
+   Obs.Trace.write_chrome_json c ~path);
+  let json = Obs.Json.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  match Obs.Json.to_list (Obs.Json.member "traceEvents" json) with
+  | [ ev ] ->
+    let str key j = Obs.Json.to_string_exn (Obs.Json.member key j) in
+    Alcotest.(check string) "name" awkward (str "name" ev);
+    Alcotest.(check string) "cat" awkward (str "cat" ev);
+    Alcotest.(check string) "arg" awkward (str awkward (Obs.Json.member "args" ev))
+  | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs)
+
+(* A served trace_export answers the bytes of [to_chrome] on the same
+   collector: the same events and the same drop count (the ring below
+   holds 4 of 6 spans). The export is taken before the request, whose
+   own span only lands once it is answered. *)
+let test_trace_export_served () =
+  with_collector ~capacity:4 @@ fun c ->
+  let t = Server.Service.create () in
+  for i = 1 to 6 do
+    Obs.Trace.with_span ~args:[ ("i", Obs.Fields.Int i) ] "work" (fun () -> ())
+  done;
+  let direct = Obs.Json.of_string (Obs.Json.to_string (Obs.Trace.to_chrome c)) in
+  let answer = Server.Service.handle_line t {|{"v":1,"op":"trace_export"}|} in
+  let served =
+    match Server.Protocol.response_result (Obs.Json.of_string answer) with
+    | Ok r -> Obs.Json.member "trace" r
+    | Error (code, m) -> Alcotest.fail (code ^ ": " ^ m)
+  in
+  let events j = Obs.Json.to_list (Obs.Json.member "traceEvents" j) in
+  Alcotest.(check int) "four events" 4 (List.length (events served));
+  Alcotest.(check bool) "events = to_chrome's" true (events served = events direct);
+  Alcotest.(check int) "two dropped" 2 (Obs.Json.to_int (Obs.Json.member "droppedSpans" served));
+  Alcotest.(check bool) "droppedSpans = to_chrome's" true
+    (Obs.Json.member "droppedSpans" served = Obs.Json.member "droppedSpans" direct)
 
 let test_flame_summary () =
   with_collector @@ fun c ->
@@ -575,6 +620,49 @@ let test_log_jsonl_shape () =
     | _ -> Alcotest.fail "record is not a JSON object")
   | lines -> Alcotest.failf "expected 1 record, got %d" (List.length lines)
 
+let test_log_escaping () =
+  let lines =
+    with_log_capture (fun () ->
+        Obs.Log.set_json true;
+        Obs.Log.set_level (Some Obs.Log.Info);
+        Obs.Log.info ~fields:[ (awkward, Obs.Fields.Str awkward) ] awkward)
+  in
+  match lines with
+  | [ line ] ->
+    let json = Obs.Json.of_string line in
+    let str key = Obs.Json.to_string_exn (Obs.Json.member key json) in
+    Alcotest.(check string) "msg" awkward (str "msg");
+    Alcotest.(check string) "field" awkward (str awkward)
+  | lines -> Alcotest.failf "expected 1 record, got %d" (List.length lines)
+
+(* --- The bench record --- *)
+
+(* BENCH.json: one schema, and a history whose first four entries are
+   the per-PR records it replaced, numbers unchanged; the scaling gate
+   reads its PR 3 baseline from the first. *)
+let test_bench_record () =
+  let json = Obs.Json.of_string (In_channel.with_open_bin "../BENCH.json" In_channel.input_all) in
+  Alcotest.(check string) "schema" "nbti-bench/history"
+    (Obs.Json.to_string_exn (Obs.Json.member "schema" json));
+  let history = Obs.Json.to_list (Obs.Json.member "history" json) in
+  let sources =
+    List.map (fun e -> Obs.Json.to_string_exn (Obs.Json.member "source" e)) history
+  in
+  Alcotest.(check (list string)) "migrated entries"
+    [ "BENCH_PR3.json"; "BENCH_PR6.json"; "BENCH_PR7.json"; "BENCH_PR8.json" ]
+    (List.filteri (fun i _ -> i < 4) sources);
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) "no per-entry schema" true (Obs.Json.member "schema" e = Obs.Json.Null))
+    history;
+  let ns kernel =
+    Obs.Json.to_float
+      (Obs.Json.member ("nbti-repro/" ^ kernel) (Obs.Json.member "ns_per_run" (List.hd history)))
+  in
+  Alcotest.(check (float 0.0)) "PR 3 variation sample" 1_740_786.0
+    (ns "fig12: one Monte-Carlo variation sample on c432");
+  Alcotest.(check (float 0.0)) "PR 3 fresh STA" 343_619.2 (ns "table4: fresh STA pass on c432")
+
 let test_log_level_of_string () =
   (match Obs.Log.level_of_string "DEBUG" with
   | Ok (Some Obs.Log.Debug) -> ()
@@ -610,6 +698,8 @@ let () =
           Alcotest.test_case "ring capacity + dropped" `Quick test_trace_capacity_drop;
           Alcotest.test_case "exceptions + disabled" `Quick test_trace_exception_and_disabled;
           Alcotest.test_case "chrome export" `Quick test_trace_chrome_json;
+          Alcotest.test_case "chrome export escaping round trip" `Quick test_trace_escaping;
+          Alcotest.test_case "served trace_export = to_chrome" `Quick test_trace_export_served;
           Alcotest.test_case "flame summary" `Quick test_flame_summary;
           Alcotest.test_case "ids, propagation, remote parents" `Quick
             test_trace_ids_and_propagation;
@@ -628,5 +718,7 @@ let () =
           Alcotest.test_case "level filtering" `Quick test_log_level_filtering;
           Alcotest.test_case "jsonl shape" `Quick test_log_jsonl_shape;
           Alcotest.test_case "level parsing" `Quick test_log_level_of_string;
+          Alcotest.test_case "jsonl escaping round trip" `Quick test_log_escaping;
         ] );
+      ("bench record", [ Alcotest.test_case "BENCH.json history" `Quick test_bench_record ]);
     ]
