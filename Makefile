@@ -95,7 +95,19 @@ bench-txt: build
 	dune exec bench/main.exe -- --extension > bench_extension_output.txt
 	@echo "wrote bench_perf_output.txt bench_ablation_output.txt bench_extension_output.txt"
 
-check: build test smoke chaos-smoke fleet-smoke parallel-smoke obs-smoke calibrate-smoke perfbench-check scaling-gate incremental-gate obs-gate
+CHECK_TARGETS = build test smoke chaos-smoke fleet-smoke parallel-smoke obs-smoke calibrate-smoke perfbench-check scaling-gate incremental-gate obs-gate
+
+# Every target above, in order: a red one does not stop the rest. Ends
+# with one pass/FAIL line per target and exits non-zero if any failed.
+check:
+	@results=; failed=0; \
+	for t in $(CHECK_TARGETS); do \
+	  if $(MAKE) --no-print-directory $$t; then results="$$results $$t:pass"; \
+	  else results="$$results $$t:FAIL"; failed=1; fi; \
+	done; \
+	echo "make check:"; \
+	for r in $$results; do printf '  %-16s %s\n' "$${r%%:*}" "$${r##*:}"; done; \
+	exit $$failed
 
 clean:
 	dune clean

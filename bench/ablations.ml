@@ -217,9 +217,11 @@ let slope_resolution () =
           r.Aging.Circuit_aging.degradation
         in
         let resolved =
-          let fresh = Sta.Timing.analyze_slopes tech net ~temp_k ~stage_dvth:Sta.Timing.no_aging () in
-          let aged = Sta.Timing.analyze_slopes tech net ~temp_k ~stage_dvth () in
-          Sta.Timing.slope_degradation ~fresh ~aged
+          let fresh =
+            Compiled.Timing.analyze_slopes tech net ~temp_k ~stage_dvth:Compiled.Timing.no_aging ()
+          in
+          let aged = Compiled.Timing.analyze_slopes tech net ~temp_k ~stage_dvth () in
+          Compiled.Timing.slope_degradation ~fresh ~aged
         in
         [
           name;

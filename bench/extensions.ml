@@ -399,7 +399,7 @@ let sequential () =
           string_of_int (Sequential.n_flops s);
           string_of_int (Circuit.Netlist.n_gates s.Sequential.comb);
           string_of_int sweeps;
-          Flow.Report.cell_ps a.Aging.Circuit_aging.fresh.Sta.Timing.max_delay;
+          Flow.Report.cell_ps a.Aging.Circuit_aging.fresh.Compiled.Timing.max_delay;
           Flow.Report.cell_pct a.Aging.Circuit_aging.degradation;
           Flow.Report.cell_pct b.Aging.Circuit_aging.degradation;
         ])

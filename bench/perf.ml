@@ -89,7 +89,7 @@ let t_logic_sim =
           Compiled.Arena.eval_packed a ~lo ~hi))
 
 let t_sp =
-  Test.make ~name:"flow: analytic signal probabilities on c432"
+  Test.make ~name:"flow: analytic signal probabilities on c432 [boxed netlist walk]"
     (Staged.stage (fun () ->
          let net = Lazy.force c432 in
          ignore
@@ -118,7 +118,8 @@ let t_mlv =
               ~rng:(Physics.Rng.create ~seed:4) ())))
 
 let t_leakage =
-  Test.make ~name:"table3: standby leakage evaluation on c432"
+  Test.make
+    ~name:"table3: standby leakage evaluation on c432 [boxed netlist walk, leakage tables built]"
     (Staged.stage (fun () ->
          let net = Lazy.force c432 in
          ignore
@@ -147,11 +148,12 @@ let t_st_sizing =
          ignore (Sleep.St_sizing.wl_nbti_aware spec ~i_on:1e-3 ~dvth)))
 
 let t_slope_sta =
-  Test.make ~name:"ablation6: slope-resolved STA pass on c432 [boxed netlist walk]"
+  Test.make
+    ~name:"ablation6: slope-resolved STA pass on c432 [arena walk, loads + cell-model delays per call]"
     (Staged.stage (fun () ->
          ignore
-           (Sta.Timing.analyze_slopes tech (Lazy.force c432) ~temp_k:400.0
-              ~stage_dvth:Sta.Timing.no_aging ())))
+           (Compiled.Timing.analyze_slopes tech (Lazy.force c432) ~temp_k:400.0
+              ~stage_dvth:Compiled.Timing.no_aging ())))
 
 let t_snm =
   Test.make ~name:"ext8: butterfly SNM extraction (Seevinck)"
@@ -768,7 +770,7 @@ let incremental_case net =
           Aging.Circuit_aging.analyze config net ~node_sp
             ~standby:(Aging.Circuit_aging.Standby_vector v) ()
         in
-        ( bits r.Aging.Circuit_aging.aged.Sta.Timing.max_delay,
+        ( bits r.Aging.Circuit_aging.aged.Compiled.Timing.max_delay,
           bits r.Aging.Circuit_aging.degradation,
           bits r.Aging.Circuit_aging.max_dvth,
           bits (Leakage.Circuit_leakage.standby_leakage tables net ~vector:v) ))

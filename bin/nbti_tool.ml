@@ -458,7 +458,7 @@ let seq_cmd =
           ~standby:Aging.Circuit_aging.Standby_all_stressed ()
       in
       Format.printf "core: fresh %s ps, %g-year worst-case degradation %s %%@."
-        (Flow.Report.cell_ps a.Aging.Circuit_aging.fresh.Sta.Timing.max_delay)
+        (Flow.Report.cell_ps a.Aging.Circuit_aging.fresh.Compiled.Timing.max_delay)
         flow.years
         (Flow.Report.cell_pct a.Aging.Circuit_aging.degradation)
   in

@@ -77,9 +77,11 @@ let () =
     (Aging.Circuit_aging.analyze aging net ~node_sp:sp ~standby ()).Aging.Circuit_aging.degradation
   in
   let resolved =
-    let fresh = Sta.Timing.analyze_slopes tech net ~temp_k:400.0 ~stage_dvth:Sta.Timing.no_aging () in
-    let aged = Sta.Timing.analyze_slopes tech net ~temp_k:400.0 ~stage_dvth () in
-    Sta.Timing.slope_degradation ~fresh ~aged
+    let fresh =
+      Compiled.Timing.analyze_slopes tech net ~temp_k:400.0 ~stage_dvth:Compiled.Timing.no_aging ()
+    in
+    let aged = Compiled.Timing.analyze_slopes tech net ~temp_k:400.0 ~stage_dvth () in
+    Compiled.Timing.slope_degradation ~fresh ~aged
   in
   let ssta_fresh = Variation.Ssta.analyze aging net ~sigma_vth:0.015 ~node_sp:sp ~standby ~aged:false in
   let ssta_aged = Variation.Ssta.analyze aging net ~sigma_vth:0.015 ~node_sp:sp ~standby ~aged:true in

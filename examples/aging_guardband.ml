@@ -31,7 +31,7 @@ let () =
         let gated = analyze aging Aging.Circuit_aging.Standby_all_relaxed in
         [
           name;
-          Flow.Report.cell_ps worst.Aging.Circuit_aging.fresh.Sta.Timing.max_delay;
+          Flow.Report.cell_ps worst.Aging.Circuit_aging.fresh.Compiled.Timing.max_delay;
           Flow.Report.cell_pct worst.Aging.Circuit_aging.degradation;
           Flow.Report.cell_pct pessimistic.Aging.Circuit_aging.degradation;
           Flow.Report.cell_pct gated.Aging.Circuit_aging.degradation;

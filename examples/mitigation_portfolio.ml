@@ -25,7 +25,7 @@ let () =
     Aging.Circuit_aging.analyze aging net ~node_sp:sp
       ~standby:Aging.Circuit_aging.Standby_all_stressed ()
   in
-  let fresh = baseline.Aging.Circuit_aging.fresh.Sta.Timing.max_delay in
+  let fresh = baseline.Aging.Circuit_aging.fresh.Compiled.Timing.max_delay in
   let pct x = Flow.Report.cell_pct x in
   let rows = ref [] in
   let add name aged_delay cost =
@@ -33,7 +33,7 @@ let () =
   in
 
   (* 0. Do nothing: reserve a guardband. *)
-  add "guardband only (worst case)" baseline.Aging.Circuit_aging.aged.Sta.Timing.max_delay
+  add "guardband only (worst case)" baseline.Aging.Circuit_aging.aged.Compiled.Timing.max_delay
     "timing margin";
 
   (* 1. IVC: hold the co-optimal minimum-leakage vector. *)
@@ -49,7 +49,7 @@ let () =
   let rot = Ivc.Rotation.analyze aging net ~node_sp:sp plan () in
   add
     (Printf.sprintf "MLV rotation (%d vectors)" (Array.length plan.Ivc.Rotation.vectors))
-    rot.Aging.Circuit_aging.aged.Sta.Timing.max_delay "vector sequencer";
+    rot.Aging.Circuit_aging.aged.Compiled.Timing.max_delay "vector sequencer";
 
   (* 3. Control points on internal nets. *)
   let cp =

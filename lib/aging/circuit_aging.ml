@@ -24,8 +24,8 @@ let default_config ?(params = Nbti.Rd_model.default_params) ?(tech = Device.Tech
   }
 
 type analysis = {
-  fresh : Sta.Timing.result;
-  aged : Sta.Timing.result;
+  fresh : Compiled.Timing.result;
+  aged : Compiled.Timing.result;
   degradation : float;
   max_dvth : float;
 }
@@ -221,7 +221,7 @@ let analyze_tables config (a : Compiled.Arena.t) ?po_load ~dvth ?dvth_n ~max_dvt
     Obs.Trace.with_span ~cat:"sta" "sta.aged" @@ fun () ->
     Compiled.Timing.aged_result tm ~dvth ?dvth_n ()
   in
-  { fresh; aged; degradation = Sta.Timing.degradation ~fresh ~aged; max_dvth }
+  { fresh; aged; degradation = Compiled.Timing.degradation ~fresh ~aged; max_dvth }
 
 let analyze_arena config (a : Compiled.Arena.t) ?po_load ?scratch ~node_sp ~standby () =
   let pick = pick config a ?scratch ~node_sp ~standby () in

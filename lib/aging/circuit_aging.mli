@@ -80,14 +80,14 @@ val stage_dvth_map :
 (** The per-stage PMOS threshold shifts of one standby state, as
     {!analyze} picks them from the memoized {!Compiled.Duty} shift pair
     (the same values as [stage_dvth_of_duties] over [duty_table]), for
-    the slope-resolved pass ({!Sta.Timing.analyze_slopes}) or, laid out
+    the slope-resolved pass ({!Compiled.Timing.analyze_slopes}) or, laid out
     by {!Compiled.Arena.stage_values}, for
     {!Compiled.Timing.aged_result}. The returned closure is a table
     lookup. *)
 
 type analysis = {
-  fresh : Sta.Timing.result;
-  aged : Sta.Timing.result;
+  fresh : Compiled.Timing.result;
+  aged : Compiled.Timing.result;
   degradation : float;  (** relative critical-path slowdown *)
   max_dvth : float;  (** largest per-stage shift in the circuit [V] *)
 }

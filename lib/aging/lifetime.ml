@@ -17,6 +17,3 @@ let solve config net ~node_sp ~standby ~margin ?(t_min = 3600.0) ?(t_max = Physi
     in
     `Lifetime (Float.exp log_t)
   end
-
-let margin_table config net ~node_sp ~standby ~margins =
-  List.map (fun margin -> (margin, solve config net ~node_sp ~standby ~margin ())) margins

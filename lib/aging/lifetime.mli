@@ -34,12 +34,3 @@ val solve :
     [[t_min, t_max]] (defaults: 1 hour to 30 years, relative tolerance
     1 %). [`Never_fails] if even [t_max] stays within the margin,
     [`Fails_immediately] if [t_min] already exceeds it. *)
-
-val margin_table :
-  Circuit_aging.config ->
-  Circuit.Netlist.t ->
-  node_sp:float array ->
-  standby:Circuit_aging.standby_state ->
-  margins:float list ->
-  (float * [ `Lifetime of float | `Never_fails | `Fails_immediately ]) list
-(** [solve] across a list of margins (reuses one duty extraction). *)

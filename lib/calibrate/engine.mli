@@ -3,8 +3,8 @@
     contracts the server relies on.
 
     Determinism: {!run} derives every random stream from [config.seed] by
-    sequential splitting on the calling domain ({!Parallel.Pool.map_rng} /
-    [init_rng] semantics), and every reduction over chains or particles
+    sequential splitting on the calling domain ({!Parallel.Pool.init_rng}
+    semantics), and every reduction over chains or particles
     folds sequentially in item order after the parallel phase — the
     returned posterior is bit-identical at any pool domain count.
 

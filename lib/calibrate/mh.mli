@@ -2,7 +2,7 @@
     posterior on [R^k].
 
     Multi-chain: each chain consumes one private split of the caller's
-    {!Physics.Rng.t} (via {!Parallel.Pool.map_rng}, one stream per chain in
+    {!Physics.Rng.t} (via {!Parallel.Pool.init_rng}, one stream per chain in
     chain order), so the full set of chains is bit-identical at any domain
     count. During warmup the global proposal scale is tuned toward
     {!target_acceptance} by Robbins–Monro updates on its log, and the

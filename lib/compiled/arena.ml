@@ -48,6 +48,7 @@ type t = {
   n_gates : int;
   pis : int array;  (* node ids, in [Netlist.primary_inputs] order *)
   outputs : int array;
+  is_out : bool array;  (* per node: a primary output *)
   cells : cellinfo array;  (* unique cells, first-appearance order *)
   cell_of : int array;  (* per node: index into [cells]; -1 for PIs *)
   op : int array;
@@ -159,6 +160,8 @@ let build (net : Circuit.Netlist.t) =
             cursor.(f) <- cursor.(f) + 1)
           fi)
     nodes;
+  let is_out = Array.make n false in
+  Array.iter (fun o -> is_out.(o) <- true) net.Circuit.Netlist.outputs;
   let n_stages = stage_off.(n) in
   let dep_counts = Array.make (n_stages + 1) 0 in
   let stage_deps = Array.make n_stages [] in
@@ -190,6 +193,7 @@ let build (net : Circuit.Netlist.t) =
     n_gates = !n_gates;
     pis = Circuit.Netlist.primary_inputs net;
     outputs = net.Circuit.Netlist.outputs;
+    is_out;
     cells = Array.of_list (List.rev !rev_cells);
     cell_of;
     op;

@@ -167,7 +167,7 @@ module Analysis = struct
     currents : float array array;
     sh : Duty.shifts;
     tm : Timing.t;
-    fresh : Sta.Timing.result;
+    fresh : Timing.result;
   }
 
   (* PMOS-only (no PBTI): [shifts] is the pair [Circuit_aging.analyze]
@@ -404,10 +404,7 @@ module Analysis = struct
   let aged_delay s = s.aged_max
   let max_dvth s = s.max_dvth
 
-  let degradation s =
-    let fresh = s.c.fresh.Sta.Timing.max_delay in
-    assert (fresh > 0.0);
-    (s.aged_max -. fresh) /. fresh
+  let degradation s = Timing.slowdown ~fresh:s.c.fresh.Timing.max_delay ~aged:s.aged_max
 
   (* Materialized results on copies of the resident arrays, for oracle
      comparison tests; the boxed assembly fold (critical output and
@@ -477,11 +474,11 @@ module Sizing = struct
         Array.init n (fun i ->
             if a.Arena.op.(i) = Arena.op_pi then [||] else tm.Timing.wls.(a.Arena.cell_of.(i)));
       drives = Array.make n 1.0;
-      gd = aged.Sta.Timing.gate_delay;
-      arr = aged.Sta.Timing.arrival;
+      gd = aged.Timing.gate_delay;
+      arr = aged.Timing.arrival;
       stage_scratch = Array.make a.Arena.n_stages 0.0;
       cone = make_cone n;
-      aged_max = aged.Sta.Timing.max_delay;
+      aged_max = aged.Timing.max_delay;
       st = fresh_stats ();
     }
 
@@ -529,11 +526,14 @@ module Sizing = struct
       if a.Arena.op.(f) <> Arena.op_pi && not (List.mem f !affected) then affected := f :: !affected
     done;
     let cell_of g = s.cells.(g) in
+    let load g =
+      Timing.node_load a ~tech:s.tm.Timing.tech ~po_load:s.tm.Timing.po_load ~cell:cell_of g
+    in
     let seeds =
       List.filter
         (fun g ->
           Timing.write_gate s.tm ~scratch:s.stage_scratch g ~cell:s.cells.(g) ~wls:s.wls.(g)
-            ~load:(Timing.node_load s.tm ~cell:cell_of g);
+            ~load:(load g);
           let d =
             Timing.aged_delay_into s.tm ~dvth:s.dvth ~dvth_n:None ~scratch:s.stage_scratch g
           in

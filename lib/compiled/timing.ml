@@ -1,6 +1,8 @@
-(* Compiled STA, the one static timing engine: the cell delay model of
+(* Compiled STA, the one static timing engine (the role of the STA tool
+   [44] in the paper's flow): the cell delay model of
    [Cell.Cell_delay] and a forward arrival pass evaluated over flat
-   per-stage constant arrays.
+   per-stage constant arrays, the load model every timing caller and
+   [Power] share, and the slope-resolved pass.
 
    Everything that does not depend on a threshold shift is precomputed
    at compile time, in forms that preserve the boxed float associativity
@@ -22,11 +24,75 @@
    arena's CSR fanout, and [write_gate], its rows of the constant arrays.
    A gate-sizing session ([Incremental.Sizing]) owns a private [build]
    and re-runs both steps for the gates an edit touches; the table [get]
-   memoizes is shared across threads and never edited.
+   memoizes is shared across threads and never edited. [loads], the
+   loads [Power] and the slope-resolved pass read, runs [node_load] over
+   every node, primary inputs included.
 
-   Results are assembled into [Sta.Timing.result] with the boxed
-   critical-output fold (strict [>], first-wins on ties) and the same
-   backtrack, so critical paths match node for node. *)
+   Results are assembled into [result] with the boxed critical-output
+   fold (strict [>], first-wins on ties) and the same backtrack, so
+   critical paths match node for node. *)
+
+type result = {
+  arrival : float array;  (* latest arrival time [s] per node *)
+  gate_delay : float array;  (* delay [s] per node (0 for primary inputs) *)
+  max_delay : float;  (* latest primary-output arrival *)
+  critical_path : int list;  (* node ids, primary input first *)
+  critical_output : int;  (* the PO at which [max_delay] occurs *)
+}
+
+(* The zero threshold shift: fresh timing. *)
+let no_aging ~gate:_ ~stage:_ = 0.0
+
+(* Relative slowdown [(aged - fresh) / fresh] of a positive fresh delay. *)
+let slowdown ~fresh ~aged =
+  assert (fresh > 0.0);
+  (aged -. fresh) /. fresh
+
+(* Relative critical-path slowdown. *)
+let degradation ~fresh ~aged = slowdown ~fresh:fresh.max_delay ~aged:aged.max_delay
+
+(* --- Loads --- *)
+
+(* The [po_load] a primary output carries when none is given: four
+   inverter input capacitances, an FO4-style environment for otherwise
+   unloaded outputs. *)
+let default_po_load tech =
+  4.0 *. Cell.Cell_delay.input_capacitance tech Cell.Stdcell.inv ~pin_index:0
+
+(* Drain diffusion capacitance of a gate's output stage: roughly half a
+   gate capacitance per unit device width hanging off the output node,
+   so even a dangling gate has a positive delay. *)
+let drain_cap tech (cell : Cell.Stdcell.t) =
+  let stages = cell.Cell.Stdcell.stages in
+  let out = stages.(Array.length stages - 1) in
+  let width net =
+    List.fold_left (fun acc (_, m) -> acc +. m.Device.Mosfet.wl) 0.0 (Cell.Network.devices net)
+  in
+  0.5 *. tech.Device.Tech.cg_per_wl
+  *. (width out.Cell.Stdcell.pull_up +. width out.Cell.Stdcell.pull_down)
+
+(* Node [i]'s capacitive load: the input capacitance of every fanout
+   pin, summed over the arena's CSR fanout in (consumer, pin) order,
+   plus a gate's own [drain_cap] (a primary input has none), plus
+   [po_load] on a primary output. [cell g] is gate [g]'s current cell. *)
+let node_load (a : Arena.t) ~tech ~po_load ~cell i =
+  let cap = ref 0.0 in
+  for j = a.Arena.fanout_off.(i) to a.Arena.fanout_off.(i + 1) - 1 do
+    cap :=
+      !cap
+      +. Cell.Cell_delay.input_capacitance tech (cell a.Arena.fanout.(j))
+           ~pin_index:a.Arena.fanout_pin.(j)
+  done;
+  let cap = if a.Arena.op.(i) = Arena.op_pi then !cap else !cap +. drain_cap tech (cell i) in
+  cap +. if a.Arena.is_out.(i) then po_load else 0.0
+
+let arena_cell (a : Arena.t) g = a.Arena.cells.(a.Arena.cell_of.(g)).Arena.cell
+
+(* Every node's [node_load] under the arena's own cells; [po_load]
+   defaults to [default_po_load]. *)
+let loads (a : Arena.t) ~tech ?po_load () =
+  let po_load = Option.value po_load ~default:(default_po_load tech) in
+  Array.init a.Arena.n_nodes (node_load a ~tech ~po_load ~cell:(arena_cell a))
 
 type t = {
   a : Arena.t;
@@ -41,7 +107,6 @@ type t = {
   pow_up0 : float;
   pow_down0 : float;
   po_load : float;
-  is_out : bool array;  (* per node *)
   wls : (float * float) array array;  (* per arena cell, per stage: worst-case strengths *)
   lv : float array;  (* per flat stage *)
   kw_up : float array;
@@ -59,20 +124,6 @@ let strengths (cell : Cell.Stdcell.t) =
       ( Cell.Cell_delay.worst_strength st.Cell.Stdcell.pull_up ~on_polarity:Device.Mosfet.P,
         Cell.Cell_delay.worst_strength st.Cell.Stdcell.pull_down ~on_polarity:Device.Mosfet.N ))
     cell.Cell.Stdcell.stages
-
-(* [Sta.Timing.loads] of gate [i], over the arena's CSR fanout: its
-   (consumer, pin) order is [Netlist.fanout_pins]'s, so the sum rounds
-   the same. [cell g] is gate [g]'s current cell. *)
-let node_load tm ~cell i =
-  let a = tm.a in
-  let cap = ref 0.0 in
-  for j = a.Arena.fanout_off.(i) to a.Arena.fanout_off.(i + 1) - 1 do
-    cap :=
-      !cap
-      +. Cell.Cell_delay.input_capacitance tm.tech (cell a.Arena.fanout.(j))
-           ~pin_index:a.Arena.fanout_pin.(j)
-  done;
-  !cap +. Sta.Timing.drain_cap tm.tech (cell i) +. if tm.is_out.(i) then tm.po_load else 0.0
 
 (* The latest arrival among flat stage [s]'s dependencies. *)
 let[@inline] stage_input (a : Arena.t) scratch s =
@@ -108,8 +159,7 @@ let build (a : Arena.t) ~tech ~temp_k ?po_load () =
   let vt_p = Device.Tech.vth_at tech `P ~temp_k in
   let vt_n = Device.Tech.vth_at tech `N ~temp_k in
   let pow0 od = if od <= 0.0 then 0.0 else Float.pow od alpha in
-  let is_out = Array.make a.Arena.n_nodes false in
-  Array.iter (fun o -> is_out.(o) <- true) a.Arena.outputs;
+  let po_load = Option.value po_load ~default:(default_po_load tech) in
   let ns = a.Arena.n_stages in
   let tm =
     {
@@ -122,8 +172,7 @@ let build (a : Arena.t) ~tech ~temp_k ?po_load () =
       vt_n;
       pow_up0 = pow0 (vdd -. vt_p);
       pow_down0 = pow0 (vdd -. vt_n);
-      po_load = (match po_load with Some l -> l | None -> Sta.Timing.default_po_load tech);
-      is_out;
+      po_load;
       wls = Array.map (fun (ci : Arena.cellinfo) -> strengths ci.Arena.cell) a.Arena.cells;
       lv = Array.make ns 0.0;
       kw_up = Array.make ns 0.0;
@@ -132,12 +181,12 @@ let build (a : Arena.t) ~tech ~temp_k ?po_load () =
       d0 = Array.make a.Arena.n_nodes 0.0;
     }
   in
-  let cell g = a.Arena.cells.(a.Arena.cell_of.(g)).Arena.cell in
+  let cell = arena_cell a in
   let scratch = Array.make ns 0.0 in
   for i = 0 to a.Arena.n_nodes - 1 do
     if a.Arena.op.(i) <> Arena.op_pi then
       write_gate tm ~scratch i ~cell:(cell i) ~wls:tm.wls.(a.Arena.cell_of.(i))
-        ~load:(node_load tm ~cell i)
+        ~load:(node_load a ~tech ~po_load ~cell i)
   done;
   tm
 
@@ -177,7 +226,7 @@ let result_of (a : Arena.t) ~arrival ~gate_delay =
     end
   in
   {
-    Sta.Timing.arrival;
+    arrival;
     gate_delay;
     max_delay = arrival.(critical_output);
     critical_path = backtrack critical_output [];
@@ -232,6 +281,48 @@ let aged_result tm ?scale ~dvth ?dvth_n () =
     end
   done;
   result_of a ~arrival ~gate_delay
+
+(* --- Slope-resolved timing ---
+
+   The worst-slope analysis above times every stage at the worse of its
+   rise and fall delay — safe but conservative for NBTI, which only
+   slows rising transitions. The slope-resolved pass propagates rise and
+   fall arrival times separately through the inversion parity of every
+   cell ([Cell.Cell_delay.delay_pair]), under [loads] and over the
+   arena's fanin CSR. *)
+
+type slope_result = {
+  rise : float array;  (* rise arrival [s] per node *)
+  fall : float array;
+  max_delay_rf : float;  (* latest of any output's rise or fall *)
+}
+
+let analyze_slopes tech (t : Circuit.Netlist.t) ?po_load ?(stage_dvth_n = no_aging) ~temp_k
+    ~stage_dvth () =
+  let a = Arena.get t in
+  let load = loads a ~tech ?po_load () in
+  let n = a.Arena.n_nodes in
+  let rise = Array.make n 0.0 and fall = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    if a.Arena.op.(i) <> Arena.op_pi then begin
+      let in_rise = fanin_arrival a rise i and in_fall = fanin_arrival a fall i in
+      let r, fl =
+        Cell.Cell_delay.delay_pair tech (arena_cell a i) ~load:load.(i) ~temp_k
+          ~stage_dvth:(fun stage -> stage_dvth ~gate:i ~stage)
+          ~stage_dvth_n:(fun stage -> stage_dvth_n ~gate:i ~stage)
+          ~input_arrival:(in_rise, in_fall) ()
+      in
+      rise.(i) <- r;
+      fall.(i) <- fl
+    end
+  done;
+  let max_delay_rf =
+    Array.fold_left (fun acc o -> Float.max acc (Float.max rise.(o) fall.(o))) 0.0 a.Arena.outputs
+  in
+  { rise; fall; max_delay_rf }
+
+(* Relative slowdown of the latest output slope. *)
+let slope_degradation ~fresh ~aged = slowdown ~fresh:fresh.max_delay_rf ~aged:aged.max_delay_rf
 
 (* --- Cache --- *)
 

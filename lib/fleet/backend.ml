@@ -47,7 +47,6 @@ type t = {
   mutable rtt_count : int; (* total recorded; min with capacity = filled *)
   mutable last_rtt_s : float;
   mutable scraped : Obs.Registry.sample list; (* last metrics scrape *)
-  mutable scraped_at : float; (* 0 = never scraped *)
   mutable idle : Server.Client.t list; (* open forwarding connections, most recent first *)
 }
 
@@ -66,7 +65,6 @@ let create endpoint =
     rtt_count = 0;
     last_rtt_s = 0.0;
     scraped = [];
-    scraped_at = 0.0;
     idle = [];
   }
 
@@ -149,16 +147,9 @@ let rtt_stats t =
         Some { count = t.rtt_count; last_s = t.last_rtt_s; p50_s = q 0.5; p95_s = q 0.95 }
       end)
 
-let set_scraped t samples =
-  with_lock t (fun () ->
-      t.scraped <- samples;
-      t.scraped_at <- Unix.gettimeofday ())
+let set_scraped t samples = with_lock t (fun () -> t.scraped <- samples)
 
 let scraped t = with_lock t (fun () -> t.scraped)
-
-let scraped_age_s t =
-  with_lock t (fun () ->
-      if t.scraped_at = 0.0 then None else Some (Unix.gettimeofday () -. t.scraped_at))
 
 (* A request-path failure also counts against the probe streak so the
    backoff schedule sees it, and pulls the next probe forward — the

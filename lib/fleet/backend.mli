@@ -70,9 +70,6 @@ val set_scraped : t -> Obs.Registry.sample list -> unit
 val scraped : t -> Obs.Registry.sample list
 (** The last stored scrape; [[]] when the backend was never scraped. *)
 
-val scraped_age_s : t -> float option
-(** Seconds since the last successful scrape; [None] when never. *)
-
 val record_request_failure : t -> unit
 (** A forwarded request failed on transport: extends the failure streak
     and pulls the next probe forward to now. *)

@@ -219,8 +219,8 @@ let analyze config p ~standby =
   in
   {
     stats = p.stats;
-    fresh_delay = a.Aging.Circuit_aging.fresh.Sta.Timing.max_delay;
-    aged_delay = a.Aging.Circuit_aging.aged.Sta.Timing.max_delay;
+    fresh_delay = a.Aging.Circuit_aging.fresh.Compiled.Timing.max_delay;
+    aged_delay = a.Aging.Circuit_aging.aged.Compiled.Timing.max_delay;
     degradation = a.Aging.Circuit_aging.degradation;
     max_dvth = a.Aging.Circuit_aging.max_dvth;
     standby_leakage;

@@ -49,7 +49,7 @@ let co_optimize ?par ?budget ?currents config tables t ~node_sp ~candidates =
           Compiled.Incremental.emit_stats "co_opt.chunk"
             (Compiled.Incremental.Analysis.stats s)
             ~n_nodes:(Compiled.Incremental.Analysis.n_nodes s));
-      (out, (Compiled.Incremental.Analysis.fresh_result ictx).Sta.Timing.max_delay)
+      (out, (Compiled.Incremental.Analysis.fresh_result ictx).Compiled.Timing.max_delay)
     end
     else begin
       let evaluate (c : Mlv.candidate) =
@@ -61,9 +61,9 @@ let co_optimize ?par ?budget ?currents config tables t ~node_sp ~candidates =
             vector = c.Mlv.vector;
             leakage = c.Mlv.leakage;
             degradation = analysis.Aging.Circuit_aging.degradation;
-            aged_delay = analysis.Aging.Circuit_aging.aged.Sta.Timing.max_delay;
+            aged_delay = analysis.Aging.Circuit_aging.aged.Compiled.Timing.max_delay;
           },
-          analysis.Aging.Circuit_aging.fresh.Sta.Timing.max_delay )
+          analysis.Aging.Circuit_aging.fresh.Compiled.Timing.max_delay )
       in
       (* One full aging analysis per candidate: the expensive half of
          Table 3. The map preserves candidate order and the sort below

@@ -18,8 +18,8 @@ let replacement cell =
 
 let replaceable cell = replacement cell <> None
 
-let candidate_gates (t : Circuit.Netlist.t) ~standby_vector ~(timing : Sta.Timing.result) ~slack
-    ~slack_eps =
+let candidate_gates (t : Circuit.Netlist.t) ~standby_vector ~(timing : Compiled.Timing.result)
+    ~slack ~slack_eps =
   let values = Logic.Eval.eval t ~inputs:standby_vector in
   let fanout = Circuit.Netlist.fanout t in
   let scored = ref [] in
@@ -36,7 +36,7 @@ let candidate_gates (t : Circuit.Netlist.t) ~standby_vector ~(timing : Sta.Timin
         if replaceable cell && not values.(i) then begin
           let critical_fanouts =
             Array.fold_left
-              (fun acc g -> if slack.Sta.Slack.slack.(g) <= slack_eps then acc + 1 else acc)
+              (fun acc g -> if slack.Compiled.Slack.slack.(g) <= slack_eps then acc + 1 else acc)
               0 fanout.(i)
           in
           if critical_fanouts > 0 then scored := (i, critical_fanouts) :: !scored
@@ -171,8 +171,8 @@ let evaluate config (t : Circuit.Netlist.t) ~standby_vector ?(budget = 10)
     Aging.Circuit_aging.analyze config t ~node_sp
       ~standby:(Aging.Circuit_aging.Standby_vector standby_vector) ()
   in
-  let slack = Sta.Slack.compute t ~timing:baseline.Aging.Circuit_aging.aged () in
-  let eps = slack_eps_fraction *. baseline.Aging.Circuit_aging.aged.Sta.Timing.max_delay in
+  let slack = Compiled.Slack.compute t ~timing:baseline.Aging.Circuit_aging.aged () in
+  let eps = slack_eps_fraction *. baseline.Aging.Circuit_aging.aged.Compiled.Timing.max_delay in
   let candidates =
     List.map fst
       (candidate_gates t ~standby_vector ~timing:baseline.Aging.Circuit_aging.aged ~slack
@@ -184,10 +184,10 @@ let evaluate config (t : Circuit.Netlist.t) ~standby_vector ?(budget = 10)
       ~duties:(corrected_duties ins ~node_sp:node_sp') ()
   in
   let aged_of gates =
-    if gates = [] then baseline.Aging.Circuit_aging.aged.Sta.Timing.max_delay
+    if gates = [] then baseline.Aging.Circuit_aging.aged.Compiled.Timing.max_delay
     else
       (analyze_insertion (insert t ~standby_vector ~input_sp ~gates)).Aging.Circuit_aging.aged
-        .Sta.Timing.max_delay
+        .Compiled.Timing.max_delay
   in
   (* Greedy with verification: each step keeps the single control point
      that most reduces the end-of-life delay; a candidate that does not
@@ -208,12 +208,12 @@ let evaluate config (t : Circuit.Netlist.t) ~standby_vector ?(budget = 10)
     end
   in
   let chosen, aged_with_cp = grow [] (aged_of []) candidates in
-  let aged_baseline = baseline.Aging.Circuit_aging.aged.Sta.Timing.max_delay in
+  let aged_baseline = baseline.Aging.Circuit_aging.aged.Compiled.Timing.max_delay in
   if chosen = [] then
     {
-      baseline_fresh = baseline.Aging.Circuit_aging.fresh.Sta.Timing.max_delay;
+      baseline_fresh = baseline.Aging.Circuit_aging.fresh.Compiled.Timing.max_delay;
       baseline_degradation = baseline.Aging.Circuit_aging.degradation;
-      fresh_with_cp = baseline.Aging.Circuit_aging.fresh.Sta.Timing.max_delay;
+      fresh_with_cp = baseline.Aging.Circuit_aging.fresh.Compiled.Timing.max_delay;
       degradation_with_cp = baseline.Aging.Circuit_aging.degradation;
       aged_baseline;
       aged_with_cp = aged_baseline;
@@ -225,9 +225,9 @@ let evaluate config (t : Circuit.Netlist.t) ~standby_vector ?(budget = 10)
     let ins = insert t ~standby_vector ~input_sp ~gates:chosen in
     let with_cp = analyze_insertion ins in
     {
-      baseline_fresh = baseline.Aging.Circuit_aging.fresh.Sta.Timing.max_delay;
+      baseline_fresh = baseline.Aging.Circuit_aging.fresh.Compiled.Timing.max_delay;
       baseline_degradation = baseline.Aging.Circuit_aging.degradation;
-      fresh_with_cp = with_cp.Aging.Circuit_aging.fresh.Sta.Timing.max_delay;
+      fresh_with_cp = with_cp.Aging.Circuit_aging.fresh.Compiled.Timing.max_delay;
       degradation_with_cp = with_cp.Aging.Circuit_aging.degradation;
       aged_baseline;
       aged_with_cp;

@@ -27,8 +27,8 @@ type insertion = {
 val candidate_gates :
   Circuit.Netlist.t ->
   standby_vector:bool array ->
-  timing:Sta.Timing.result ->
-  slack:Sta.Slack.t ->
+  timing:Compiled.Timing.result ->
+  slack:Compiled.Slack.t ->
   slack_eps:float ->
   (int * int) list
 (** Replaceable gates at standby value 0 that drive at least one

@@ -14,7 +14,7 @@ let potential config t ~node_sp =
   in
   let wd = worst.Aging.Circuit_aging.degradation and bd = best.Aging.Circuit_aging.degradation in
   {
-    fresh_delay = worst.Aging.Circuit_aging.fresh.Sta.Timing.max_delay;
+    fresh_delay = worst.Aging.Circuit_aging.fresh.Compiled.Timing.max_delay;
     worst_degradation = wd;
     best_degradation = bd;
     potential = (if wd > 0.0 then (wd -. bd) /. wd else 0.0);

@@ -82,7 +82,7 @@ let optimize config (t : Circuit.Netlist.t) ~node_sp ~standby ?(max_iterations =
   let tm = Compiled.Timing.get a ~tech ~temp_k () in
   let fresh_sta () = Compiled.Timing.fresh_result ~scale tm in
   let fresh0 = fresh_sta () in
-  let target = fresh0.Sta.Timing.max_delay *. (1.0 +. config.timing_tolerance) in
+  let target = fresh0.Compiled.Timing.max_delay *. (1.0 +. config.timing_tolerance) in
   (* Slack-driven sweeps: batch-assign where slack safely covers the
      delay loss (shared-path interaction absorbed by the 3x factor),
      verify, and single-step the borderline gates. *)
@@ -91,7 +91,7 @@ let optimize config (t : Circuit.Netlist.t) ~node_sp ~standby ?(max_iterations =
   while !continue_ && !iterations < max_iterations do
     incr iterations;
     let timing = fresh_sta () in
-    let slack = Sta.Slack.compute t ~timing ~target () in
+    let slack = Compiled.Slack.compute t ~timing ~target () in
     let flipped = ref [] in
     Array.iteri
       (fun i node ->
@@ -100,27 +100,27 @@ let optimize config (t : Circuit.Netlist.t) ~node_sp ~standby ?(max_iterations =
         | Circuit.Netlist.Gate _ ->
           if
             (not hvt.(i))
-            && slack.Sta.Slack.slack.(i)
-               >= 3.0 *. (factor -. 1.0) *. timing.Sta.Timing.gate_delay.(i)
+            && slack.Compiled.Slack.slack.(i)
+               >= 3.0 *. (factor -. 1.0) *. timing.Compiled.Timing.gate_delay.(i)
           then begin
             assign i true;
             flipped := i :: !flipped
           end)
       t.Circuit.Netlist.nodes;
     if !flipped = [] then continue_ := false
-    else if (fresh_sta ()).Sta.Timing.max_delay > target then begin
+    else if (fresh_sta ()).Compiled.Timing.max_delay > target then begin
       (* Over-committed: revert everything from this sweep, then retry one
          by one in the order of decreasing slack. *)
       List.iter (fun i -> assign i false) !flipped;
       let by_slack =
         List.sort
-          (fun a b -> compare slack.Sta.Slack.slack.(b) slack.Sta.Slack.slack.(a))
+          (fun a b -> compare slack.Compiled.Slack.slack.(b) slack.Compiled.Slack.slack.(a))
           !flipped
       in
       List.iter
         (fun i ->
           assign i true;
-          if (fresh_sta ()).Sta.Timing.max_delay > target then assign i false)
+          if (fresh_sta ()).Compiled.Timing.max_delay > target then assign i false)
         by_slack;
       continue_ := false
     end
@@ -174,10 +174,10 @@ let optimize config (t : Circuit.Netlist.t) ~node_sp ~standby ?(max_iterations =
     assignment = hvt;
     n_hvt = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 hvt;
     n_gates = Circuit.Netlist.n_gates t;
-    fresh_before = fresh0.Sta.Timing.max_delay;
-    fresh_after = fresh_after.Sta.Timing.max_delay;
+    fresh_before = fresh0.Compiled.Timing.max_delay;
+    fresh_after = fresh_after.Compiled.Timing.max_delay;
     degradation_before = before.Aging.Circuit_aging.degradation;
-    degradation_after = Sta.Timing.degradation ~fresh:fresh_after ~aged:aged_after;
+    degradation_after = Compiled.Timing.degradation ~fresh:fresh_after ~aged:aged_after;
     active_leakage_before = sum_lvt fst;
     active_leakage_after = blend fst;
     standby_leakage_before = sum_lvt snd;

@@ -74,7 +74,7 @@ let optimize ?(budget = Parallel.Budget.unlimited) config (t : Circuit.Netlist.t
       ~dvth:(Compiled.Arena.stage_values a stage_dvth) ()
   in
   let fresh0 = Compiled.Incremental.Sizing.fresh_result session in
-  let target = fresh0.Sta.Timing.max_delay *. (1.0 +. margin) in
+  let target = fresh0.Compiled.Timing.max_delay *. (1.0 +. margin) in
   let aged_before = Compiled.Incremental.Sizing.aged_max session in
   let n = Circuit.Netlist.n_nodes t in
   let drives = Array.make n 1.0 in
@@ -85,7 +85,7 @@ let optimize ?(budget = Parallel.Budget.unlimited) config (t : Circuit.Netlist.t
       Parallel.Budget.check budget;
       let aged = Compiled.Incremental.Sizing.aged_result session in
       let grown =
-        grow_path t ~drives ~critical_path:aged.Sta.Timing.critical_path ~step ~max_drive
+        grow_path t ~drives ~critical_path:aged.Compiled.Timing.critical_path ~step ~max_drive
       in
       if grown = [] then iterations
       else begin
@@ -103,9 +103,9 @@ let optimize ?(budget = Parallel.Budget.unlimited) config (t : Circuit.Netlist.t
   {
     drives;
     sized;
-    fresh_before = fresh0.Sta.Timing.max_delay;
+    fresh_before = fresh0.Compiled.Timing.max_delay;
     aged_before;
-    fresh_after = (Compiled.Incremental.Sizing.fresh_result session).Sta.Timing.max_delay;
+    fresh_after = (Compiled.Incremental.Sizing.fresh_result session).Compiled.Timing.max_delay;
     aged_after;
     target;
     met = aged_after <= target;

@@ -95,5 +95,3 @@ let debug ?fields msg = log Debug ?fields msg
 let info ?fields msg = log Info ?fields msg
 let warn ?fields msg = log Warn ?fields msg
 let error ?fields msg = log Error ?fields msg
-
-let logf lvl ?fields fmt = Printf.ksprintf (fun msg -> log lvl ?fields msg) fmt

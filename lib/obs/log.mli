@@ -38,8 +38,3 @@ val debug : ?fields:(string * Fields.t) list -> string -> unit
 val info : ?fields:(string * Fields.t) list -> string -> unit
 val warn : ?fields:(string * Fields.t) list -> string -> unit
 val error : ?fields:(string * Fields.t) list -> string -> unit
-
-val logf : level -> ?fields:(string * Fields.t) list -> ('a, unit, string, unit) format4 -> 'a
-(** [Printf]-style message formatting; the format arguments are still
-    consumed when the record is filtered, so prefer {!would_log} guards
-    around hot-path debug logging. *)

@@ -379,10 +379,6 @@ let split_streams rng n =
   done;
   a
 
-let map_rng t ?chunk ?budget ~rng f items =
-  let rngs = split_streams rng (Array.length items) in
-  mapi t ?chunk ?budget (fun i x -> f rngs.(i) x) items
-
 let init_rng t ?chunk ?budget ~rng n f =
   let rngs = split_streams rng n in
   init t ?chunk ?budget n (fun i -> f rngs.(i) i)
@@ -412,18 +408,6 @@ let utilization (s : stats) =
   else s.busy_s /. (s.wall_s *. float_of_int s.domains)
 
 let speedup_estimate (s : stats) = if s.wall_s <= 0.0 then 0.0 else s.busy_s /. s.wall_s
-
-let reset_stats t =
-  Mutex.lock t.stats_m;
-  t.jobs_count <- 0;
-  t.items_count <- 0;
-  t.chunks_count <- 0;
-  t.worker_items <- 0;
-  t.caller_items <- 0;
-  t.busy_s <- 0.0;
-  t.wall_s <- 0.0;
-  t.last_job <- None;
-  Mutex.unlock t.stats_m
 
 (* --- The process-wide shared pool --- *)
 

@@ -103,17 +103,6 @@ val split_streams : Physics.Rng.t -> int -> Physics.Rng.t array
     item order). The parent advances exactly [n] times however the items
     are later scheduled. *)
 
-val map_rng :
-  t ->
-  ?chunk:int ->
-  ?budget:Budget.t ->
-  rng:Physics.Rng.t ->
-  (Physics.Rng.t -> 'a -> 'b) ->
-  'a array ->
-  'b array
-(** [map] where item [i] receives the [i]-th stream of
-    [split_streams rng n]. *)
-
 val init_rng :
   t ->
   ?chunk:int ->
@@ -156,5 +145,3 @@ val utilization : stats -> float
 
 val speedup_estimate : stats -> float
 (** [busy_s / wall_s]: effective parallelism actually achieved. *)
-
-val reset_stats : t -> unit

@@ -60,10 +60,6 @@ let summarize xs =
     p95 = percentile xs ~p:95.0;
   }
 
-let pp_summary fmt s =
-  Format.fprintf fmt "n=%d mean=%.6g sd=%.6g min=%.6g p05=%.6g p50=%.6g p95=%.6g max=%.6g"
-    s.n s.mean s.stddev s.min s.p05 s.p50 s.p95 s.max
-
 let histogram xs ~bins =
   assert (bins >= 1 && Array.length xs > 0);
   let lo, hi = min_max xs in

@@ -32,7 +32,6 @@ type summary = {
 }
 
 val summarize : float array -> summary
-val pp_summary : Format.formatter -> summary -> unit
 
 val histogram : float array -> bins:int -> (float * float * int) array
 (** [histogram xs ~bins] is an array of [(lo, hi, count)] over equal-width

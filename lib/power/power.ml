@@ -3,7 +3,7 @@ type breakdown = { dynamic : float; leakage : float; total : float }
 let dynamic tech (t : Circuit.Netlist.t) ~activity ~freq =
   if freq <= 0.0 then invalid_arg "Power.dynamic: frequency must be positive";
   assert (Array.length activity = Circuit.Netlist.n_nodes t);
-  let loads = Sta.Timing.loads tech t () in
+  let loads = Compiled.Timing.loads (Compiled.Arena.get t) ~tech () in
   let vdd = tech.Device.Tech.vdd in
   let energy = ref 0.0 in
   Array.iteri (fun i a -> energy := !energy +. (a *. loads.(i))) activity;

@@ -27,7 +27,7 @@ let analyze config t ~node_sp ~style ~beta ?vth_st ?(nbti_aware = true) () =
   let internal =
     Aging.Circuit_aging.analyze config t ~node_sp ~standby:Aging.Circuit_aging.Standby_all_relaxed ()
   in
-  let fresh_delay = internal.Aging.Circuit_aging.fresh.Sta.Timing.max_delay in
+  let fresh_delay = internal.Aging.Circuit_aging.fresh.Compiled.Timing.max_delay in
   let internal_degradation = internal.Aging.Circuit_aging.degradation in
   let st_dvth =
     match style with
@@ -66,7 +66,7 @@ let analyze config t ~node_sp ~style ~beta ?vth_st ?(nbti_aware = true) () =
     fresh_delay;
     fresh_delay_with_st;
     aged_delay_with_st;
-    total_degradation = (aged_delay_with_st -. fresh_delay) /. fresh_delay;
+    total_degradation = Compiled.Timing.slowdown ~fresh:fresh_delay ~aged:aged_delay_with_st;
     internal_degradation;
     st_penalty_aged = penalty_aged;
     st_dvth;

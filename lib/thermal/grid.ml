@@ -17,7 +17,6 @@ let create ?(rows = 4) ?(cols = 4) ?(block_c = 2.0) ?(lateral_g = 1.5) ?(package
   { rows; cols; block_c; lateral_g; package_g; package_c; sink_r; t_amb }
 
 let n_blocks g = g.rows * g.cols
-let dims g = (g.rows, g.cols)
 
 let uniform_state g ~temp_k = Array.make (n_blocks g + 1) temp_k
 

@@ -34,7 +34,6 @@ val create :
     {!Rc_model.default} in the aggregate. *)
 
 val n_blocks : t -> int
-val dims : t -> int * int
 
 val uniform_state : t -> temp_k:float -> float array
 (** Initial state: every block and the package at [temp_k]. Length

@@ -39,7 +39,7 @@ let gate_gaussians (config : Aging.Circuit_aging.config) (t : Circuit.Netlist.t)
   let od_nom = tech.Device.Tech.vdd -. vth_nom in
   let alpha = tech.Device.Tech.alpha in
   let delay_of gate offset =
-    let base = fresh.Sta.Timing.gate_delay.(gate) in
+    let base = fresh.Compiled.Timing.gate_delay.(gate) in
     let od = od_nom -. offset in
     let scale = Float.pow (od_nom /. od) alpha in
     if not aged then base *. scale

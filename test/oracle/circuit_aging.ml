@@ -83,7 +83,7 @@ let analyze_dvth config t ?po_load ?stage_dvth_n ~stage_dvth () =
           max_dvth := Float.max !max_dvth (stage_dvth ~gate:i ~stage)
         done)
     t.Circuit.Netlist.nodes;
-  { fresh; aged; degradation = Sta.Timing.degradation ~fresh ~aged; max_dvth = !max_dvth }
+  { fresh; aged; degradation = Compiled.Timing.degradation ~fresh ~aged; max_dvth = !max_dvth }
 
 let analyze config t ?po_load ~node_sp ~standby () =
   let stage_dvth_n =

@@ -13,14 +13,14 @@ let optimize config (t : Circuit.Netlist.t) ~node_sp ~standby ?(margin = 0.01) ?
   let aged_sta net = Timing.analyze tech net ~temp_k ~stage_dvth () in
   let fresh0 = Timing.fresh tech t ~temp_k () in
   let aged0 = aged_sta t in
-  let target = fresh0.Sta.Timing.max_delay *. (1.0 +. margin) in
+  let target = fresh0.Compiled.Timing.max_delay *. (1.0 +. margin) in
   let drives = Array.make (Circuit.Netlist.n_nodes t) 1.0 in
   let rec loop net aged iterations =
-    if aged.Sta.Timing.max_delay <= target || iterations >= max_iterations then
+    if aged.Compiled.Timing.max_delay <= target || iterations >= max_iterations then
       (net, aged, iterations)
     else begin
       let grown =
-        grow_path t ~drives ~critical_path:aged.Sta.Timing.critical_path ~step ~max_drive
+        grow_path t ~drives ~critical_path:aged.Compiled.Timing.critical_path ~step ~max_drive
       in
       if grown = [] then (net, aged, iterations)
       else begin
@@ -34,12 +34,12 @@ let optimize config (t : Circuit.Netlist.t) ~node_sp ~standby ?(margin = 0.01) ?
   {
     drives;
     sized;
-    fresh_before = fresh0.Sta.Timing.max_delay;
-    aged_before = aged0.Sta.Timing.max_delay;
-    fresh_after = fresh_final.Sta.Timing.max_delay;
-    aged_after = aged_final.Sta.Timing.max_delay;
+    fresh_before = fresh0.Compiled.Timing.max_delay;
+    aged_before = aged0.Compiled.Timing.max_delay;
+    fresh_after = fresh_final.Compiled.Timing.max_delay;
+    aged_after = aged_final.Compiled.Timing.max_delay;
     target;
-    met = aged_final.Sta.Timing.max_delay <= target;
+    met = aged_final.Compiled.Timing.max_delay <= target;
     area_overhead = (area sized -. area t) /. area t;
     iterations;
   }

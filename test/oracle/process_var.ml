@@ -34,9 +34,9 @@ let run ?pool config t ~node_sp ~standby ~rng =
       Nbti.Vth_shift.dvth aging.Aging.Circuit_aging.params tech cond ~schedule:sched
         ~time:aging.Aging.Circuit_aging.time
     in
-    let fresh = Timing.analyze tech t ~gate_scale ~temp_k ~stage_dvth:Sta.Timing.no_aging () in
+    let fresh = Timing.analyze tech t ~gate_scale ~temp_k ~stage_dvth:Compiled.Timing.no_aging () in
     let aged = Timing.analyze tech t ~gate_scale ~temp_k ~stage_dvth () in
-    { fresh_delay = fresh.Sta.Timing.max_delay; aged_delay = aged.Sta.Timing.max_delay }
+    { fresh_delay = fresh.Compiled.Timing.max_delay; aged_delay = aged.Compiled.Timing.max_delay }
   in
   let p = match pool with Some p -> p | None -> Parallel.Pool.default () in
   let samples = Parallel.Pool.init_rng p ~rng config.n_samples (fun rng _ -> one_sample rng) in

@@ -55,7 +55,7 @@ let test_analyze_consistency () =
       ~standby:Aging.Circuit_aging.Standby_all_stressed ()
   in
   Alcotest.(check bool) "aged slower than fresh" true
-    (a.Aging.Circuit_aging.aged.Sta.Timing.max_delay > a.Aging.Circuit_aging.fresh.Sta.Timing.max_delay);
+    (a.Aging.Circuit_aging.aged.Compiled.Timing.max_delay > a.Aging.Circuit_aging.fresh.Compiled.Timing.max_delay);
   Alcotest.(check bool) "degradation in a plausible band" true
     (a.Aging.Circuit_aging.degradation > 0.005 && a.Aging.Circuit_aging.degradation < 0.15);
   Alcotest.(check bool) "max dvth tens of mV" true

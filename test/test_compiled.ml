@@ -142,15 +142,15 @@ let test_activity_mc () =
 
 (* --- fresh/aged STA through the aging analysis --- *)
 
-let check_timing_result name (a : Sta.Timing.result) (b : Sta.Timing.result) =
-  check_floats_exact (name ^ " arrival") a.Sta.Timing.arrival b.Sta.Timing.arrival;
-  check_floats_exact (name ^ " gate_delay") a.Sta.Timing.gate_delay b.Sta.Timing.gate_delay;
+let check_timing_result name (a : Compiled.Timing.result) (b : Compiled.Timing.result) =
+  check_floats_exact (name ^ " arrival") a.Compiled.Timing.arrival b.Compiled.Timing.arrival;
+  check_floats_exact (name ^ " gate_delay") a.Compiled.Timing.gate_delay b.Compiled.Timing.gate_delay;
   Alcotest.(check bool) (name ^ " max_delay") true
-    (bits_equal a.Sta.Timing.max_delay b.Sta.Timing.max_delay);
-  Alcotest.(check (list int)) (name ^ " critical_path") a.Sta.Timing.critical_path
-    b.Sta.Timing.critical_path;
-  Alcotest.(check int) (name ^ " critical_output") a.Sta.Timing.critical_output
-    b.Sta.Timing.critical_output
+    (bits_equal a.Compiled.Timing.max_delay b.Compiled.Timing.max_delay);
+  Alcotest.(check (list int)) (name ^ " critical_path") a.Compiled.Timing.critical_path
+    b.Compiled.Timing.critical_path;
+  Alcotest.(check int) (name ^ " critical_output") a.Compiled.Timing.critical_output
+    b.Compiled.Timing.critical_output
 
 let check_analysis name (a : Aging.Circuit_aging.analysis) (b : Aging.Circuit_aging.analysis) =
   check_timing_result (name ^ " fresh") a.Aging.Circuit_aging.fresh b.Aging.Circuit_aging.fresh;
@@ -186,8 +186,8 @@ let check_platform name net tables ~node_sp ~standby (boxed : Aging.Circuit_agin
     (got : Flow.Platform.analysis) =
   let bits field a b = Alcotest.(check bool) (name ^ " " ^ field) true (bits_equal a b) in
   Alcotest.(check bool) (name ^ " stats") true (got.Flow.Platform.stats = Circuit.Netlist.stats net);
-  bits "fresh_delay" boxed.Aging.Circuit_aging.fresh.Sta.Timing.max_delay got.Flow.Platform.fresh_delay;
-  bits "aged_delay" boxed.Aging.Circuit_aging.aged.Sta.Timing.max_delay got.Flow.Platform.aged_delay;
+  bits "fresh_delay" boxed.Aging.Circuit_aging.fresh.Compiled.Timing.max_delay got.Flow.Platform.fresh_delay;
+  bits "aged_delay" boxed.Aging.Circuit_aging.aged.Compiled.Timing.max_delay got.Flow.Platform.aged_delay;
   bits "degradation" boxed.Aging.Circuit_aging.degradation got.Flow.Platform.degradation;
   bits "max_dvth" boxed.Aging.Circuit_aging.max_dvth got.Flow.Platform.max_dvth;
   bits "standby_leakage"
@@ -212,7 +212,7 @@ let check_scaled_timing name net aging ~node_sp ~standby ~scale =
   let tm = Compiled.Timing.get a ~tech ~temp_k () in
   let gate_scale i = scale.(i) in
   check_timing_result (name ^ " scaled fresh")
-    (Oracle.Timing.analyze tech net ~gate_scale ~temp_k ~stage_dvth:Sta.Timing.no_aging ())
+    (Oracle.Timing.analyze tech net ~gate_scale ~temp_k ~stage_dvth:Compiled.Timing.no_aging ())
     (Compiled.Timing.fresh_result ~scale tm);
   check_timing_result (name ^ " scaled aged")
     (Oracle.Timing.analyze tech net ~gate_scale ~temp_k ~stage_dvth ())
@@ -471,10 +471,12 @@ let test_mlv_candidates_match_boxed_evaluate () =
         set)
     (Lazy.force small)
 
-(* [Sta.Timing.loads] and the compiled tables' [node_load] fold each
-   gate's fanout in the same (consumer, pin) order, so every gate's load
-   is the same float — with the default primary-output load and with an
-   explicit one. *)
+(* [Oracle.Timing.loads] walks the boxed netlist's [fanout_pins];
+   [Compiled.Timing.loads] runs the per-node step [node_load] that
+   [build] and sizing sessions run over the arena's CSR fanout. Both
+   fold each node's fanout in the same (consumer, pin) order, so every
+   node's load, primary inputs included, is the same float — with the
+   default primary-output load and with an explicit one. *)
 let test_loads () =
   let tech = Device.Tech.ptm_90nm in
   List.iter
@@ -483,17 +485,58 @@ let test_loads () =
       let cell g = a.Compiled.Arena.cells.(a.Compiled.Arena.cell_of.(g)).Compiled.Arena.cell in
       List.iter
         (fun po_load ->
-          let loads = Sta.Timing.loads tech net ?po_load () in
+          let boxed = Oracle.Timing.loads tech net ?po_load () in
+          check_floats_exact (net_name net ^ " loads") boxed
+            (Compiled.Timing.loads a ~tech ?po_load ());
           let tm = Compiled.Timing.get a ~tech ~temp_k:400.0 ?po_load () in
           for i = 0 to a.Compiled.Arena.n_nodes - 1 do
-            if a.Compiled.Arena.op.(i) <> Compiled.Arena.op_pi then
-              Alcotest.(check bool)
-                (Printf.sprintf "%s gate %d load bits" (net_name net) i)
-                true
-                (bits_equal loads.(i) (Compiled.Timing.node_load tm ~cell i))
+            Alcotest.(check bool)
+              (Printf.sprintf "%s node %d load bits" (net_name net) i)
+              true
+              (bits_equal boxed.(i)
+                 (Compiled.Timing.node_load a ~tech ~po_load:tm.Compiled.Timing.po_load ~cell i))
           done)
         [ None; Some 3.0e-15 ])
     (Circuit.Generators.benchmark_suite () @ [ Lazy.force big ])
+
+(* The slope-resolved pass on the arena ([Compiled.Timing.loads] and
+   the fanin CSR) against the boxed netlist walk: every node's rise and
+   fall bits and the latest output slope, fresh and aged under one
+   standby state's PMOS shifts, each with and without NMOS shifts. *)
+let test_slopes () =
+  let tech = Device.Tech.ptm_90nm in
+  let aging = Aging.Circuit_aging.default_config () in
+  let standby = Aging.Circuit_aging.Standby_all_stressed in
+  List.iter
+    (fun net ->
+      let node_sp =
+        Logic.Signal_prob.analytic net ~input_sp:(Logic.Signal_prob.uniform_inputs net 0.5)
+      in
+      let pmos = Aging.Circuit_aging.stage_dvth_map aging net ~node_sp ~standby in
+      let nmos =
+        Aging.Circuit_aging.stage_dvth_of_duties aging
+          ~duties:(Aging.Circuit_aging.duty_table ~polarity:`Nmos net ~node_sp ~standby)
+      in
+      List.iter
+        (fun (run, stage_dvth, stage_dvth_n) ->
+          let name = net_name net ^ " " ^ run in
+          let boxed =
+            Oracle.Timing.analyze_slopes tech net ?stage_dvth_n ~temp_k:400.0 ~stage_dvth ()
+          in
+          let got =
+            Compiled.Timing.analyze_slopes tech net ?stage_dvth_n ~temp_k:400.0 ~stage_dvth ()
+          in
+          check_floats_exact (name ^ " rise") boxed.Compiled.Timing.rise got.Compiled.Timing.rise;
+          check_floats_exact (name ^ " fall") boxed.Compiled.Timing.fall got.Compiled.Timing.fall;
+          Alcotest.(check bool) (name ^ " max_delay_rf") true
+            (bits_equal boxed.Compiled.Timing.max_delay_rf got.Compiled.Timing.max_delay_rf))
+        [
+          ("fresh", Compiled.Timing.no_aging, None);
+          ("aged", pmos, None);
+          ("fresh, nmos shifted", Compiled.Timing.no_aging, Some nmos);
+          ("aged, nmos shifted", pmos, Some nmos);
+        ])
+    (Circuit.Generators.benchmark_suite ())
 
 (* The memo keeps the [capacity] most recently used values: a hit
    refreshes an entry, and an insert into a full memo evicts the entry
@@ -531,7 +574,8 @@ let () =
           Alcotest.test_case "duty tables = boxed duty_table" `Quick test_duty_tables;
           Alcotest.test_case "pbti + po_load analysis = boxed" `Quick
             test_aging_analysis_pbti_and_load;
-          Alcotest.test_case "Sta.Timing.loads = node_load, every gate" `Quick test_loads;
+          Alcotest.test_case "loads = boxed loads, every node" `Quick test_loads;
+          Alcotest.test_case "slope pass = boxed slope pass" `Quick test_slopes;
         ] );
       ( "variation",
         [ Alcotest.test_case "process-var study = boxed, 1/2/4 domains" `Quick test_process_var ] );

@@ -51,42 +51,42 @@ let test_scaled_speeds_fixed_load () =
   in
   Alcotest.(check bool) "roughly halves" true (fast < 0.7 *. base)
 
-(* --- Sta.Slack --- *)
+(* --- Compiled.Slack --- *)
 
 let slack_of net =
   let timing = fresh_timing net in
-  (timing, Sta.Slack.compute net ~timing ())
+  (timing, Compiled.Slack.compute net ~timing ())
 
 let test_slack_critical_path_zero () =
   let timing, slack = slack_of c432 in
   List.iter
     (fun i ->
       Alcotest.(check bool) "critical path has ~zero slack" true
-        (Float.abs slack.Sta.Slack.slack.(i) < 1e-15))
-    timing.Sta.Timing.critical_path
+        (Float.abs slack.Compiled.Slack.slack.(i) < 1e-15))
+    timing.Compiled.Timing.critical_path
 
 let test_slack_nonnegative_at_critical_target () =
   let _, slack = slack_of c432 in
   Array.iter
     (fun s -> Alcotest.(check bool) "no negative slack at own target" true (s >= -1e-15))
-    slack.Sta.Slack.slack;
-  Alcotest.(check bool) "min slack is zero" true (Float.abs (Sta.Slack.min_slack slack) < 1e-15)
+    slack.Compiled.Slack.slack;
+  Alcotest.(check bool) "min slack is zero" true (Float.abs (Compiled.Slack.min_slack slack) < 1e-15)
 
 let test_slack_tighter_target_negative () =
   let timing = fresh_timing c432 in
   let slack =
-    Sta.Slack.compute c432 ~timing ~target:(0.9 *. timing.Sta.Timing.max_delay) ()
+    Compiled.Slack.compute c432 ~timing ~target:(0.9 *. timing.Compiled.Timing.max_delay) ()
   in
-  Alcotest.(check bool) "tight target gives negative slack" true (Sta.Slack.min_slack slack < 0.0)
+  Alcotest.(check bool) "tight target gives negative slack" true (Compiled.Slack.min_slack slack < 0.0)
 
 let test_slack_critical_nodes () =
   let timing, slack = slack_of c432 in
-  let critical = Sta.Slack.critical_nodes slack ~eps:1e-15 in
+  let critical = Compiled.Slack.critical_nodes slack ~eps:1e-15 in
   List.iter
     (fun i ->
       Alcotest.(check bool) "path nodes among critical" true (List.mem i critical))
-    timing.Sta.Timing.critical_path;
-  Alcotest.(check bool) "positive budget" true (Sta.Slack.total_positive_slack slack > 0.0)
+    timing.Compiled.Timing.critical_path;
+  Alcotest.(check bool) "positive budget" true (Compiled.Slack.total_positive_slack slack > 0.0)
 
 (* --- Aging.Lifetime --- *)
 
@@ -216,10 +216,10 @@ let test_control_point_insert_logic_active () =
   let standby_vector = Array.make 5 true in
   let input_sp = Array.make 5 0.5 in
   let timing = fresh_timing c17 in
-  let slack = Sta.Slack.compute c17 ~timing ~target:(1.5 *. timing.Sta.Timing.max_delay) () in
+  let slack = Compiled.Slack.compute c17 ~timing ~target:(1.5 *. timing.Compiled.Timing.max_delay) () in
   let candidates =
     Ivc.Control_point.candidate_gates c17 ~standby_vector ~timing ~slack
-      ~slack_eps:(0.8 *. timing.Sta.Timing.max_delay)
+      ~slack_eps:(0.8 *. timing.Compiled.Timing.max_delay)
   in
   Alcotest.(check bool) "c17 has candidates" true (candidates <> []);
   let ins =
@@ -252,10 +252,10 @@ let test_control_point_forces_one_in_standby () =
   let standby_vector = Array.make 5 true in
   let input_sp = Array.make 5 0.5 in
   let timing = fresh_timing c17 in
-  let slack = Sta.Slack.compute c17 ~timing ~target:(1.5 *. timing.Sta.Timing.max_delay) () in
+  let slack = Compiled.Slack.compute c17 ~timing ~target:(1.5 *. timing.Compiled.Timing.max_delay) () in
   let candidates =
     Ivc.Control_point.candidate_gates c17 ~standby_vector ~timing ~slack
-      ~slack_eps:(0.8 *. timing.Sta.Timing.max_delay)
+      ~slack_eps:(0.8 *. timing.Compiled.Timing.max_delay)
   in
   let gate = fst (List.hd candidates) in
   let gate_name = Circuit.Netlist.node_name c17 gate in
@@ -381,7 +381,7 @@ let test_dual_vth_critical_path_stays_lvt () =
       | Circuit.Netlist.Primary_input _ -> ()
       | Circuit.Netlist.Gate _ ->
         Alcotest.(check bool) "zero-slack gates keep LVT" false r.Mitigation.Dual_vth.assignment.(i))
-    timing.Sta.Timing.critical_path
+    timing.Compiled.Timing.critical_path
 
 (* --- Thermal.Grid --- *)
 

@@ -73,20 +73,20 @@ let check_against_analyze name config net ~node_sp s v =
     Aging.Circuit_aging.analyze config net ~node_sp
       ~standby:(Aging.Circuit_aging.Standby_vector v) ()
   in
-  check_bits (name ^ " aged max") oracle.Aging.Circuit_aging.aged.Sta.Timing.max_delay
+  check_bits (name ^ " aged max") oracle.Aging.Circuit_aging.aged.Compiled.Timing.max_delay
     (Compiled.Incremental.Analysis.aged_delay s);
   check_bits (name ^ " degradation") oracle.Aging.Circuit_aging.degradation
     (Compiled.Incremental.Analysis.degradation s);
   check_bits (name ^ " max dvth") oracle.Aging.Circuit_aging.max_dvth
     (Compiled.Incremental.Analysis.max_dvth s);
   let aged = Compiled.Incremental.Analysis.aged_result s in
-  check_floats_exact (name ^ " arrivals") oracle.Aging.Circuit_aging.aged.Sta.Timing.arrival
-    aged.Sta.Timing.arrival;
+  check_floats_exact (name ^ " arrivals") oracle.Aging.Circuit_aging.aged.Compiled.Timing.arrival
+    aged.Compiled.Timing.arrival;
   check_floats_exact (name ^ " gate delays")
-    oracle.Aging.Circuit_aging.aged.Sta.Timing.gate_delay aged.Sta.Timing.gate_delay;
+    oracle.Aging.Circuit_aging.aged.Compiled.Timing.gate_delay aged.Compiled.Timing.gate_delay;
   Alcotest.(check (list int))
     (name ^ " critical path")
-    oracle.Aging.Circuit_aging.aged.Sta.Timing.critical_path aged.Sta.Timing.critical_path
+    oracle.Aging.Circuit_aging.aged.Compiled.Timing.critical_path aged.Compiled.Timing.critical_path
 
 let test_analysis_edits () =
   let rng = Physics.Rng.create ~seed:202 in
@@ -159,7 +159,7 @@ let test_analysis_duty_probe () =
   duties'.(gate) <- Array.copy duties.(gate);
   duties'.(gate).(0) <- (active, standby_duty);
   let oracle = Aging.Circuit_aging.analyze_with_duties config net ~duties:duties' () in
-  check_bits "duty probe aged max" oracle.Aging.Circuit_aging.aged.Sta.Timing.max_delay
+  check_bits "duty probe aged max" oracle.Aging.Circuit_aging.aged.Compiled.Timing.max_delay
     (Compiled.Incremental.Analysis.aged_delay s);
   check_bits "duty probe max dvth" oracle.Aging.Circuit_aging.max_dvth
     (Compiled.Incremental.Analysis.max_dvth s)
@@ -187,9 +187,9 @@ let per_candidate_reference config net ~node_sp ~candidates =
             Ivc.Co_opt.vector = c.Ivc.Mlv.vector;
             leakage = c.Ivc.Mlv.leakage;
             degradation = r.Aging.Circuit_aging.degradation;
-            aged_delay = r.Aging.Circuit_aging.aged.Sta.Timing.max_delay;
+            aged_delay = r.Aging.Circuit_aging.aged.Compiled.Timing.max_delay;
           },
-          r.Aging.Circuit_aging.fresh.Sta.Timing.max_delay ))
+          r.Aging.Circuit_aging.fresh.Compiled.Timing.max_delay ))
       candidates
   in
   let all =
@@ -355,14 +355,14 @@ let test_sizing_drive_edits () =
         end;
         let oracle = sizing_oracle config net ~node_sp ~standby (with_cells net cells) in
         let edit_name = Printf.sprintf "%s edit %d" name edit in
-        check_bits (edit_name ^ " aged max") oracle.Sta.Timing.max_delay
+        check_bits (edit_name ^ " aged max") oracle.Compiled.Timing.max_delay
           (Compiled.Incremental.Sizing.aged_max s);
         let aged = Compiled.Incremental.Sizing.aged_result s in
-        check_floats_exact (edit_name ^ " arrivals") oracle.Sta.Timing.arrival
-          aged.Sta.Timing.arrival;
+        check_floats_exact (edit_name ^ " arrivals") oracle.Compiled.Timing.arrival
+          aged.Compiled.Timing.arrival;
         Alcotest.(check (list int))
           (edit_name ^ " critical path")
-          oracle.Sta.Timing.critical_path aged.Sta.Timing.critical_path
+          oracle.Compiled.Timing.critical_path aged.Compiled.Timing.critical_path
       done;
       (* Revert every edit: back to the unsized delays. *)
       let oracle0 = sizing_oracle config net ~node_sp ~standby net in
@@ -371,7 +371,7 @@ let test_sizing_drive_edits () =
           if base.(g) != orig.(g) then Compiled.Incremental.Sizing.set_cell s g orig.(g)
           else if cells.(g) != orig.(g) then Compiled.Incremental.Sizing.set_drive s g 1.0)
         gates;
-      check_bits (name ^ " reverted aged max") oracle0.Sta.Timing.max_delay
+      check_bits (name ^ " reverted aged max") oracle0.Compiled.Timing.max_delay
         (Compiled.Incremental.Sizing.aged_max s))
     [ Circuit.Generators.by_name "c432"; dag 12 800 ]
 
@@ -396,7 +396,7 @@ let test_sizing_cell_swap () =
   let oracle =
     sizing_oracle config net ~node_sp ~standby (Mitigation.Gate_sizing.materialize net ~drives)
   in
-  check_bits "cell swap aged max" oracle.Sta.Timing.max_delay
+  check_bits "cell swap aged max" oracle.Compiled.Timing.max_delay
     (Compiled.Incremental.Sizing.aged_max s)
 
 let test_optimize_matches_boxed () =

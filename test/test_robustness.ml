@@ -638,6 +638,58 @@ let check_limits_routed ~op () =
       let router = Fleet.Router.create [ Server.Netline.Unix_socket path ] in
       ignore (check_field_limits "routed" (Fleet.Router.handle_line router) ~op))
 
+(* --- Whole requests ---
+
+   Requests drawn whole from the field table: analyze, ivc_search,
+   sleep_sizing and batches of them. Calibrate is left out and every
+   draw carries a bounded [timeout_ms], so none runs long. An [ok: true]
+   answer never holds a [null], served directly or, for every
+   [routed_every]-th draw, through a router over two backends. *)
+
+let whole_request_seeds = [ 1; 2; 3 ]
+let draws_per_seed = 80
+let routed_every = 6
+
+let gen_timed_request =
+  Request_gen.gen_request_over
+    ~ops:(List.filter (( <> ) "calibrate") Request_gen.ops_with_members)
+    ~timeout_ms:(QCheck.Gen.return (Some 3000))
+
+let test_whole_requests_hold_no_null () =
+  let backends =
+    List.init 2 (fun _ ->
+        let t = Server.Service.create () in
+        let path = fresh_socket () in
+        (t, path, serve_until_ready t path))
+  in
+  let stop () =
+    List.iter
+      (fun (t, _, thread) ->
+        Server.Frontend.stop t;
+        Thread.join thread)
+      backends
+  in
+  Fun.protect ~finally:stop (fun () ->
+      let router =
+        Fleet.Router.create (List.map (fun (_, path, _) -> Server.Netline.Unix_socket path) backends)
+      in
+      let t = Server.Service.create () in
+      List.iter
+        (fun seed ->
+          let rand = Random.State.make [| seed |] in
+          for draw = 1 to draws_per_seed do
+            let line = Server.Json.to_string (QCheck.Gen.generate1 ~rand gen_timed_request) in
+            let check name handle =
+              let response = Server.Json.of_string (handle line) in
+              if response_code response = None && has_null response then
+                Alcotest.failf "seed %d draw %d (%s): an ok answer holds null: %s" seed draw name
+                  line
+            in
+            check "direct" (Server.Service.handle_line t);
+            if draw mod routed_every = 0 then check "routed" (Fleet.Router.handle_line router)
+          done)
+        whole_request_seeds)
+
 (* A job that raises after decode fails alone, whether the batch runs on
    the service or is split by the router; both answers are the same
    bytes. The first job was computed before the compute fault was armed,
@@ -935,6 +987,8 @@ let () =
           Alcotest.test_case "calibrate limits, routed" `Quick (check_limits_routed ~op:"calibrate");
           Alcotest.test_case "overflowing numbers, direct" `Quick (test_overflowing_numbers Serve);
           Alcotest.test_case "overflowing numbers, routed" `Quick (test_overflowing_numbers Route);
+          Alcotest.test_case "whole requests hold no null, direct and routed" `Quick
+            test_whole_requests_hold_no_null;
         ] );
       ( "bench",
         [

@@ -17,7 +17,7 @@ let aged t ~stage_dvth =
 
 let test_fresh_positive () =
   let r = fresh c17 in
-  Alcotest.(check bool) "ps scale" true (r.Sta.Timing.max_delay > 1e-12 && r.Sta.Timing.max_delay < 1e-9)
+  Alcotest.(check bool) "ps scale" true (r.Compiled.Timing.max_delay > 1e-12 && r.Compiled.Timing.max_delay < 1e-9)
 
 let test_arrival_monotone_along_fanin () =
   let r = fresh c432 in
@@ -25,12 +25,12 @@ let test_arrival_monotone_along_fanin () =
     (fun i node ->
       match node with
       | Circuit.Netlist.Primary_input _ ->
-        Alcotest.(check (float 0.0)) "PI arrival 0" 0.0 r.Sta.Timing.arrival.(i)
+        Alcotest.(check (float 0.0)) "PI arrival 0" 0.0 r.Compiled.Timing.arrival.(i)
       | Circuit.Netlist.Gate { fanin; _ } ->
         Array.iter
           (fun f ->
             Alcotest.(check bool) "arrival after fanin" true
-              (r.Sta.Timing.arrival.(i) > r.Sta.Timing.arrival.(f)))
+              (r.Compiled.Timing.arrival.(i) > r.Compiled.Timing.arrival.(f)))
           fanin)
     c432.Circuit.Netlist.nodes
 
@@ -38,21 +38,21 @@ let test_max_delay_is_output_arrival () =
   let r = fresh c432 in
   let best =
     Array.fold_left
-      (fun acc o -> Float.max acc r.Sta.Timing.arrival.(o))
+      (fun acc o -> Float.max acc r.Compiled.Timing.arrival.(o))
       0.0 c432.Circuit.Netlist.outputs
   in
-  Alcotest.(check (float 1e-18)) "max over POs" best r.Sta.Timing.max_delay
+  Alcotest.(check (float 1e-18)) "max over POs" best r.Compiled.Timing.max_delay
 
 let test_critical_path_structure () =
   let r = fresh c432 in
-  (match r.Sta.Timing.critical_path with
+  (match r.Compiled.Timing.critical_path with
   | [] -> Alcotest.fail "empty critical path"
   | first :: _ ->
     (match c432.Circuit.Netlist.nodes.(first) with
     | Circuit.Netlist.Primary_input _ -> ()
     | _ -> Alcotest.fail "critical path must start at a primary input"));
-  let last = List.nth r.Sta.Timing.critical_path (List.length r.Sta.Timing.critical_path - 1) in
-  Alcotest.(check int) "ends at critical output" r.Sta.Timing.critical_output last;
+  let last = List.nth r.Compiled.Timing.critical_path (List.length r.Compiled.Timing.critical_path - 1) in
+  Alcotest.(check int) "ends at critical output" r.Compiled.Timing.critical_output last;
   (* Consecutive elements are connected. *)
   let rec check_edges = function
     | a :: (b :: _ as rest) ->
@@ -63,17 +63,17 @@ let test_critical_path_structure () =
       check_edges rest
     | _ -> ()
   in
-  check_edges r.Sta.Timing.critical_path
+  check_edges r.Compiled.Timing.critical_path
 
 let test_path_delays_sum () =
   let r = fresh c17 in
   let sum =
-    List.fold_left (fun acc i -> acc +. r.Sta.Timing.gate_delay.(i)) 0.0 r.Sta.Timing.critical_path
+    List.fold_left (fun acc i -> acc +. r.Compiled.Timing.gate_delay.(i)) 0.0 r.Compiled.Timing.critical_path
   in
-  Alcotest.(check (float 1e-18)) "path sums to max delay" r.Sta.Timing.max_delay sum
+  Alcotest.(check (float 1e-18)) "path sums to max delay" r.Compiled.Timing.max_delay sum
 
 let test_loads_reflect_fanout () =
-  let loads = Sta.Timing.loads tech c17 () in
+  let loads = Oracle.Timing.loads tech c17 () in
   (* Every PI of c17 drives at least one NAND2 pin. *)
   Array.iter
     (fun id -> Alcotest.(check bool) "PI loaded" true (loads.(id) > 0.0))
@@ -87,12 +87,12 @@ let test_po_load_slows () =
   let small = fresh c17 ~po_load:1e-15 in
   let big = fresh c17 ~po_load:1e-14 in
   Alcotest.(check bool) "heavier PO load is slower" true
-    (big.Sta.Timing.max_delay > small.Sta.Timing.max_delay)
+    (big.Compiled.Timing.max_delay > small.Compiled.Timing.max_delay)
 
 let test_aging_slows () =
   let fresh_r = fresh c432 in
   let d =
-    Sta.Timing.degradation ~fresh:fresh_r ~aged:(aged c432 ~stage_dvth:(fun ~gate:_ ~stage:_ -> 0.04))
+    Compiled.Timing.degradation ~fresh:fresh_r ~aged:(aged c432 ~stage_dvth:(fun ~gate:_ ~stage:_ -> 0.04))
   in
   Alcotest.(check bool) "positive degradation" true (d > 0.0);
   (* 40 mV on a ~0.85 V overdrive at alpha 1.3: a few percent at most
@@ -104,8 +104,8 @@ let test_gate_scale () =
   let r2 =
     Compiled.Timing.fresh_result ~scale:(Array.make (Circuit.Netlist.n_nodes c17) 2.0) (timing c17)
   in
-  Alcotest.(check (float 1e-18)) "uniform 2x scaling" (2.0 *. r1.Sta.Timing.max_delay)
-    r2.Sta.Timing.max_delay
+  Alcotest.(check (float 1e-18)) "uniform 2x scaling" (2.0 *. r1.Compiled.Timing.max_delay)
+    r2.Compiled.Timing.max_delay
 
 let test_hotter_is_slower () =
   (* At low Vdd-Vth sensitivity this could reverse, but at PTM-90 values
@@ -116,23 +116,23 @@ let test_hotter_is_slower () =
   let hot = fresh c432 ~temp_k:400.0 in
   let cold = fresh c432 ~temp_k:330.0 in
   Alcotest.(check bool) "vth-dominated temperature scaling" true
-    (hot.Sta.Timing.max_delay < cold.Sta.Timing.max_delay)
+    (hot.Compiled.Timing.max_delay < cold.Compiled.Timing.max_delay)
 
 let test_slopes_bounded_by_worst () =
   (* Slope-resolved arrivals can never exceed the worst-slope analysis
      (each stage's max(rise, fall) bounds both slopes). *)
   let worst = fresh c432 in
-  let slopes = Sta.Timing.analyze_slopes tech c432 ~temp_k:400.0 ~stage_dvth:Sta.Timing.no_aging () in
+  let slopes = Compiled.Timing.analyze_slopes tech c432 ~temp_k:400.0 ~stage_dvth:Compiled.Timing.no_aging () in
   Alcotest.(check bool) "bounded" true
-    (slopes.Sta.Timing.max_delay_rf <= worst.Sta.Timing.max_delay +. 1e-18);
+    (slopes.Compiled.Timing.max_delay_rf <= worst.Compiled.Timing.max_delay +. 1e-18);
   Array.iteri
     (fun i node ->
       match node with
       | Circuit.Netlist.Primary_input _ -> ()
       | Circuit.Netlist.Gate _ ->
         Alcotest.(check bool) "per-node bound" true
-          (Float.max slopes.Sta.Timing.rise.(i) slopes.Sta.Timing.fall.(i)
-          <= worst.Sta.Timing.arrival.(i) +. 1e-18))
+          (Float.max slopes.Compiled.Timing.rise.(i) slopes.Compiled.Timing.fall.(i)
+          <= worst.Compiled.Timing.arrival.(i) +. 1e-18))
     c432.Circuit.Netlist.nodes
 
 let test_slope_parity_inverter_chain () =
@@ -146,12 +146,12 @@ let test_slope_parity_inverter_chain () =
   Circuit.Netlist.Builder.output b i2;
   let net = Circuit.Netlist.Builder.finish b in
   let aged ~gate ~stage = ignore stage; if gate = i2 then 0.05 else 0.0 in
-  let fresh_s = Sta.Timing.analyze_slopes tech net ~temp_k:400.0 ~stage_dvth:Sta.Timing.no_aging () in
-  let aged_s = Sta.Timing.analyze_slopes tech net ~temp_k:400.0 ~stage_dvth:aged () in
+  let fresh_s = Compiled.Timing.analyze_slopes tech net ~temp_k:400.0 ~stage_dvth:Compiled.Timing.no_aging () in
+  let aged_s = Compiled.Timing.analyze_slopes tech net ~temp_k:400.0 ~stage_dvth:aged () in
   Alcotest.(check (float 1e-18)) "fall of output unaffected by its PMOS"
-    fresh_s.Sta.Timing.fall.(i2) aged_s.Sta.Timing.fall.(i2);
+    fresh_s.Compiled.Timing.fall.(i2) aged_s.Compiled.Timing.fall.(i2);
   Alcotest.(check bool) "rise of output slowed" true
-    (aged_s.Sta.Timing.rise.(i2) > fresh_s.Sta.Timing.rise.(i2))
+    (aged_s.Compiled.Timing.rise.(i2) > fresh_s.Compiled.Timing.rise.(i2))
 
 let test_slope_degradation_below_worst_slope () =
   let sp = Logic.Signal_prob.analytic c432 ~input_sp:(Array.make 36 0.5) in
@@ -160,18 +160,18 @@ let test_slope_degradation_below_worst_slope () =
     Aging.Circuit_aging.stage_dvth_map aging c432 ~node_sp:sp
       ~standby:Aging.Circuit_aging.Standby_all_stressed
   in
-  let worst = Sta.Timing.degradation ~fresh:(fresh c432) ~aged:(aged c432 ~stage_dvth) in
+  let worst = Compiled.Timing.degradation ~fresh:(fresh c432) ~aged:(aged c432 ~stage_dvth) in
   let resolved =
-    Sta.Timing.slope_degradation
-      ~fresh:(Sta.Timing.analyze_slopes tech c432 ~temp_k:400.0 ~stage_dvth:Sta.Timing.no_aging ())
-      ~aged:(Sta.Timing.analyze_slopes tech c432 ~temp_k:400.0 ~stage_dvth ())
+    Compiled.Timing.slope_degradation
+      ~fresh:(Compiled.Timing.analyze_slopes tech c432 ~temp_k:400.0 ~stage_dvth:Compiled.Timing.no_aging ())
+      ~aged:(Compiled.Timing.analyze_slopes tech c432 ~temp_k:400.0 ~stage_dvth ())
   in
   Alcotest.(check bool) "NBTI-only: slope-resolved is smaller" true (resolved < worst);
   Alcotest.(check bool) "but still positive" true (resolved > 0.0)
 
 let test_degradation_of_identical_is_zero () =
   let r = fresh c17 in
-  Alcotest.(check (float 0.0)) "zero" 0.0 (Sta.Timing.degradation ~fresh:r ~aged:r)
+  Alcotest.(check (float 0.0)) "zero" 0.0 (Compiled.Timing.degradation ~fresh:r ~aged:r)
 
 let () =
   Alcotest.run "sta"
