@@ -992,24 +992,17 @@ let endpoint_arg =
   Arg.(required & opt (some endpoint_conv) None & info [ "s"; "socket" ] ~docv:"ENDPOINT" ~doc)
 
 let faults_arg =
+  let parse s = Result.map_error (fun m -> `Msg m) (Server.Faults.parse s) in
+  let print fmt f = Format.pp_print_string fmt (Server.Json.to_string (Server.Faults.to_json f)) in
   Arg.(
-    value & opt (some string) None
+    value & opt (conv (parse, print)) Server.Faults.none
     & info [ "faults" ] ~docv:"SPEC"
         ~env:(Cmd.Env.info "NBTI_FAULTS")
         ~doc:
-          "Fault-injection plan for chaos testing: comma-separated site=action[:param][@N] \
-           rules (sites: write on serve and route; admission, compute on serve; connect, \
-           probe, handoff on route; actions: delay:MS, fail, truncate, shed).")
-
-let parse_faults ~cmd = function
-  | None -> Server.Faults.none
-  | Some spec -> begin
-    match Server.Faults.parse spec with
-    | Ok f -> f
-    | Error m ->
-      Format.eprintf "nbti_tool %s: bad --faults plan: %s@." cmd m;
-      exit 2
-  end
+          "Fault-injection plan for chaos testing: comma-separated site=action[@N] rules. \
+           Every site takes delay:MS and one failure action: admission=shed and \
+           compute=fail on serve; connect=fail, probe=fail and handoff=fail on route; \
+           write=truncate on both.")
 
 (* Runs a role's front-end ([serve] or [route]) in the foreground until
    SIGINT stops it or SIGTERM drains it: arms the access log, prints the
@@ -1100,16 +1093,14 @@ let serve_cmd =
              elapsed_s, error code) to $(docv).")
   in
   let run endpoint result_capacity result_cache_mb prepared_capacity max_pending max_batch
-      max_gates max_line_bytes default_timeout_ms drain_timeout_ms faults_spec access_log
+      max_gates max_line_bytes default_timeout_ms drain_timeout_ms faults access_log
       slo_spec trace_spans level json jobs =
     apply_jobs jobs;
     apply_logging level json;
-    let faults = parse_faults ~cmd:"serve" faults_spec in
     let slo = parse_slo ~cmd:"serve" slo_spec in
     if trace_spans > 0 then Obs.Trace.install (Obs.Trace.create ~capacity:trace_spans ());
     let limits =
       {
-        Server.Service.default_limits with
         Server.Service.max_batch_jobs = max_batch;
         max_gates;
         max_line_bytes;
@@ -1336,10 +1327,9 @@ let route_cmd =
           ~doc:"Hottest result-cache entries moved per warm-cache handoff export.")
   in
   let run endpoint backends vnodes failover_attempts probe_interval_ms probe_backoff_cap_ms
-      probe_timeout_ms handoff_max_entries faults_spec access_log slo_spec trace trace_spans
+      probe_timeout_ms handoff_max_entries faults access_log slo_spec trace trace_spans
       level json =
     apply_logging level json;
-    let faults = parse_faults ~cmd:"route" faults_spec in
     let slo = parse_slo ~cmd:"route" slo_spec in
     (* --trace implies a collector; --trace-spans sizes it (and enables
        trace_export without a shutdown file when given alone). *)

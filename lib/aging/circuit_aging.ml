@@ -106,7 +106,8 @@ let shifts_of config (a : Compiled.Arena.t) ~node_sp ~sp_key polarity =
          Obs.Trace.with_span ~cat:"aging" "aging.duty_tables" @@ fun () ->
          Compiled.Duty.shifts (duty_of a ~node_sp ~sp_key polarity) m))
 
-let shifts config a ~node_sp = shifts_of config a ~node_sp ~sp_key:(sp_key a ~node_sp) `Pmos
+let shifts ?(polarity = `Pmos) config a ~node_sp =
+  shifts_of config a ~node_sp ~sp_key:(sp_key a ~node_sp) polarity
 
 (* A standby vector's per-gate fanin indices, from one simulation in
    [scratch] (or a fresh one). *)

@@ -123,11 +123,19 @@ val analyze_arena :
     read the standby leakage of the same evaluation
     ({!Compiled.Logic.leakage_of_idxs}). *)
 
-val shifts : config -> Compiled.Arena.t -> node_sp:float array -> Compiled.Duty.shifts
-(** The memoized PMOS shift pair {!analyze} reads: per flat stage, the
-    threshold shift at standby duty 0.0 and at 1.0 under [config]. The
-    table behind incremental IVC sessions
-    ({!Compiled.Incremental.Analysis.ctx}). *)
+val shifts :
+  ?polarity:[ `Pmos | `Nmos ] ->
+  config ->
+  Compiled.Arena.t ->
+  node_sp:float array ->
+  Compiled.Duty.shifts
+(** The memoized shift pair of one polarity (default [`Pmos]) that
+    {!analyze} reads: per flat stage, the threshold shift at standby
+    duty 0.0 and at 1.0 under [config]. The tables behind incremental
+    IVC sessions ({!Compiled.Incremental.Analysis.ctx}: [`Nmos] gives
+    their [shifts_n]).
+    @raise Invalid_argument for [`Nmos] when [config] has no
+    [pbti_scale]. *)
 
 val pmos_shape :
   config ->

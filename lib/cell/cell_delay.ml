@@ -75,7 +75,7 @@ let stage_drive tech ~wl ~polarity ~temp_k ~dvth =
   in
   Device.Mosfet.on_current tech mos ~temp_k
 
-let stage_delay tech (stage : Stdcell.stage) ~load ~temp_k ~dvth ?(dvth_n = 0.0) () =
+let stage_rise_fall tech (stage : Stdcell.stage) ~load ~temp_k ~dvth ~dvth_n =
   let vdd = tech.Device.Tech.vdd in
   let wl_up = worst_strength stage.Stdcell.pull_up ~on_polarity:Device.Mosfet.P in
   let wl_down = worst_strength stage.Stdcell.pull_down ~on_polarity:Device.Mosfet.N in
@@ -83,6 +83,10 @@ let stage_delay tech (stage : Stdcell.stage) ~load ~temp_k ~dvth ?(dvth_n = 0.0)
   let fall =
     load *. vdd /. stage_drive tech ~wl:wl_down ~polarity:Device.Mosfet.N ~temp_k ~dvth:dvth_n
   in
+  (rise, fall)
+
+let stage_delay tech stage ~load ~temp_k ~dvth ?(dvth_n = 0.0) () =
+  let rise, fall = stage_rise_fall tech stage ~load ~temp_k ~dvth ~dvth_n in
   Float.max rise fall
 
 let stage_deps (stage : Stdcell.stage) =
@@ -106,16 +110,6 @@ let delay tech cell ~load ~temp_k ~stage_dvth ?(stage_dvth_n = fun _ -> 0.0) () 
 let fresh_delay tech cell ~load ~temp_k = delay tech cell ~load ~temp_k ~stage_dvth:(fun _ -> 0.0) ()
 
 let fo4_load tech cell = 4.0 *. input_capacitance tech cell ~pin_index:0
-
-let stage_rise_fall tech (stage : Stdcell.stage) ~load ~temp_k ~dvth ~dvth_n =
-  let vdd = tech.Device.Tech.vdd in
-  let wl_up = worst_strength stage.Stdcell.pull_up ~on_polarity:Device.Mosfet.P in
-  let wl_down = worst_strength stage.Stdcell.pull_down ~on_polarity:Device.Mosfet.N in
-  let rise = load *. vdd /. stage_drive tech ~wl:wl_up ~polarity:Device.Mosfet.P ~temp_k ~dvth in
-  let fall =
-    load *. vdd /. stage_drive tech ~wl:wl_down ~polarity:Device.Mosfet.N ~temp_k ~dvth:dvth_n
-  in
-  (rise, fall)
 
 let delay_pair tech cell ~load ~temp_k ~stage_dvth ?(stage_dvth_n = fun _ -> 0.0)
     ~input_arrival () =

@@ -38,10 +38,9 @@ val stage_delay :
   ?dvth_n:float ->
   unit ->
   float
-(** Worst of rise and fall delay [s] of one stage into [load], with the
-    rise drive degraded by the PMOS threshold shift [dvth] and the fall
-    drive by the NMOS shift [dvth_n] (default 0 — PBTI only matters for
-    high-k stacks). *)
+(** Worst of rise and fall delay [s] of one stage into [load]: the
+    [Float.max] of {!stage_rise_fall}, with [dvth_n] defaulting to 0
+    (PBTI only matters for high-k stacks). *)
 
 val delay :
   Device.Tech.t ->

@@ -1,40 +1,60 @@
+type polarity = [ `Pmos | `Nmos ]
+
 type device_stress = { stage : int; pin : Network.pin; wl : float; stressed : bool }
 
-(* Walk a pull-up network tracking whether the node above the current
-   element is held at V_dd; collect per-PMOS stress flags. Returns
-   (conducts, stressed devices). *)
-let rec walk_bool net ~gate_low ~top_at_vdd =
+(* PBTI mirror: reverse every series chain so the walk's "top" flag means
+   "connected to ground". *)
+let rec reverse_series = function
+  | Network.Device _ as d -> d
+  | Network.Series parts -> Network.Series (List.rev_map reverse_series parts)
+  | Network.Parallel parts -> Network.Parallel (List.map reverse_series parts)
+
+(* The one place a polarity is decided: the network of a stage it ages,
+   walked from the rail its stress needs, and the gate level that turns
+   a device of it on. NBTI ages the pull-up PMOS, on at gate 0, with
+   sources toward V_dd; PBTI ages the pull-down NMOS, on at gate 1, with
+   the series chains reversed so the walk starts at ground. *)
+let aged polarity =
+  match polarity with
+  | `Pmos -> ((fun (stage : Stdcell.stage) -> stage.Stdcell.pull_up), false)
+  | `Nmos -> ((fun (stage : Stdcell.stage) -> reverse_series stage.Stdcell.pull_down), true)
+
+(* Walk an aged network tracking whether the node above the current
+   element is held at its rail; collect per-device stress flags.
+   Returns (conducts, stressed devices). *)
+let rec walk_bool net ~on ~top_at_rail =
   match net with
   | Network.Device { pin; mos } ->
-    let low = gate_low pin in
-    (low, [ (pin, mos.Device.Mosfet.wl, low && top_at_vdd) ])
+    let c = on pin in
+    (c, [ (pin, mos.Device.Mosfet.wl, c && top_at_rail) ])
   | Network.Series parts ->
     let conducts, acc, _ =
       List.fold_left
         (fun (all_conduct, acc, top) part ->
-          let c, devs = walk_bool part ~gate_low ~top_at_vdd:top in
+          let c, devs = walk_bool part ~on ~top_at_rail:top in
           (all_conduct && c, acc @ devs, top && c))
-        (true, [], top_at_vdd) parts
+        (true, [], top_at_rail) parts
     in
     (conducts, acc)
   | Network.Parallel parts ->
     List.fold_left
       (fun (any, acc) part ->
-        let c, devs = walk_bool part ~gate_low ~top_at_vdd in
+        let c, devs = walk_bool part ~on ~top_at_rail in
         (any || c, acc @ devs))
       (false, []) parts
 
-let stressed_under_vector cell ~vector =
+let stressed_under_vector ?(polarity = `Pmos) cell ~vector =
   let outs = Stdcell.stage_outputs cell vector in
   let value = function
     | Network.Input i -> vector.(i)
     | Network.Stage_out s -> outs.(s)
   in
-  let gate_low pin = not (value pin) in
+  let network, on_level = aged polarity in
+  let on pin = value pin = on_level in
   List.concat
     (List.mapi
-       (fun s (stage : Stdcell.stage) ->
-         let _, devs = walk_bool stage.Stdcell.pull_up ~gate_low ~top_at_vdd:true in
+       (fun s stage ->
+         let _, devs = walk_bool (network stage) ~on ~top_at_rail:true in
          List.map (fun (pin, wl, stressed) -> { stage = s; pin; wl; stressed }) devs)
        (Array.to_list cell.Stdcell.stages))
 
@@ -43,16 +63,16 @@ let any_stressed cell ~vector =
 
 type device_duty = { stage : int; pin : Network.pin; wl : float; duty : float }
 
-let rec walk_prob net ~p_low ~p_top =
+let rec walk_prob net ~p_on ~p_top =
   match net with
   | Network.Device { pin; mos } ->
-    let p = p_low pin in
+    let p = p_on pin in
     (p, [ (pin, mos.Device.Mosfet.wl, p *. p_top) ])
   | Network.Series parts ->
     let p_all, acc, _ =
       List.fold_left
         (fun (prod, acc, top) part ->
-          let c, devs = walk_prob part ~p_low ~p_top:top in
+          let c, devs = walk_prob part ~p_on ~p_top:top in
           (prod *. c, acc @ devs, top *. c))
         (1.0, [], p_top) parts
     in
@@ -61,7 +81,7 @@ let rec walk_prob net ~p_low ~p_top =
     let p_none, acc =
       List.fold_left
         (fun (none, acc) part ->
-          let c, devs = walk_prob part ~p_low ~p_top in
+          let c, devs = walk_prob part ~p_on ~p_top in
           (none *. (1.0 -. c), acc @ devs))
         (1.0, []) parts
     in
@@ -74,21 +94,19 @@ let rec walk_prob net ~p_low ~p_top =
    produced; a value already in range keeps its bits. *)
 let clamp_duty d = if d < 0.0 then 0.0 else if d > 1.0 then 1.0 else d
 
-let device_duties ~s devs =
-  List.map (fun (pin, wl, duty) -> { stage = s; pin; wl; duty = clamp_duty duty }) devs
-
-let stress_probabilities cell ~sp =
+let stress_probabilities ?(polarity = `Pmos) cell ~sp =
   let stage_sp = Stdcell.stage_output_probability cell ~sp in
   let prob_one = function
     | Network.Input i -> sp.(i)
     | Network.Stage_out s -> stage_sp.(s)
   in
-  let p_low pin = 1.0 -. prob_one pin in
+  let network, on_level = aged polarity in
+  let p_on pin = if on_level then prob_one pin else 1.0 -. prob_one pin in
   List.concat
     (List.mapi
-       (fun s (stage : Stdcell.stage) ->
-         let _, devs = walk_prob stage.Stdcell.pull_up ~p_low ~p_top:1.0 in
-         device_duties ~s devs)
+       (fun s stage ->
+         let _, devs = walk_prob (network stage) ~p_on ~p_top:1.0 in
+         List.map (fun (pin, wl, duty) -> { stage = s; pin; wl; duty = clamp_duty duty }) devs)
        (Array.to_list cell.Stdcell.stages))
 
 let stress_duties cell ~sp ~standby_vector =
@@ -107,49 +125,7 @@ let stage_duty (active : device_duty list) ~stage =
 let stage_stressed (standby : device_stress list) ~stage =
   List.exists (fun (d : device_stress) -> d.stage = stage && d.stressed) standby
 
-let worst_stage_duties cell ~sp ~standby_vector ~stage =
-  let active = stress_probabilities cell ~sp in
-  let standby = stressed_under_vector cell ~vector:standby_vector in
-  (stage_duty active ~stage, if stage_stressed standby ~stage then 1.0 else 0.0)
-
-(* PBTI mirror: reverse every series chain so the walk's "top" flag means
-   "connected to ground", and flip the gate predicate to gate-high. *)
-let rec reverse_series = function
-  | Network.Device _ as d -> d
-  | Network.Series parts -> Network.Series (List.rev_map reverse_series parts)
-  | Network.Parallel parts -> Network.Parallel (List.map reverse_series parts)
-
-let nmos_stressed_under_vector cell ~vector =
-  let outs = Stdcell.stage_outputs cell vector in
-  let value = function
-    | Network.Input i -> vector.(i)
-    | Network.Stage_out s -> outs.(s)
-  in
-  let gate_high pin = value pin in
-  List.concat
-    (List.mapi
-       (fun s (stage : Stdcell.stage) ->
-         let net = reverse_series stage.Stdcell.pull_down in
-         let _, devs = walk_bool net ~gate_low:gate_high ~top_at_vdd:true in
-         List.map (fun (pin, wl, stressed) -> { stage = s; pin; wl; stressed }) devs)
-       (Array.to_list cell.Stdcell.stages))
-
-let nmos_stress_probabilities cell ~sp =
-  let stage_sp = Stdcell.stage_output_probability cell ~sp in
-  let prob_one = function
-    | Network.Input i -> sp.(i)
-    | Network.Stage_out s -> stage_sp.(s)
-  in
-  let p_high pin = prob_one pin in
-  List.concat
-    (List.mapi
-       (fun s (stage : Stdcell.stage) ->
-         let net = reverse_series stage.Stdcell.pull_down in
-         let _, devs = walk_prob net ~p_low:p_high ~p_top:1.0 in
-         device_duties ~s devs)
-       (Array.to_list cell.Stdcell.stages))
-
-let worst_stage_duties_nmos cell ~sp ~standby_vector ~stage =
-  let active = nmos_stress_probabilities cell ~sp in
-  let standby = nmos_stressed_under_vector cell ~vector:standby_vector in
+let worst_stage_duties ?polarity cell ~sp ~standby_vector ~stage =
+  let active = stress_probabilities ?polarity cell ~sp in
+  let standby = stressed_under_vector ?polarity cell ~vector:standby_vector in
   (stage_duty active ~stage, if stage_stressed standby ~stage then 1.0 else 0.0)

@@ -257,26 +257,28 @@ let stage_values a f =
 
 (* --- Scalar (one-vector) evaluation --- *)
 
+(* One gate's step: its fanin index into [idxs], its value into [vals].
+   Incremental sessions re-run it for the gates of a dirty cone. *)
+let[@inline] eval_node a ~vals ~idxs i =
+  let b = a.fanin_off.(i) in
+  let k = a.fanin_off.(i + 1) - b in
+  let idx = ref 0 in
+  for j = 0 to k - 1 do
+    idx := !idx lor (vals.(a.fanin.(b + j)) lsl j)
+  done;
+  idxs.(i) <- !idx;
+  vals.(i) <-
+    (if k <= 6 then (a.mask.(i) lsr !idx) land 1
+     else if a.cells.(a.cell_of.(i)).tt.(!idx) then 1
+     else 0)
+
 (* Values are ints 0/1 in [vals] (the caller pre-fills PI rows); the
    little-endian fanin index of each gate is left in [idxs] for table
    lookups downstream (leakage). Equivalent to [Stdcell.eval] gate by
    gate: [mask] bit [idx] is [truth_table.(idx)] by construction. *)
 let eval_scalar a ~vals ~idxs =
-  let fo = a.fanin_off and fi = a.fanin in
   for i = 0 to a.n_nodes - 1 do
-    if a.op.(i) <> op_pi then begin
-      let b = fo.(i) in
-      let k = fo.(i + 1) - b in
-      let idx = ref 0 in
-      for j = 0 to k - 1 do
-        idx := !idx lor (vals.(fi.(b + j)) lsl j)
-      done;
-      idxs.(i) <- !idx;
-      vals.(i) <-
-        (if k <= 6 then (a.mask.(i) lsr !idx) land 1
-         else if a.cells.(a.cell_of.(i)).tt.(!idx) then 1
-         else 0)
-    end
+    if a.op.(i) <> op_pi then eval_node a ~vals ~idxs i
   done
 
 let eval_bool a ~inputs ~vals ~idxs =

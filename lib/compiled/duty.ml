@@ -42,16 +42,12 @@ type t = {
 }
 
 let stress_masks polarity (cell : Cell.Stdcell.t) =
-  let stressed_under =
-    match polarity with
-    | `Pmos -> Cell.Cell_nbti.stressed_under_vector
-    | `Nmos -> Cell.Cell_nbti.nmos_stressed_under_vector
-  in
   let k = cell.Cell.Stdcell.n_inputs in
   let n_st = Array.length cell.Cell.Stdcell.stages in
   if n_st >= Sys.int_size then invalid_arg "Duty.build: too many stages for a stage bitmask";
   Array.init (1 lsl k) (fun idx ->
-      let devs = stressed_under cell ~vector:(Cell.Stdcell.vector_of_index ~n_inputs:k idx) in
+      let vector = Cell.Stdcell.vector_of_index ~n_inputs:k idx in
+      let devs = Cell.Cell_nbti.stressed_under_vector ~polarity cell ~vector in
       let m = ref 0 in
       for s = 0 to n_st - 1 do
         if Cell.Cell_nbti.stage_stressed devs ~stage:s then m := !m lor (1 lsl s)
@@ -59,18 +55,14 @@ let stress_masks polarity (cell : Cell.Stdcell.t) =
       !m)
 
 let build (a : Arena.t) ~polarity ~node_sp =
-  let probabilities =
-    match polarity with
-    | `Pmos -> Cell.Cell_nbti.stress_probabilities
-    | `Nmos -> Cell.Cell_nbti.nmos_stress_probabilities
-  in
   let active = Array.make a.Arena.n_stages 0.0 in
   for i = 0 to a.Arena.n_nodes - 1 do
     if a.Arena.op.(i) <> Arena.op_pi then begin
       let b = a.Arena.fanin_off.(i) in
       let k = a.Arena.fanin_off.(i + 1) - b in
       let sp = Array.init k (fun j -> node_sp.(a.Arena.fanin.(b + j))) in
-      let devs = probabilities a.Arena.cells.(a.Arena.cell_of.(i)).Arena.cell ~sp in
+      let cell = a.Arena.cells.(a.Arena.cell_of.(i)).Arena.cell in
+      let devs = Cell.Cell_nbti.stress_probabilities ~polarity cell ~sp in
       let sb = a.Arena.stage_off.(i) in
       for s = 0 to a.Arena.stage_off.(i + 1) - sb - 1 do
         active.(sb + s) <- Cell.Cell_nbti.stage_duty devs ~stage:s

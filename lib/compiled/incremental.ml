@@ -22,7 +22,7 @@
    Determinism / bit-identity. Two rules make every session read
    bit-identical to a from-scratch pass:
    - per-element recomputation runs the exact steps of the full pass
-     ([Arena.eval_scalar]'s body, the [Duty] per-stage pick,
+     ([Arena.eval_node], the [Duty] per-stage pick of each polarity,
      [Timing.aged_delay_into]), and a node's
      outputs propagate to its fanouts only when the new bits differ
      from the resident bits — unchanged bits leave the downstream
@@ -128,21 +128,6 @@ type cone = {
 
 let make_cone n = { heap = Heap.create 64; hmark = Array.make n 0; vmark = Array.make n 0; epoch = 0 }
 
-(* Recompute one gate's little-endian fanin index and value — the body
-   of [Arena.eval_scalar] for a single node. *)
-let recompute_val (a : Arena.t) ~vals ~idxs i =
-  let b = a.Arena.fanin_off.(i) in
-  let k = a.Arena.fanin_off.(i + 1) - b in
-  let idx = ref 0 in
-  for j = 0 to k - 1 do
-    idx := !idx lor (vals.(a.Arena.fanin.(b + j)) lsl j)
-  done;
-  idxs.(i) <- !idx;
-  vals.(i) <-
-    (if k <= 6 then (a.Arena.mask.(i) lsr !idx) land 1
-     else if a.Arena.cells.(a.Arena.cell_of.(i)).Arena.tt.(!idx) then 1
-     else 0)
-
 (* Incremental edits pay O(cone); a vector differing in many PIs is
    cheaper as one full sweep. Both sides are bit-identical, so the
    threshold only trades time, never results. *)
@@ -166,18 +151,19 @@ module Analysis = struct
     a : Arena.t;
     currents : float array array;
     sh : Duty.shifts;
+    sh_n : Duty.shifts option;  (* NMOS (PBTI) shifts, when aged *)
     tm : Timing.t;
     fresh : Timing.result;
   }
 
-  (* PMOS-only (no PBTI): [shifts] is the pair [Circuit_aging.analyze]
-     reads for the same config and signal probabilities. Callers with a
-     [pbti_scale] must stay on the full-pass path. *)
-  let ctx ~currents ~(shifts : Duty.shifts) ?po_load () =
+  (* [shifts] (and, under PBTI, [shifts_n], on the same arena) are the
+     pairs [Circuit_aging.analyze] reads for the same config and signal
+     probabilities. *)
+  let ctx ~currents ~(shifts : Duty.shifts) ?shifts_n ?po_load () =
     let a = shifts.Duty.duty.Duty.a in
     let m = shifts.Duty.model in
     let tm = Timing.get a ~tech:m.Duty.tech ~temp_k:m.Duty.schedule.Nbti.Schedule.t_ref ?po_load () in
-    { a; currents; sh = shifts; tm; fresh = Timing.fresh_result tm }
+    { a; currents; sh = shifts; sh_n = shifts_n; tm; fresh = Timing.fresh_result tm }
 
   let fresh_result c = c.fresh
 
@@ -188,6 +174,7 @@ module Analysis = struct
     idxs : int array;
     terms : float array;  (* per node *)
     dvth : float array;  (* per flat stage *)
+    dvth_n : float array option;  (* per flat stage, with [sh_n] *)
     gd : float array;  (* per node: aged gate delay *)
     arr : float array;  (* per node: aged arrival *)
     stage_scratch : float array;  (* per flat stage, [Timing.aged_delay_into] scratch *)
@@ -225,23 +212,33 @@ module Analysis = struct
       s.dvth_dirty <- false
     end
 
-  (* Re-pick one gate's per-stage threshold shifts by the stage stress
-     bits of its resident fanin index (its standby vector): the per-gate
-     step of [Duty.pick]. Returns whether any dvth bits changed. *)
-  let recompute_gate_dvth s i =
-    let a = s.c.a in
-    let mask = Duty.gate_mask s.c.sh i ~idx:s.idxs.(i) in
+  (* Re-pick gate [i]'s per-stage shifts of one polarity into [dvth] by
+     the stage stress bits of fanin index [idx] (its standby vector):
+     the per-gate step of [Duty.pick]. Returns whether any bits
+     changed. *)
+  let pick_gate (sh : Duty.shifts) dvth ~idx i =
+    let a = sh.Duty.duty.Duty.a in
+    let mask = Duty.gate_mask sh i ~idx in
     let sb = a.Arena.stage_off.(i) in
     let changed = ref false in
     for flat = sb to a.Arena.stage_off.(i + 1) - 1 do
-      let d = Duty.stage_shift s.c.sh ~mask ~s:(flat - sb) flat in
-      if not (bits_eq d s.dvth.(flat)) then begin
-        s.dvth.(flat) <- d;
-        s.dvth_dirty <- true;
+      let d = Duty.stage_shift sh ~mask ~s:(flat - sb) flat in
+      if not (bits_eq d dvth.(flat)) then begin
+        dvth.(flat) <- d;
         changed := true
       end
     done;
     !changed
+
+  (* Both polarities from the same resident fanin index; only PMOS
+     changes dirty the max-dvth fold. *)
+  let recompute_gate_dvth s i =
+    let idx = s.idxs.(i) in
+    let changed = pick_gate s.c.sh s.dvth ~idx i in
+    if changed then s.dvth_dirty <- true;
+    match (s.c.sh_n, s.dvth_n) with
+    | Some sh_n, Some dvth_n -> pick_gate sh_n dvth_n ~idx i || changed
+    | _ -> changed
 
   let recompute_all s v =
     if v != s.inputs then Array.blit v 0 s.inputs 0 (Array.length s.inputs);
@@ -253,7 +250,7 @@ module Analysis = struct
         s.terms.(i) <- s.c.currents.(i).(s.idxs.(i));
         ignore (recompute_gate_dvth s i);
         let d =
-          Timing.aged_delay_into s.c.tm ~dvth:s.dvth ~dvth_n:None ~scratch:s.stage_scratch i
+          Timing.aged_delay_into s.c.tm ~dvth:s.dvth ~dvth_n:s.dvth_n ~scratch:s.stage_scratch i
         in
         s.gd.(i) <- d;
         s.arr.(i) <- Timing.fanin_arrival a s.arr i +. d
@@ -276,6 +273,7 @@ module Analysis = struct
         idxs = Array.make n 0;
         terms = Array.make n 0.0;
         dvth = Array.make ns 0.0;
+        dvth_n = Option.map (fun _ -> Array.make ns 0.0) c.sh_n;
         gd = Array.make n 0.0;
         arr = Array.make n 0.0;
         stage_scratch = Array.make ns 0.0;
@@ -300,7 +298,7 @@ module Analysis = struct
       let delay_dirty = ref false in
       if co.vmark.(i) = e then begin
         let old = s.vals.(i) in
-        recompute_val a ~vals:s.vals ~idxs:s.idxs i;
+        Arena.eval_node a ~vals:s.vals ~idxs:s.idxs i;
         s.terms.(i) <- s.c.currents.(i).(s.idxs.(i));
         (* The shift picks read the fanin values (the gate's standby
            vector), so any fanin value change can move this gate's dvth
@@ -317,7 +315,8 @@ module Analysis = struct
           done
       end;
       if !delay_dirty then
-        s.gd.(i) <- Timing.aged_delay_into s.c.tm ~dvth:s.dvth ~dvth_n:None ~scratch:s.stage_scratch i;
+        s.gd.(i) <-
+          Timing.aged_delay_into s.c.tm ~dvth:s.dvth ~dvth_n:s.dvth_n ~scratch:s.stage_scratch i;
       let na = Timing.fanin_arrival a s.arr i +. s.gd.(i) in
       if not (bits_eq na s.arr.(i)) then begin
         s.arr.(i) <- na;
@@ -390,7 +389,8 @@ module Analysis = struct
       s.dvth.(flat) <- d;
       s.dvth_dirty <- true
     end;
-    s.gd.(i) <- Timing.aged_delay_into s.c.tm ~dvth:s.dvth ~dvth_n:None ~scratch:s.stage_scratch i;
+    s.gd.(i) <-
+      Timing.aged_delay_into s.c.tm ~dvth:s.dvth ~dvth_n:s.dvth_n ~scratch:s.stage_scratch i;
     let co = s.cone in
     co.epoch <- co.epoch + 1;
     let e = co.epoch in
@@ -422,6 +422,7 @@ module Analysis = struct
     let f x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
     Array.iter f s.terms;
     Array.iter f s.dvth;
+    Option.iter (Array.iter f) s.dvth_n;
     Array.iter f s.gd;
     Array.iter f s.arr;
     f s.leakage;

@@ -20,7 +20,6 @@ type config = {
   probe_backoff_cap_ms : int;
   probe_timeout_ms : int;
   handoff_max_entries : int;
-  degraded_retry_after_ms : int;
   max_line_bytes : int;
 }
 
@@ -32,7 +31,6 @@ let default_config =
     probe_backoff_cap_ms = 5000;
     probe_timeout_ms = 2000;
     handoff_max_entries = 256;
-    degraded_retry_after_ms = 500;
     max_line_bytes = 4 * 1024 * 1024;
   }
 
@@ -132,23 +130,6 @@ let register_collectors t =
           ])
         t.backends)
 
-(* --- fault injection at router sites --- *)
-
-let sleep_ms ms = if ms > 0 then Unix.sleepf (float_of_int ms /. 1000.0)
-
-(* Applies delays inline; returns whether a [fail] action fired. *)
-let injected_failure t ~site =
-  List.fold_left
-    (fun acc a ->
-      match a with
-      | Server.Faults.Delay_ms ms ->
-        sleep_ms ms;
-        acc
-      | Server.Faults.Fail -> true
-      | Server.Faults.Truncate | Server.Faults.Shed -> acc)
-    false
-    (Server.Faults.fire t.faults ~site)
-
 let backoff t policy ~attempt ?retry_after_ms () =
   Mutex.lock t.rng_lock;
   let ms = Server.Retry.backoff_ms policy ~attempt ?retry_after_ms ~rng:t.rng () in
@@ -205,7 +186,7 @@ let forward_policy = { Server.Retry.retries = 1; base_ms = 20; cap_ms = 200 }
    on a transport error, a timeout or an unparseable line. *)
 let try_backend t b ~timeout_ms line =
   Server.Metrics.incr_counter t.metrics "forward_attempts";
-  if injected_failure t ~site:"connect" then begin
+  if Server.Faults.fire t.faults ~site:"connect" then begin
     Server.Metrics.incr_counter t.metrics "injected_connect_faults";
     Unavailable "injected connect fault"
   end
@@ -238,7 +219,10 @@ let try_backend t b ~timeout_ms line =
     outcome
   end
 
-let degraded_error t ~tried =
+(* The [retry_after_ms] hint of a [fleet_degraded] answer. *)
+let degraded_retry_after_ms = 500
+
+let degraded_error ~tried =
   Json.Assoc
     [
       ("code", Json.String (Protocol.error_code_string Protocol.Fleet_degraded));
@@ -246,7 +230,7 @@ let degraded_error t ~tried =
         Json.String
           (Printf.sprintf "no live backend owns this hash range (%d backend%s tried)" tried
              (if tried = 1 then "" else "s")) );
-      ("retry_after_ms", Json.Int t.config.degraded_retry_after_ms);
+      ("retry_after_ms", Json.Int degraded_retry_after_ms);
       ("backends_tried", Json.Int tried);
     ]
 
@@ -263,7 +247,7 @@ let route t ~key ~timeout_ms line =
   let rec go tried = function
     | [] ->
       Server.Metrics.incr_counter t.metrics "fleet_degraded";
-      (Failed (degraded_error t ~tried), meta None (max 0 (tried - 1)))
+      (Failed (degraded_error ~tried), meta None (max 0 (tried - 1)))
     | name :: rest -> begin
       let b = backend t name in
       (* Each attempt is its own span: a failover walk shows up in the
@@ -410,7 +394,7 @@ let log_handoff ~kind b n =
    Ownership is evaluated with the recovered backend counted live —
    exactly the filter routing will use once it is Up. *)
 let recovery_handoff t b =
-  if injected_failure t ~site:"handoff" then
+  if Server.Faults.fire t.faults ~site:"handoff" then
     Server.Metrics.incr_counter t.metrics "handoff_aborted"
   else begin
     Server.Metrics.incr_counter t.metrics "handoffs";
@@ -435,7 +419,7 @@ let recovery_handoff t b =
    owner before it exits, so its shutdown does not cost the fleet the
    warm cache it spent its lifetime building. *)
 let departing_handoff t b =
-  if injected_failure t ~site:"handoff" then
+  if Server.Faults.fire t.faults ~site:"handoff" then
     Server.Metrics.incr_counter t.metrics "handoff_aborted"
   else begin
     Server.Metrics.incr_counter t.metrics "handoffs";
@@ -524,7 +508,7 @@ let on_probe_failure t b =
 
 let probe_backend t b =
   let ok_state =
-    if injected_failure t ~site:"probe" then begin
+    if Server.Faults.fire t.faults ~site:"probe" then begin
       Server.Metrics.incr_counter t.metrics "injected_probe_faults";
       None
     end

@@ -19,7 +19,7 @@
     - {e bounded failover}: a request whose owner dies is rehashed to
       the next live owner (safe — every routed op is idempotent), at
       most [failover_attempts] times, then fails with [fleet_degraded]
-      (retryable, carries [retry_after_ms]).
+      (retryable, carries a [retry_after_ms] hint of 500 ms).
     - {e warm-cache handoff}: [cache_export]/[cache_import] move hot
       entries to a recovered backend (from its peers) or from a
       draining one (to each key's next owner).
@@ -57,7 +57,6 @@ type config = {
   probe_backoff_cap_ms : int;  (** ceiling for failing-backend probe backoff *)
   probe_timeout_ms : int;  (** per-probe read timeout *)
   handoff_max_entries : int;  (** cache entries moved per handoff export *)
-  degraded_retry_after_ms : int;  (** hint attached to [fleet_degraded] *)
   max_line_bytes : int;  (** client request line bound *)
 }
 

@@ -11,68 +11,44 @@ let co_optimize ?par ?budget ?currents config tables t ~node_sp ~candidates =
      full-analysis session per worker chunk answers each candidate from
      the previous one's resident state (logic, threshold shifts, aged
      arrivals) over the dirty cone only. Results are bit-identical to
-     [Circuit_aging.analyze] (pinned by test_incremental). Sessions model
-     PMOS aging only, so PBTI-scaled configs take the full pass. *)
-  let evaluated, fresh_delay =
-    if config.Aging.Circuit_aging.pbti_scale = None then begin
-      (* The context follows [config]: its shift pair comes from the
-         memo [Circuit_aging.analyze] reads, so repeated searches under
-         one config share the tables. *)
-      let ictx =
-        let currents =
-          match currents with
-          | Some c -> c
-          | None -> Leakage.Circuit_leakage.node_currents tables t
-        in
-        Compiled.Incremental.Analysis.ctx ~currents
-          ~shifts:(Aging.Circuit_aging.shifts config (Compiled.Arena.get t) ~node_sp)
-          ()
-      in
-      let out =
-        Array.make n { vector = [||]; leakage = 0.0; degradation = 0.0; aged_delay = 0.0 }
-      in
-      let chunk = max 1 ((n + Parallel.Pool.domains p - 1) / Parallel.Pool.domains p) in
-      Parallel.Pool.iter_ranges p ~chunk ?budget n (fun lo hi ->
-          let s = Compiled.Incremental.Analysis.session ictx in
-          for i = lo to hi - 1 do
-            Option.iter Parallel.Budget.check budget;
-            let c = cands.(i) in
-            Compiled.Incremental.Analysis.set_vector s c.Mlv.vector;
-            out.(i) <-
-              {
-                vector = c.Mlv.vector;
-                leakage = c.Mlv.leakage;
-                degradation = Compiled.Incremental.Analysis.degradation s;
-                aged_delay = Compiled.Incremental.Analysis.aged_delay s;
-              }
-          done;
-          Compiled.Incremental.emit_stats "co_opt.chunk"
-            (Compiled.Incremental.Analysis.stats s)
-            ~n_nodes:(Compiled.Incremental.Analysis.n_nodes s));
-      (out, (Compiled.Incremental.Analysis.fresh_result ictx).Compiled.Timing.max_delay)
-    end
-    else begin
-      let evaluate (c : Mlv.candidate) =
-        let analysis =
-          Aging.Circuit_aging.analyze config t ~node_sp
-            ~standby:(Aging.Circuit_aging.Standby_vector c.Mlv.vector) ()
-        in
-        ( {
+     [Circuit_aging.analyze] (pinned by test_incremental). The context
+     follows [config]: its shift pairs come from the memo
+     [Circuit_aging.analyze] reads, so repeated searches under one
+     config share the tables; a PBTI config adds the NMOS pair. *)
+  let ictx =
+    let currents =
+      match currents with Some c -> c | None -> Leakage.Circuit_leakage.node_currents tables t
+    in
+    let a = Compiled.Arena.get t in
+    let shifts polarity = Aging.Circuit_aging.shifts ~polarity config a ~node_sp in
+    Compiled.Incremental.Analysis.ctx ~currents ~shifts:(shifts `Pmos)
+      ?shifts_n:(Option.map (fun _ -> shifts `Nmos) config.Aging.Circuit_aging.pbti_scale)
+      ()
+  in
+  let evaluated =
+    Array.make n { vector = [||]; leakage = 0.0; degradation = 0.0; aged_delay = 0.0 }
+  in
+  let chunk = max 1 ((n + Parallel.Pool.domains p - 1) / Parallel.Pool.domains p) in
+  Parallel.Pool.iter_ranges p ~chunk ?budget n (fun lo hi ->
+      let s = Compiled.Incremental.Analysis.session ictx in
+      for i = lo to hi - 1 do
+        Option.iter Parallel.Budget.check budget;
+        let c = cands.(i) in
+        Compiled.Incremental.Analysis.set_vector s c.Mlv.vector;
+        evaluated.(i) <-
+          {
             vector = c.Mlv.vector;
             leakage = c.Mlv.leakage;
-            degradation = analysis.Aging.Circuit_aging.degradation;
-            aged_delay = analysis.Aging.Circuit_aging.aged.Compiled.Timing.max_delay;
-          },
-          analysis.Aging.Circuit_aging.fresh.Compiled.Timing.max_delay )
-      in
-      (* One full aging analysis per candidate: the expensive half of
-         Table 3. The map preserves candidate order and the sort below
-         breaks ties on the vector, so the result is independent of the
-         domain count. *)
-      let pairs = Parallel.Pool.map p ?budget evaluate cands in
-      (Array.map fst pairs, snd pairs.(0))
-    end
-  in
+            degradation = Compiled.Incremental.Analysis.degradation s;
+            aged_delay = Compiled.Incremental.Analysis.aged_delay s;
+          }
+      done;
+      Compiled.Incremental.emit_stats "co_opt.chunk"
+        (Compiled.Incremental.Analysis.stats s)
+        ~n_nodes:(Compiled.Incremental.Analysis.n_nodes s));
+  let fresh_delay = (Compiled.Incremental.Analysis.fresh_result ictx).Compiled.Timing.max_delay in
+  (* Candidates keep their order and the sort breaks ties on the
+     vector, so the result is independent of the domain count. *)
   let all =
     List.sort
       (fun a b ->

@@ -34,18 +34,16 @@ val co_optimize :
   node_sp:float array ->
   candidates:Mlv.candidate list ->
   result
-(** Candidate aging analyses fan out over [par] (default
-    {!Parallel.Pool.default}); equal degradations order by
-    {!Mlv.vector_key}, so the result is independent of the domain count.
-    [budget] is polled inside the pooled evaluations.
-
-    When the config has no PBTI scale, candidates are answered by
-    per-worker {!Compiled.Incremental.Analysis} sessions that re-evaluate
-    only the dirty cone between the (highly correlated) MLV vectors —
-    bit-identical to the full per-candidate analyses; a PBTI config runs
-    one {!Aging.Circuit_aging.analyze} per candidate. The sessions read
-    the shift pair of [config] ({!Aging.Circuit_aging.shifts}) and the
-    per-node leakage LUT rows [currents]
+(** Candidates are answered by per-worker
+    {!Compiled.Incremental.Analysis} sessions over [par] (default
+    {!Parallel.Pool.default}) that re-evaluate only the dirty cone
+    between the (highly correlated) MLV vectors — bit-identical to one
+    {!Aging.Circuit_aging.analyze} per candidate, PBTI included. Equal
+    degradations order by {!Mlv.vector_key}, so the result is
+    independent of the domain count. [budget] is polled before each
+    candidate. The sessions read the shift pairs of [config]
+    ({!Aging.Circuit_aging.shifts}, the NMOS pair too when it has a
+    [pbti_scale]) and the per-node leakage LUT rows [currents]
     ({!Leakage.Circuit_leakage.node_currents} of [tables], computed here
     when absent). @raise Invalid_argument on an empty candidate list. *)
 

@@ -18,8 +18,7 @@ let replacement cell =
 
 let replaceable cell = replacement cell <> None
 
-let candidate_gates (t : Circuit.Netlist.t) ~standby_vector ~(timing : Compiled.Timing.result)
-    ~slack ~slack_eps =
+let candidate_gates (t : Circuit.Netlist.t) ~standby_vector ~slack ~slack_eps =
   let values = Logic.Eval.eval t ~inputs:standby_vector in
   let fanout = Circuit.Netlist.fanout t in
   let scored = ref [] in
@@ -32,7 +31,6 @@ let candidate_gates (t : Circuit.Netlist.t) ~standby_vector ~(timing : Compiled.
            re-sized), so the only cost is extra input capacitance — even
            critical drivers are eligible; the verified greedy in
            {!evaluate} rejects any insertion that does not pay off. *)
-        ignore timing;
         if replaceable cell && not values.(i) then begin
           let critical_fanouts =
             Array.fold_left
@@ -174,9 +172,7 @@ let evaluate config (t : Circuit.Netlist.t) ~standby_vector ?(budget = 10)
   let slack = Compiled.Slack.compute t ~timing:baseline.Aging.Circuit_aging.aged () in
   let eps = slack_eps_fraction *. baseline.Aging.Circuit_aging.aged.Compiled.Timing.max_delay in
   let candidates =
-    List.map fst
-      (candidate_gates t ~standby_vector ~timing:baseline.Aging.Circuit_aging.aged ~slack
-         ~slack_eps:eps)
+    List.map fst (candidate_gates t ~standby_vector ~slack ~slack_eps:eps)
   in
   let analyze_insertion ins =
     let node_sp' = Logic.Signal_prob.analytic ins.netlist ~input_sp:ins.input_sp in

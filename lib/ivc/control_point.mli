@@ -27,7 +27,6 @@ type insertion = {
 val candidate_gates :
   Circuit.Netlist.t ->
   standby_vector:bool array ->
-  timing:Compiled.Timing.result ->
   slack:Compiled.Slack.t ->
   slack_eps:float ->
   (int * int) list

@@ -327,12 +327,6 @@ let to_string ?(minify = true) v =
   emit v;
   Buffer.contents buf
 
-let rec expand_raw = function
-  | Raw s -> of_string s
-  | List xs -> List (List.map expand_raw xs)
-  | Assoc kvs -> Assoc (List.map (fun (k, v) -> (k, expand_raw v)) kvs)
-  | (Null | Bool _ | Int _ | Float _ | String _) as v -> v
-
 (* --- Accessors --- *)
 
 let type_name = function

@@ -42,11 +42,6 @@ val to_string : ?minify:bool -> t -> string
     spaces after [':'] and [',']. Non-finite floats print as [null].
     {!Raw} text is copied as it is, whatever [minify] says. *)
 
-val expand_raw : t -> t
-(** Replaces every {!Raw} node by its parse, for callers that walk a
-    response as a tree. @raise Parse_error when a [Raw] text is not
-    JSON. *)
-
 (** {1 Accessors}
 
     All raise {!Type_error} with a contextual message on shape

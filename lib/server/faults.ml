@@ -1,4 +1,5 @@
-type action = Delay_ms of int | Fail | Truncate | Shed
+(* A rule's action: a delay, or the one failure its site acts out. *)
+type action = Delay_ms of int | Failure
 
 exception Injected of string
 
@@ -15,18 +16,29 @@ type t = { rules : rule list; lock : Mutex.t }
 let none = { rules = []; lock = Mutex.create () }
 let is_empty t = t.rules = []
 
-(* The first three sites fire inside the backend daemon; connect /
-   probe / handoff fire inside the fleet router, so one grammar chaos-
-   tests the whole fleet. *)
-let known_sites = [ "admission"; "compute"; "write"; "connect"; "probe"; "handoff" ]
+(* Each site and the name of the one failure it acts out; [delay:MS]
+   is valid at every site. admission and compute fire inside the
+   backend daemon, write on both roles, and connect / probe / handoff
+   inside the fleet router, so one grammar chaos-tests the whole
+   fleet. *)
+let site_failures =
+  [
+    ("admission", "shed");
+    ("compute", "fail");
+    ("write", "truncate");
+    ("connect", "fail");
+    ("probe", "fail");
+    ("handoff", "fail");
+  ]
 
-let action_to_string = function
+let known_sites = List.map fst site_failures
+
+let action_to_string ~site = function
   | Delay_ms ms -> Printf.sprintf "delay:%d" ms
-  | Fail -> "fail"
-  | Truncate -> "truncate"
-  | Shed -> "shed"
+  | Failure -> List.assoc site site_failures
 
-let parse_action s =
+let parse_action ~site s =
+  let failure = List.assoc site site_failures in
   match String.index_opt s ':' with
   | Some i -> begin
     let name = String.sub s 0 i in
@@ -36,13 +48,8 @@ let parse_action s =
     | "delay", _ -> Error (Printf.sprintf "bad delay parameter %S" param)
     | _ -> Error (Printf.sprintf "unknown parameterized action %S" name)
   end
-  | None -> begin
-    match s with
-    | "fail" -> Ok Fail
-    | "truncate" -> Ok Truncate
-    | "shed" -> Ok Shed
-    | _ -> Error (Printf.sprintf "unknown action %S" s)
-  end
+  | None when s = failure -> Ok Failure
+  | None -> Error (Printf.sprintf "fault site %S takes delay:MS or %s, not %S" site failure s)
 
 let parse_rule s =
   match String.index_opt s '=' with
@@ -67,11 +74,10 @@ let parse_rule s =
       in
       match budget with
       | Error _ as e -> e
-      | Ok budget -> begin
-        match parse_action action_s with
-        | Error _ as e -> e
-        | Ok action -> Ok { site; action; budget; remaining = budget; fired = 0 }
-      end
+      | Ok budget ->
+        Result.map
+          (fun action -> { site; action; budget; remaining = budget; fired = 0 })
+          (parse_action ~site action_s)
     end
 
 let parse spec =
@@ -87,28 +93,30 @@ let parse spec =
   go [] parts
 
 let fire t ~site =
-  if t.rules = [] then []
+  if t.rules = [] then false
   else begin
     Mutex.lock t.lock;
-    let fired =
-      List.filter_map
-        (fun r ->
-          if r.site <> site then None
-          else begin
-            match r.remaining with
-            | Some 0 -> None
-            | Some n ->
-              r.remaining <- Some (n - 1);
-              r.fired <- r.fired + 1;
-              Some r.action
-            | None ->
-              r.fired <- r.fired + 1;
-              Some r.action
-          end)
-        t.rules
-    in
+    let delay_ms = ref 0 and failed = ref false in
+    List.iter
+      (fun r ->
+        let armed =
+          r.site = site
+          &&
+          match r.remaining with
+          | Some 0 -> false
+          | Some n ->
+            r.remaining <- Some (n - 1);
+            true
+          | None -> true
+        in
+        if armed then begin
+          r.fired <- r.fired + 1;
+          match r.action with Delay_ms ms -> delay_ms := !delay_ms + ms | Failure -> failed := true
+        end)
+      t.rules;
     Mutex.unlock t.lock;
-    fired
+    if !delay_ms > 0 then Unix.sleepf (float_of_int !delay_ms /. 1000.0);
+    !failed
   end
 
 let to_json t =
@@ -119,7 +127,7 @@ let to_json t =
         Json.Assoc
           [
             ("site", Json.String r.site);
-            ("action", Json.String (action_to_string r.action));
+            ("action", Json.String (action_to_string ~site:r.site r.action));
             ("budget", match r.budget with Some n -> Json.Int n | None -> Json.Null);
             ("remaining", match r.remaining with Some n -> Json.Int n | None -> Json.Null);
             ("fired", Json.Int r.fired);

@@ -1,34 +1,32 @@
 (** Fault-injection harness for chaos-testing the serving layer.
 
     A fault plan is a comma-separated list of rules, each
-    [site=action[:param][@N]]:
+    [site=action[@N]]. Every site takes [delay:MS] (sleep [MS] ms before
+    proceeding) and exactly one failure action, its own:
 
-    - {b sites} — ["write"] (response serialization onto the socket, in
-      {!Frontend}'s connection loop, so on both [serve] and [route]);
-      inside the service, ["admission"] (request admission) and
-      ["compute"] (job execution inside a worker); and, inside the fleet
-      router, ["connect"] (dialing a backend for a forwarded request),
-      ["probe"] (a health probe) and ["handoff"] (a warm-cache handoff
-      transfer);
-    - {b actions} — [delay:MS] (sleep before proceeding), [fail] (raise
-      {!Injected} as if the worker crashed), [truncate] (cut the response
-      line short and drop the connection), [shed] (force admission
-      control to refuse the request);
-    - [@N] — arm the rule for the first [N] matching hits only, then
-      disarm (e.g. [compute=fail\@2] makes exactly two requests fail —
-      the shape a retrying client must survive). Without [@N] the rule
-      fires on every hit.
+    {v
+    site       where it fires                        failure action
+    admission  request admission (serve)             shed      (refuse as overloaded)
+    compute    job execution in a worker (serve)     fail      (raise Injected)
+    write      response write (serve and route)      truncate  (half a line, then disconnect)
+    connect    dialing a backend to forward (route)  fail      (the attempt is unavailable)
+    probe      a backend health probe (route)        fail      (the probe fails)
+    handoff    a warm-cache handoff (route)          fail      (the handoff aborts)
+    v}
+
+    [@N] arms the rule for the first [N] matching hits only, then
+    disarms it (e.g. [compute=fail\@2] makes exactly two requests fail —
+    the shape a retrying client must survive). Without [@N] the rule
+    fires on every hit.
 
     Plans come from the [--faults SPEC] flag of [serve] and [route] or
     the [NBTI_FAULTS] environment variable; an empty/absent spec is
-    {!none}. Each process consults {!fire} at its named sites and
-    applies whatever actions are armed; fired counts are reported under
-    ["faults"] in [stats]. *)
-
-type action = Delay_ms of int | Fail | Truncate | Shed
+    {!none}. Each process calls {!fire} at its named sites and acts out
+    the site's failure action when it returns [true]; fired counts are
+    reported under ["faults"] in [stats]. *)
 
 exception Injected of string
-(** Raised by the service at a [fail] site; never escapes the request
+(** Raised by the service at the [compute] site; never escapes the request
     handler (it maps to an [internal_error] response). *)
 
 type t
@@ -39,13 +37,14 @@ val none : t
 val is_empty : t -> bool
 
 val parse : string -> (t, string) result
-(** Parse a plan spec; [Error] explains the first offending rule. *)
+(** Parse a plan spec; [Error] explains the first offending rule: an
+    unknown site or action, a bad parameter or budget, or a failure
+    action the site does not take (naming the site). *)
 
-val fire : t -> site:string -> action list
-(** Actions armed at [site], in plan order; decrements each fired rule's
-    remaining budget. Thread-safe. *)
-
-val action_to_string : action -> string
+val fire : t -> site:string -> bool
+(** Fires every rule armed at [site] (decrementing its remaining
+    budget), sleeps their summed delays, and returns whether the site's
+    failure action fired. Thread-safe; the sleep holds no lock. *)
 
 val to_json : t -> Json.t
 (** Per-rule site/action/budget/remaining/fired — the [stats] shape. *)

@@ -172,9 +172,10 @@ let with_trace_opt fe trace f =
 (* Wraps one request in its observability envelope: the correlation id
    is installed on the handling thread so every span, log record and
    pool chunk below carries it, the dispatch is a "request" span, and
-   completion is scored and goes to the structured log and the access
-   log. All of it collapses to a couple of branches when no collector /
-   SLO / log level / access log is armed. *)
+   completion (one clock pair, and the response's own [ok]) is counted
+   in the endpoint metrics, scored, and goes to the structured log and
+   the access log. All but the count collapse to a couple of branches
+   when no collector / SLO / log level / access log is armed. *)
 let observed fe ~cid ~trace ~endpoint run =
   Obs.Ctx.with_id cid @@ fun () ->
   with_trace_opt fe trace @@ fun () ->
@@ -187,6 +188,7 @@ let observed fe ~cid ~trace ~endpoint run =
   let elapsed_s = Unix.gettimeofday () -. t0 in
   let ok = response_ok response in
   let error = response_error_code response in
+  Metrics.record fe.metrics ~endpoint ~ok ~elapsed_s;
   (match fe.slo with
   | None -> ()
   | Some slo -> Obs.Slo.observe slo ~op:endpoint ~ok ~elapsed_s);
@@ -216,13 +218,11 @@ let respond fe request_json =
   | Ok ({ Protocol.id; timeout_ms; trace; request } as envelope) ->
     let endpoint = Protocol.op_name request in
     observed fe ~cid:(fresh_cid fe id) ~trace ~endpoint @@ fun () ->
-    try Metrics.time fe.metrics ~endpoint (fun () -> fe.role.dispatch fe envelope)
+    try fe.role.dispatch fe envelope
     with exn ->
       let { Protocol.code; message; details } = error_of_exn fe ~timeout_ms exn in
       if code = Protocol.Invalid_request then Metrics.incr_counter fe.metrics "invalid_requests";
       (Protocol.error_response ~id ~details code message, fe.role.no_meta)
-
-let handle fe request_json = Json.expand_raw (respond fe request_json)
 
 let handle_line fe line =
   let response =
@@ -317,11 +317,7 @@ let connection_loop fe c =
   let reader = Netline.reader (Unix.in_channel_of_descr fd) in
   let oc = Unix.out_channel_of_descr fd in
   let write_response line =
-    let actions = Faults.fire (fe.role.faults fe.state) ~site:"write" in
-    List.iter
-      (function Faults.Delay_ms ms -> Unix.sleepf (float_of_int ms /. 1000.0) | _ -> ())
-      actions;
-    if List.mem Faults.Truncate actions then begin
+    if Faults.fire (fe.role.faults fe.state) ~site:"write" then begin
       Metrics.incr_counter fe.metrics "truncated_writes";
       output_string oc (String.sub line 0 (String.length line / 2));
       flush oc;

@@ -10,10 +10,11 @@
       record and pool chunk produced while handling the request carries
       it;
     - the per-request envelope: the envelope's trace context is adopted,
-      the dispatch runs inside a ["request"] span of the role's category
-      and {!Metrics.time}, the outcome is scored against the SLO, and one
-      ["request handled"] log record and one JSONL access-log record are
-      written;
+      the dispatch runs inside a ["request"] span of the role's category,
+      and the response's [ok] and one wall-clock reading are recorded in
+      {!Metrics} under the endpoint, scored against the SLO, and written
+      as one ["request handled"] log record and one JSONL access-log
+      record;
     - one exception-to-error table, used for a whole request and for
       each [batch] entry alike;
     - the bounded, CRLF-tolerant connection loop, with the [write] fault
@@ -78,7 +79,7 @@ exception Rejected of Protocol.decode_error
 exception Overloaded of { max_pending : int; retry_after_ms : int }
 (** Admission control shed the request. *)
 
-(** One exception-to-error table serves a whole request ({!handle}) and
+(** One exception-to-error table serves a whole request ({!handle_line}) and
     each [batch] entry ({!batch_entry}) alike: {!Rejected} as given;
     {!Overloaded} to [overloaded] with [retry_after_ms];
     [Parallel.Budget.Deadline_exceeded] to [deadline_exceeded] (counted;
@@ -95,18 +96,14 @@ val batch_entry :
 
 (** {1 Dispatch} *)
 
-val handle : ('state, 'meta) t -> Json.t -> Json.t
-(** One request envelope in, one response envelope out, as a plain tree
-    (already-rendered results are parsed back, see {!Json.expand_raw}).
-    Never raises. An envelope that does not decode is answered under
-    endpoint ["invalid"] (and counted as [invalid_requests] when its code
-    is [invalid_request]); anything the dispatch raises goes through the
-    error table. *)
-
 val handle_line : ('state, 'meta) t -> string -> string
-(** {!handle} composed with the codec: one request line (no newline) to
-    one response line. Malformed JSON yields a [parse_error] response.
-    Already-rendered results are copied into the line, not parsed. *)
+(** One request line (no newline) in, one response line out. Never
+    raises. Malformed JSON yields a [parse_error] response. An envelope
+    that does not decode is answered and recorded under endpoint
+    ["invalid"] (and counted as [invalid_requests] when its code is
+    [invalid_request]); anything the dispatch raises goes through the
+    error table. Already-rendered results are copied into the line, not
+    parsed. *)
 
 val metrics_result : ('state, 'meta) t -> Json.t
 (** The [metrics] op's result: the Prometheus text of the registry. *)

@@ -80,16 +80,6 @@ let record t ~endpoint ~ok ~elapsed_s =
   c.counts.(bucket_of elapsed_s) <- c.counts.(bucket_of elapsed_s) + 1;
   Mutex.unlock t.lock
 
-let time t ~endpoint f =
-  let t0 = Unix.gettimeofday () in
-  match f () with
-  | v ->
-    record t ~endpoint ~ok:true ~elapsed_s:(Unix.gettimeofday () -. t0);
-    v
-  | exception e ->
-    record t ~endpoint ~ok:false ~elapsed_s:(Unix.gettimeofday () -. t0);
-    raise e
-
 type histogram = { bucket_upper_s : float array; counts : int array }
 
 type endpoint_snapshot = {

@@ -7,11 +7,8 @@ type t
 val create : unit -> t
 
 val record : t -> endpoint:string -> ok:bool -> elapsed_s:float -> unit
-(** Accounts one request against [endpoint] ("analyze", "stats", ...). *)
-
-val time : t -> endpoint:string -> (unit -> 'a) -> 'a
-(** Runs the thunk, records its wall-clock latency, counts an error when
-    it raises (and re-raises). *)
+(** Accounts one request against [endpoint] ("analyze", "stats", ...):
+    an error when [ok] is false. *)
 
 (** {1 Named event counters}
 

@@ -5,7 +5,6 @@ type limits = {
   max_batch_jobs : int;
   max_gates : int;
   default_timeout_ms : int option;
-  shed_retry_after_ms : int;
 }
 
 let default_limits =
@@ -14,7 +13,6 @@ let default_limits =
     max_batch_jobs = 64;
     max_gates = 1_000_000;
     default_timeout_ms = None;
-    shed_retry_after_ms = 250;
   }
 
 type state = {
@@ -98,21 +96,11 @@ let register_collectors t =
 
 (* --- Bounded admission to the compute path --- *)
 
-let sleep_ms ms = if ms > 0 then Unix.sleepf (float_of_int ms /. 1000.0)
+(* The [retry_after_ms] hint of an [overloaded] answer. *)
+let shed_retry_after_ms = 250
 
 let admit t =
-  let forced_shed =
-    List.fold_left
-      (fun acc a ->
-        match a with
-        | Faults.Shed -> true
-        | Faults.Delay_ms ms ->
-          sleep_ms ms;
-          acc
-        | Faults.Fail | Faults.Truncate -> acc)
-      false
-      (Faults.fire t.faults ~site:"admission")
-  in
+  let forced_shed = Faults.fire t.faults ~site:"admission" in
   Mutex.lock t.admission;
   let ok = (not forced_shed) && t.pending < t.max_pending in
   if ok then t.pending <- t.pending + 1;
@@ -121,7 +109,7 @@ let admit t =
     Metrics.incr_counter t.metrics "shed";
     raise
       (Frontend.Overloaded
-         { max_pending = t.max_pending; retry_after_ms = t.limits.shed_retry_after_ms })
+         { max_pending = t.max_pending; retry_after_ms = shed_retry_after_ms })
   end
 
 let release t =
@@ -130,14 +118,10 @@ let release t =
   Mutex.unlock t.admission
 
 let compute_faults t =
-  List.iter
-    (function
-      | Faults.Delay_ms ms -> sleep_ms ms
-      | Faults.Fail ->
-        Metrics.incr_counter t.metrics "injected_failures";
-        raise (Faults.Injected "compute")
-      | Faults.Truncate | Faults.Shed -> ())
-    (Faults.fire t.faults ~site:"compute")
+  if Faults.fire t.faults ~site:"compute" then begin
+    Metrics.incr_counter t.metrics "injected_failures";
+    raise (Faults.Injected "compute")
+  end
 
 (* --- Job execution --- *)
 

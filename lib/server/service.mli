@@ -25,7 +25,7 @@
     designed to survive misbehaving clients and its own overload:
     - admission to the compute path is bounded ([max_pending]); requests
       beyond the bound get a structured [overloaded] error carrying a
-      [retry_after_ms] hint rather than queueing unboundedly. Admission
+      [retry_after_ms] hint (250 ms) rather than queueing unboundedly. Admission
       guards only cache {e misses}: a shedding server still answers
       cache hits, [health] and [stats] (degraded mode);
     - every request may carry a [timeout_ms] budget; the flow polls it
@@ -53,8 +53,6 @@ type limits = {
   default_timeout_ms : int option;
       (** budget applied when a request carries no [timeout_ms]
           (default: none, i.e. unlimited) *)
-  shed_retry_after_ms : int;
-      (** the [retry_after_ms] hint sent with [overloaded] (default 250) *)
 }
 
 val default_limits : limits

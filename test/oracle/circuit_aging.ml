@@ -21,11 +21,6 @@ let standby_gate_inputs (t : Circuit.Netlist.t) ~standby =
    probabilities and standby inputs. *)
 let duty_table ?(polarity = `Pmos) (t : Circuit.Netlist.t) ~node_sp ~standby =
   let gate_inputs = standby_gate_inputs t ~standby in
-  let worst_stage =
-    match polarity with
-    | `Pmos -> Cell.Cell_nbti.worst_stage_duties
-    | `Nmos -> Cell.Cell_nbti.worst_stage_duties_nmos
-  in
   (* The bounding states mirror across polarity: all nodes 0 stresses
      every PMOS and relaxes every NMOS, all nodes 1 the converse. *)
   let bound_stressed, bound_relaxed =
@@ -39,7 +34,9 @@ let duty_table ?(polarity = `Pmos) (t : Circuit.Netlist.t) ~node_sp ~standby =
         let sp = Array.map (fun f -> node_sp.(f)) fanin in
         let standby_vector = gate_inputs fanin in
         Array.init (Array.length cell.Cell.Stdcell.stages) (fun stage ->
-            let active, from_vector = worst_stage cell ~sp ~standby_vector ~stage in
+            let active, from_vector =
+              Cell.Cell_nbti.worst_stage_duties ~polarity cell ~sp ~standby_vector ~stage
+            in
             let standby_duty =
               match standby with
               | Standby_vector _ -> from_vector

@@ -325,7 +325,9 @@ let test_worst_stage_duties () =
 (* --- Cell_nbti: PBTI mirror (NMOS) --- *)
 
 let nmos_flags cell vector =
-  List.map (fun d -> d.Cell.Cell_nbti.stressed) (Cell.Cell_nbti.nmos_stressed_under_vector cell ~vector)
+  List.map
+    (fun d -> d.Cell.Cell_nbti.stressed)
+    (Cell.Cell_nbti.stressed_under_vector ~polarity:`Nmos cell ~vector)
 
 let test_nmos_inv_stress () =
   Alcotest.(check (list bool)) "input 1 stresses the NMOS" [ true ] (nmos_flags Cell.Stdcell.inv (vec [ true ]));
@@ -351,7 +353,7 @@ let test_nmos_probability_matches_enumeration () =
     (fun cell ->
       let n = cell.Cell.Stdcell.n_inputs in
       let sp = Array.init n (fun i -> 0.25 +. (0.2 *. float_of_int i)) in
-      let analytic = Cell.Cell_nbti.nmos_stress_probabilities cell ~sp in
+      let analytic = Cell.Cell_nbti.stress_probabilities ~polarity:`Nmos cell ~sp in
       let expected = Array.make (List.length analytic) 0.0 in
       for idx = 0 to (1 lsl n) - 1 do
         let v = Cell.Stdcell.vector_of_index ~n_inputs:n idx in
@@ -359,7 +361,7 @@ let test_nmos_probability_matches_enumeration () =
         Array.iteri (fun i b -> p := !p *. (if b then sp.(i) else 1.0 -. sp.(i))) v;
         List.iteri
           (fun j d -> if d.Cell.Cell_nbti.stressed then expected.(j) <- expected.(j) +. !p)
-          (Cell.Cell_nbti.nmos_stressed_under_vector cell ~vector:v)
+          (Cell.Cell_nbti.stressed_under_vector ~polarity:`Nmos cell ~vector:v)
       done;
       List.iteri
         (fun j d ->

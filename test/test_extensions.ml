@@ -218,7 +218,7 @@ let test_control_point_insert_logic_active () =
   let timing = fresh_timing c17 in
   let slack = Compiled.Slack.compute c17 ~timing ~target:(1.5 *. timing.Compiled.Timing.max_delay) () in
   let candidates =
-    Ivc.Control_point.candidate_gates c17 ~standby_vector ~timing ~slack
+    Ivc.Control_point.candidate_gates c17 ~standby_vector ~slack
       ~slack_eps:(0.8 *. timing.Compiled.Timing.max_delay)
   in
   Alcotest.(check bool) "c17 has candidates" true (candidates <> []);
@@ -254,7 +254,7 @@ let test_control_point_forces_one_in_standby () =
   let timing = fresh_timing c17 in
   let slack = Compiled.Slack.compute c17 ~timing ~target:(1.5 *. timing.Compiled.Timing.max_delay) () in
   let candidates =
-    Ivc.Control_point.candidate_gates c17 ~standby_vector ~timing ~slack
+    Ivc.Control_point.candidate_gates c17 ~standby_vector ~slack
       ~slack_eps:(0.8 *. timing.Compiled.Timing.max_delay)
   in
   let gate = fst (List.hd candidates) in

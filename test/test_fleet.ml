@@ -1052,6 +1052,47 @@ let test_router_equal_structure_keeps_names () =
   stop_backend b0;
   stop_backend b1
 
+(* --- Router fault sites: each acts out its one failure action --- *)
+
+let router_with_faults spec backends =
+  match Server.Faults.parse spec with
+  | Ok faults -> Fleet.Router.create ~faults (List.map endpoint_of backends)
+  | Error m -> Alcotest.fail m
+
+let test_connect_fault_fails_over () =
+  let b0 = start_backend () in
+  let b1 = start_backend () in
+  let router = router_with_faults "connect=fail@1" [ b0; b1 ] in
+  Alcotest.(check bool) "answered by the next owner" true
+    (response_ok (Fleet.Router.handle_line router (analyze_line 3.0)));
+  Alcotest.(check int) "one injected connect fault" 1 (counter router "injected_connect_faults");
+  Alcotest.(check int) "one failover" 1 (counter router "failovers");
+  stop_backend b0;
+  stop_backend b1
+
+let test_probe_fault_suspects_backend () =
+  let b = start_backend () in
+  let router = router_with_faults "probe=fail" [ b ] in
+  force_probe router;
+  Alcotest.(check int) "one injected probe fault" 1 (counter router "injected_probe_faults");
+  Alcotest.(check bool) "a live backend turns suspect" true
+    (backend_state router (name_of b) = Fleet.Backend.Suspect);
+  stop_backend b
+
+let test_handoff_fault_aborts_handoff () =
+  let b = start_backend () in
+  let router = router_with_faults "handoff=fail" [ b ] in
+  (* A Down backend that answers its probe recovers through a handoff. *)
+  List.iter
+    (fun b -> Fleet.Backend.set_state b Fleet.Backend.Down)
+    (Fleet.Router.backend_list router);
+  force_probe router;
+  Alcotest.(check int) "handoff aborted" 1 (counter router "handoff_aborted");
+  Alcotest.(check int) "no handoff ran" 0 (counter router "handoffs");
+  Alcotest.(check bool) "recovered all the same" true
+    (backend_state router (name_of b) = Fleet.Backend.Up);
+  stop_backend b
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_remove_one_backend_is_stable; prop_add_one_backend_only_captures ]
@@ -1081,6 +1122,11 @@ let () =
             test_serve_return_closes_connections;
           Alcotest.test_case "rejects backend-local cache ops" `Quick
             test_router_rejects_cache_ops;
+          Alcotest.test_case "connect=fail@1 fails over" `Quick test_connect_fault_fails_over;
+          Alcotest.test_case "probe=fail suspects the backend" `Quick
+            test_probe_fault_suspects_backend;
+          Alcotest.test_case "handoff=fail aborts the handoff" `Quick
+            test_handoff_fault_aborts_handoff;
         ] );
       ( "connections",
         [

@@ -164,6 +164,105 @@ let test_analysis_duty_probe () =
   check_bits "duty probe max dvth" oracle.Aging.Circuit_aging.max_dvth
     (Compiled.Incremental.Analysis.max_dvth s)
 
+(* --- PBTI sessions: NMOS shifts beside the PMOS ones --- *)
+
+let pbti_config = Aging.Circuit_aging.default_config ~pbti_scale:0.5 ()
+
+let pbti_ctx_of net ~tables ~node_sp =
+  let a = Compiled.Arena.get net in
+  let shifts polarity = Aging.Circuit_aging.shifts ~polarity pbti_config a ~node_sp in
+  Compiled.Incremental.Analysis.ctx
+    ~currents:(Leakage.Circuit_leakage.node_currents tables net)
+    ~shifts:(shifts `Pmos) ~shifts_n:(shifts `Nmos) ()
+
+(* What a session answers for one vector: aged delay, degradation,
+   max-dvth and standby leakage. *)
+let session_answer s =
+  Compiled.Incremental.Analysis.
+    [| aged_delay s; degradation s; max_dvth s; leakage s |]
+
+(* Seeded edits over the ISCAS suite (single flips, fresh vectors, a
+   complement past the fallback threshold, repeats, and a final revert
+   to the first vector), answered by sessions split over 1, 2 and 4 domains, one
+   session per chunk: every answer equals [Circuit_aging.analyze] under
+   [pbti_scale 0.5] (and the vector's standby leakage), bit for bit. *)
+let test_analysis_pbti_suite () =
+  let rng = Physics.Rng.create ~seed:404 in
+  List.iter
+    (fun net ->
+      let name = net_name net in
+      let tables = tables_of net in
+      let node_sp = node_sp_of net in
+      let ictx = pbti_ctx_of net ~tables ~node_sp in
+      let n_pi = Array.length (Circuit.Netlist.primary_inputs net) in
+      let edits = edit_sequence rng ~n_pi ~n:8 in
+      let complement = Array.map not (List.nth edits 7) in
+      let seq = Array.of_list (edits @ [ complement; List.hd edits ]) in
+      let reference =
+        Array.map
+          (fun v ->
+            let r =
+              Aging.Circuit_aging.analyze pbti_config net ~node_sp
+                ~standby:(Aging.Circuit_aging.Standby_vector v) ()
+            in
+            [|
+              r.Aging.Circuit_aging.aged.Compiled.Timing.max_delay;
+              r.Aging.Circuit_aging.degradation;
+              r.Aging.Circuit_aging.max_dvth;
+              Leakage.Circuit_leakage.standby_leakage tables net ~vector:v;
+            |])
+          seq
+      in
+      let n = Array.length seq in
+      List.iter
+        (fun domains ->
+          let got = Array.make n [||] in
+          let fallbacks = Atomic.make 0 in
+          with_pool ~domains (fun par ->
+              Parallel.Pool.iter_ranges par ~chunk:((n + domains - 1) / domains) n (fun lo hi ->
+                  let s = Compiled.Incremental.Analysis.session ictx in
+                  for i = lo to hi - 1 do
+                    Compiled.Incremental.Analysis.set_vector s seq.(i);
+                    got.(i) <- session_answer s
+                  done;
+                  ignore
+                    (Atomic.fetch_and_add fallbacks
+                       (Compiled.Incremental.Analysis.stats s).Compiled.Incremental.fallbacks)));
+          if domains = 1 then
+            Alcotest.(check bool) (name ^ " took a fallback") true (Atomic.get fallbacks > 0);
+          Array.iteri
+            (fun i want ->
+              check_floats_exact
+                (Printf.sprintf "%s @ %d domains, edit %d (aged, degradation, max dvth, leakage)"
+                   name domains i)
+                want got.(i))
+            reference)
+        [ 1; 2; 4 ])
+    (Circuit.Generators.benchmark_suite ())
+
+(* Edit -> edit -> revert on a PBTI session restores the digest, which
+   covers the NMOS shifts. *)
+let test_analysis_pbti_revert_digest () =
+  List.iter
+    (fun net ->
+      let name = net_name net in
+      let s =
+        Compiled.Incremental.Analysis.session
+          (pbti_ctx_of net ~tables:(tables_of net) ~node_sp:(node_sp_of net))
+      in
+      let d0 = Compiled.Incremental.Analysis.digest s in
+      let n_pi = Array.length (Circuit.Netlist.primary_inputs net) in
+      let v = Array.make n_pi false in
+      Compiled.Incremental.Analysis.flip_pi s 1;
+      Compiled.Incremental.Analysis.set_vector s (Array.make n_pi true);
+      Compiled.Incremental.Analysis.flip_pi s 5;
+      Alcotest.(check bool) (name ^ " digest moved") true
+        (Compiled.Incremental.Analysis.digest s <> d0);
+      Compiled.Incremental.Analysis.set_vector s v;
+      Alcotest.(check string) (name ^ " digest restored") d0
+        (Compiled.Incremental.Analysis.digest s))
+    (Lazy.force analysis_nets)
+
 (* --- Co-optimization vs one full analysis per candidate, 1/2/4 domains --- *)
 
 let check_choice name (a : Ivc.Co_opt.choice) (b : Ivc.Co_opt.choice) =
@@ -209,11 +308,11 @@ let per_candidate_reference config net ~node_sp ~candidates =
     spread = worst.Ivc.Co_opt.degradation -. best.Ivc.Co_opt.degradation;
   }
 
-(* A correlated candidate cluster on c432: one random base vector and
-   its single-bit neighbours, like an MLV set; [co_optimize] at 1, 2 and
-   4 domains must return the reference's bits. *)
-let check_co_opt_domains config =
-  let net = Circuit.Generators.by_name "c432" in
+(* A correlated candidate cluster on [circuit]: one random base vector
+   and its single-bit neighbours, like an MLV set; [co_optimize] at 1, 2
+   and 4 domains must return the reference's bits. *)
+let check_co_opt_domains config circuit =
+  let net = Circuit.Generators.by_name circuit in
   let tables = tables_of net in
   let node_sp = node_sp_of net in
   let n_pi = Array.length (Circuit.Netlist.primary_inputs net) in
@@ -231,7 +330,7 @@ let check_co_opt_domains config =
     (fun domains ->
       with_pool ~domains (fun par ->
           let got = Ivc.Co_opt.co_optimize ~par config tables net ~node_sp ~candidates in
-          let name = Printf.sprintf "co_opt @ %d domains" domains in
+          let name = Printf.sprintf "%s co_opt @ %d domains" circuit domains in
           check_bits (name ^ " fresh") reference.Ivc.Co_opt.fresh_delay got.Ivc.Co_opt.fresh_delay;
           check_bits (name ^ " spread") reference.Ivc.Co_opt.spread got.Ivc.Co_opt.spread;
           check_choice (name ^ " best") reference.Ivc.Co_opt.best got.Ivc.Co_opt.best;
@@ -241,12 +340,11 @@ let check_co_opt_domains config =
             got.Ivc.Co_opt.all))
     [ 1; 2; 4 ]
 
-(* Sessions answer a PMOS-only config. *)
-let test_co_opt_domains () = check_co_opt_domains (Aging.Circuit_aging.default_config ())
+let test_co_opt_domains () = check_co_opt_domains (Aging.Circuit_aging.default_config ()) "c432"
 
-(* A PBTI config takes [Co_opt]'s per-candidate full pass. *)
-let test_co_opt_pbti_domains () =
-  check_co_opt_domains (Aging.Circuit_aging.default_config ~pbti_scale:0.5 ())
+(* Under PBTI the sessions carry NMOS shifts; the reference is still one
+   full analysis per candidate. *)
+let test_co_opt_pbti_domains () = List.iter (check_co_opt_domains pbti_config) [ "c432"; "c880" ]
 
 let test_random_search_budget () =
   (* Satellite: an expired deadline returns the best-so-far (one
@@ -435,6 +533,10 @@ let () =
           Alcotest.test_case "edit-edit-revert restores digest" `Quick
             test_analysis_revert_digest;
           Alcotest.test_case "duty probe = analyze_with_duties" `Quick test_analysis_duty_probe;
+          Alcotest.test_case "PBTI edits = full analysis, ISCAS suite, 1/2/4 domains" `Quick
+            test_analysis_pbti_suite;
+          Alcotest.test_case "PBTI edit-edit-revert restores digest" `Quick
+            test_analysis_pbti_revert_digest;
         ] );
       ( "search",
         [

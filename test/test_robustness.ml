@@ -497,12 +497,35 @@ let test_faults_spec_parsing () =
       Alcotest.(check bool) ("rejects " ^ spec) true
         (match Server.Faults.parse spec with Error _ -> true | Ok _ -> false))
     [ "compute"; "kitchen=fail"; "compute=explode"; "compute=delay:xx"; "compute=fail@0" ];
+  (* Each site takes delay:MS and its own failure action only; a
+     refusal names the site. *)
+  List.iter
+    (fun (spec, site) ->
+      Alcotest.(check bool) ("rejects " ^ spec ^ ", naming " ^ site) true
+        (match Server.Faults.parse spec with
+        | Error m -> (
+          try ignore (Str.search_forward (Str.regexp_string site) m 0); true
+          with Not_found -> false)
+        | Ok _ -> false))
+    [
+      ("write=shed", "write");
+      ("compute=truncate", "compute");
+      ("admission=fail", "admission");
+      ("connect=shed", "connect");
+      ("probe=truncate", "probe");
+      ("handoff=shed", "handoff");
+    ];
+  List.iter
+    (fun spec ->
+      Alcotest.(check bool) ("accepts " ^ spec) true
+        (match Server.Faults.parse spec with Ok _ -> true | Error _ -> false))
+    [ "connect=fail@1"; "probe=fail"; "handoff=fail"; "write=delay:5,handoff=delay:5" ];
   let f = faults "compute=fail@2" in
-  Alcotest.(check int) "armed twice" 2 (List.length (Server.Faults.fire f ~site:"compute") + List.length (Server.Faults.fire f ~site:"compute"));
-  Alcotest.(check (list string)) "then disarmed" []
-    (List.map Server.Faults.action_to_string (Server.Faults.fire f ~site:"compute"));
-  Alcotest.(check (list string)) "other sites unaffected" []
-    (List.map Server.Faults.action_to_string (Server.Faults.fire f ~site:"write"))
+  Alcotest.(check (list bool)) "armed twice, then disarmed" [ true; true; false ]
+    (List.init 3 (fun _ -> Server.Faults.fire f ~site:"compute"));
+  Alcotest.(check bool) "other sites unaffected" false (Server.Faults.fire f ~site:"write");
+  Alcotest.(check bool) "a delay is no failure" false
+    (Server.Faults.fire (faults "compute=delay:1") ~site:"compute")
 
 (* --- Byte-bounded cache --- *)
 

@@ -146,20 +146,6 @@ let test_metrics () =
     Alcotest.(check int) "histogram complete" 2 total_counts
   | l -> Alcotest.fail (Printf.sprintf "expected 2 endpoints, got %d" (List.length l))
 
-let test_metrics_time () =
-  let m = Server.Metrics.create () in
-  let v = Server.Metrics.time m ~endpoint:"x" (fun () -> 41 + 1) in
-  Alcotest.(check int) "result passed through" 42 v;
-  Alcotest.(check bool) "exception recorded and re-raised" true
-    (try
-       Server.Metrics.time m ~endpoint:"x" (fun () -> failwith "boom")
-     with Failure _ -> true);
-  match Server.Metrics.snapshot m with
-  | [ s ] ->
-    Alcotest.(check int) "two requests" 2 s.Server.Metrics.requests;
-    Alcotest.(check int) "one error" 1 s.Server.Metrics.errors
-  | _ -> Alcotest.fail "one endpoint expected"
-
 (* --- Protocol --- *)
 
 let test_protocol_roundtrip () =
@@ -469,6 +455,37 @@ let result_of_response json =
   | Ok r -> r
   | Error (code, m) -> Alcotest.fail (code ^ ": " ^ m)
 
+(* One request tree through a role's line codec; the response as a tree. *)
+let handle fe json =
+  Server.Json.of_string (Server.Frontend.handle_line fe (Server.Json.to_string json))
+
+let op_request op = Server.Json.Assoc [ ("v", Server.Json.Int 1); ("op", Server.Json.String op) ]
+
+(* [stats.endpoints.<endpoint>]'s request and error counts. *)
+let endpoint_counts fe endpoint =
+  let stats = result_of_response (handle fe (op_request "stats")) in
+  let e = Server.Json.member endpoint (Server.Json.member "endpoints" stats) in
+  Server.Json.(to_int (member "requests" e), to_int (member "errors" e))
+
+(* An error a role answers as a value, not by raising, counts against
+   its endpoint: a router whose only backend is down answers
+   fleet_degraded, and a backend refuses the router-only
+   cluster_metrics. *)
+let test_metrics_count_answered_errors () =
+  let dead = Filename.temp_file "nbti_dead" ".sock" in
+  Sys.remove dead;
+  let router = Fleet.Router.create [ Server.Netline.Unix_socket dead ] in
+  let degraded = handle router (analyze_c17_request ()) in
+  Alcotest.(check string) "router answers fleet_degraded" "fleet_degraded"
+    Server.Json.(to_string_exn (member "code" (member "error" degraded)));
+  Alcotest.(check (pair int int)) "router analyze requests, errors" (1, 1)
+    (endpoint_counts router "analyze");
+  let backend = Server.Service.create () in
+  Alcotest.(check bool) "backend refuses cluster_metrics" false
+    Server.Json.(to_bool (member "ok" (handle backend (op_request "cluster_metrics"))));
+  Alcotest.(check (pair int int)) "backend cluster_metrics requests, errors" (1, 1)
+    (endpoint_counts backend "cluster_metrics")
+
 let test_service_roundtrip_exact () =
   let t = Server.Service.create () in
   (* direct platform run, same config as the protocol default *)
@@ -494,7 +511,7 @@ let test_service_roundtrip_exact () =
 
 let test_service_cache_hit () =
   let t = Server.Service.create () in
-  let ask () = result_of_response (Server.Frontend.handle t (analyze_c17_request ())) in
+  let ask () = result_of_response (handle t (analyze_c17_request ())) in
   let r1 = ask () in
   let r2 = ask () in
   Alcotest.(check bool) "first uncached" false
@@ -506,11 +523,7 @@ let test_service_cache_hit () =
     (Server.Json.member "analysis" r1 = Server.Json.member "analysis" r2);
   (* the stats endpoint confirms: one result-cache hit, one miss, and no
      second prepare *)
-  let stats =
-    result_of_response
-      (Server.Frontend.handle t
-         (Server.Json.Assoc [ ("v", Server.Json.Int 1); ("op", Server.Json.String "stats") ]))
-  in
+  let stats = result_of_response (handle t (op_request "stats")) in
   let cache_field group field =
     Server.Json.(to_int (member field (member group (member "cache" stats))))
   in
@@ -535,16 +548,12 @@ let test_service_prepared_shared_across_years () =
         request = Single (Analyze { circuit = Named "c17"; flow; standby = Worst });
       }
     in
-    ignore (result_of_response (Server.Frontend.handle t (json_of_envelope e)))
+    ignore (result_of_response (handle t (json_of_envelope e)))
   in
   ask 10.0;
   ask 3.0;
   ask 1.0;
-  let stats =
-    result_of_response
-      (Server.Frontend.handle t
-         (Server.Json.Assoc [ ("v", Server.Json.Int 1); ("op", Server.Json.String "stats") ]))
-  in
+  let stats = result_of_response (handle t (op_request "stats")) in
   let prepared field =
     Server.Json.(to_int (member field (member "prepared" (member "cache" stats))))
   in
@@ -927,7 +936,8 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counters and histogram" `Quick test_metrics;
-          Alcotest.test_case "time wrapper" `Quick test_metrics_time;
+          Alcotest.test_case "errors answered as values count" `Quick
+            test_metrics_count_answered_errors;
         ] );
       ( "protocol",
         [
