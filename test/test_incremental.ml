@@ -183,9 +183,10 @@ let session_answer s =
 
 (* Seeded edits over the ISCAS suite (single flips, fresh vectors, a
    complement past the fallback threshold, repeats, and a final revert
-   to the first vector), answered by sessions split over 1, 2 and 4 domains, one
-   session per chunk: every answer equals [Circuit_aging.analyze] under
-   [pbti_scale 0.5] (and the vector's standby leakage), bit for bit. *)
+   to the first vector), answered by sessions split over 1, 2 and 4
+   domains, one session per chunk: every answer equals
+   [Circuit_aging.analyze] under [pbti_scale 0.5] (and the vector's
+   standby leakage), bit for bit. *)
 let test_analysis_pbti_suite () =
   let rng = Physics.Rng.create ~seed:404 in
   List.iter
